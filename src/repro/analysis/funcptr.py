@@ -102,7 +102,7 @@ class FuncPtrAnalysis:
     def precision_class(self, function_name):
         """The :data:`PRECISION_CLASSES` bucket of one function's
         imprecision reasons (``"precise"`` when none implicate it) —
-        the per-function precision label the rewrite atlas records."""
+        the per-function precision label a rewrite record's atlas keeps."""
         return classify_precision(
             self.imprecise_by_function.get(function_name, ()))
 

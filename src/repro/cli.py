@@ -15,13 +15,11 @@ Examples::
     python -m repro perf record --workload 602.sgcc_s
     python -m repro perf report
     python -m repro perf check --fail-on fail
-    python -m repro rewrite --workload 602.sgcc_s --receipt --atlas
-    python -m repro receipt list
-    python -m repro receipt show latest --json
-    python -m repro receipt diff 7191d390 a3f2c1b0
-    python -m repro atlas build --workload 602.sgcc_s --mode func-ptr
-    python -m repro atlas show latest
-    python -m repro atlas diff 11aa22bb 33cc44dd
+    python -m repro rewrite --workload 602.sgcc_s --record --atlas
+    python -m repro record list
+    python -m repro record show latest --json
+    python -m repro record top latest --by unreached
+    python -m repro record diff 7191d390 a3f2c1b0
     python -m repro run sgcc.rw
     python -m repro engine report sgcc.rw --top 5
     python -m repro layout sgcc.rw
@@ -48,7 +46,7 @@ from repro.obs import (
     EngineTelemetry,
     FlightRecorder,
     Metrics,
-    ReceiptLedger,
+    RecordLedger,
     Tracer,
     fleet_summary,
     render_degradation,
@@ -56,8 +54,7 @@ from repro.obs import (
     render_flight_report,
     render_profile,
 )
-from repro.obs.atlas import DEFAULT_ATLAS_LEDGER
-from repro.obs.receipt import DEFAULT_LEDGER
+from repro.obs.receipt import DEFAULT_LEDGER, TOP_ORDERINGS
 from repro.toolchain.workloads import (
     SPEC_BENCHMARK_NAMES,
     build_workload,
@@ -159,31 +156,17 @@ def cmd_build(args):
     return 0
 
 
-def _receipt_recorder(path, workload):
-    """(sink, receipts) pair: the sink persists into the ledger at
-    ``path`` and keeps each receipt for in-process reporting."""
-    ledger = ReceiptLedger(path)
-    receipts = []
+def _ledger_sink(path):
+    """(sink, records) pair: the sink persists into the ledger at
+    ``path`` and keeps each record for in-process reporting."""
+    ledger = RecordLedger(path)
+    records = []
 
-    def sink(receipt):
-        ledger.append(receipt)
-        receipts.append(receipt)
+    def sink(record):
+        ledger.append(record)
+        records.append(record)
 
-    return sink, receipts
-
-
-def _atlas_recorder(path):
-    """(sink, atlases) pair, the atlas twin of :func:`_receipt_recorder`."""
-    from repro.obs import AtlasLedger
-
-    ledger = AtlasLedger(path)
-    atlases = []
-
-    def sink(atlas):
-        ledger.append(atlas)
-        atlases.append(atlas)
-
-    return sink, atlases
+    return sink, records
 
 
 def cmd_rewrite(args):
@@ -191,20 +174,18 @@ def cmd_rewrite(args):
     instrumentation = (CountingInstrumentation()
                        if args.instrument == "counting"
                        else EmptyInstrumentation())
-    # Receipts need the trace's per-stage timings, so --receipt implies
+    # --atlas is a section of the record, so it implies --record.
+    record_path = args.record or (DEFAULT_LEDGER if args.atlas else None)
+    # Records need the trace's per-stage timings, so --record implies
     # a tracer even without --profile/--trace.
-    observing = args.profile or args.trace or args.receipt
+    observing = args.profile or args.trace or record_path
     tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
         else None
     metrics = Metrics() if (observing or not args.no_cache) else None
     cache = _make_cache(args)
-    receipt_sink = receipts = None
-    if args.receipt:
-        receipt_sink, receipts = _receipt_recorder(args.receipt,
-                                                   args.workload)
-    atlas_sink = atlases = None
-    if args.atlas:
-        atlas_sink, atlases = _atlas_recorder(args.atlas)
+    record_sink = records = None
+    if record_path:
+        record_sink, records = _ledger_sink(record_path)
     try:
         rewritten, report, runtime = rewrite_binary(
             binary, RewriteMode.parse(args.mode),
@@ -213,14 +194,14 @@ def cmd_rewrite(args):
             tracer=tracer, metrics=metrics,
             cache=cache, jobs=args.jobs,
             degrade=not args.no_degrade,
-            receipt_sink=receipt_sink, workload=args.workload,
-            atlas_sink=atlas_sink,
+            record_sink=record_sink, workload=args.workload,
+            atlas=args.atlas,
         )
     except ReproError as exc:
         print(f"rewrite refused: {exc}", file=sys.stderr)
-        if receipts:
-            print(f"receipt       : {receipts[-1].short_id} [failed] "
-                  f"-> {args.receipt}", file=sys.stderr)
+        if records:
+            print(f"record        : {records[-1].short_id} [failed] "
+                  f"-> {record_path}", file=sys.stderr)
         if args.profile and tracer is not None:
             print(render_profile(tracer), file=sys.stderr)
         return EXIT_REWRITE_ERROR
@@ -247,12 +228,15 @@ def cmd_rewrite(args):
         print(f"degraded      : {lines[0]}")
         for line in lines[1:]:
             print(line)
-    if receipts:
-        print(f"receipt       : {receipts[-1].short_id} "
-              f"-> {args.receipt}")
-    if atlases:
-        print(f"atlas         : {atlases[-1].short_id} "
-              f"-> {args.atlas}")
+    if records:
+        record = records[-1]
+        atlas = ""
+        if record.has_atlas:
+            roll = record.rollup
+            atlas = (f" (atlas: {roll['functions']} function(s), "
+                     f"cfg {roll['cfg_fraction']:.1%})")
+        print(f"record        : {record.short_id}{atlas} "
+              f"-> {record_path}")
     if args.output:
         print(f"written       : {args.output}")
     diverged = False
@@ -283,16 +267,16 @@ def cmd_batch(args):
     per-function artifacts, and ``--jobs N`` spreads the remaining
     analyses over a pool.
 
-    Unless ``--no-receipts``, every rewrite (failed ones included)
-    appends a provenance receipt to the ledger at ``--receipts``, and
-    the whole batch closes with one fleet-summary row.
+    Unless ``--no-records``, every rewrite (failed ones included)
+    appends a :class:`~repro.obs.RewriteRecord` to the ledger at
+    ``--records``, and the whole batch closes with one fleet-summary
+    row.
     """
     cache = _make_cache(args)
-    receipt_sink = batch_receipts = None
-    receipt_path = None if args.no_receipts else args.receipts
-    if receipt_path:
-        receipt_sink, batch_receipts = _receipt_recorder(receipt_path,
-                                                         None)
+    record_sink = batch_records = None
+    record_path = None if args.no_records else args.records
+    if record_path:
+        record_sink, batch_records = _ledger_sink(record_path)
     failures = 0
     runs = []
     loaded = {}
@@ -314,17 +298,17 @@ def cmd_batch(args):
                     continue
             _, binary = loaded[name]
             metrics = Metrics()
-            # One tracer per rewrite so each receipt gets its own
+            # One tracer per rewrite so each record gets its own
             # per-stage timings.
             tracer = (Tracer(name=f"batch:{name}")
-                      if receipt_sink is not None else None)
+                      if record_sink is not None else None)
             t0 = time.perf_counter()
             try:
                 rewritten, report, _ = rewrite_binary(
                     binary, RewriteMode.parse(args.mode),
                     tracer=tracer, metrics=metrics, cache=cache,
                     jobs=args.jobs,
-                    receipt_sink=receipt_sink, workload=name,
+                    record_sink=record_sink, workload=name,
                 )
             except ReproError as exc:
                 failures += 1
@@ -351,11 +335,11 @@ def cmd_batch(args):
         print(f"[cache: {stats['entries']} entries, {stats['hits']} hits"
               f" / {stats['misses']} misses, {stats['stores']} stores]",
               file=sys.stderr)
-    if batch_receipts:
-        ReceiptLedger(receipt_path).append_summary(
-            fleet_summary(batch_receipts))
-        print(f"[{len(batch_receipts)} receipt(s) + fleet summary "
-              f"-> {receipt_path}]", file=sys.stderr)
+    if batch_records:
+        RecordLedger(record_path).append_summary(
+            fleet_summary(batch_records))
+        print(f"[{len(batch_records)} record(s) + fleet summary "
+              f"-> {record_path}]", file=sys.stderr)
     if load_failed and load_failed >= set(args.workloads):
         return EXIT_LOAD_ERROR   # nothing in the batch even loaded
     return EXIT_REWRITE_ERROR if failures else 0
@@ -465,17 +449,17 @@ def cmd_perf(args):
         program, binary = _load_workload(args.workload, args.arch)
         tracer = Tracer(name=f"perf:{args.workload}",
                         memory=not args.no_mem)
-        metrics = Metrics()
-        t0 = time.perf_counter()
+        records = []
         try:
-            rewritten, report, runtime = rewrite_binary(
+            rewritten, _, runtime = rewrite_binary(
                 binary, RewriteMode.parse(args.mode),
-                tracer=tracer, metrics=metrics, jobs=args.jobs,
+                tracer=tracer, metrics=Metrics(), jobs=args.jobs,
+                record_sink=records.append, workload=args.workload,
             )
         except ReproError as exc:
             print(f"perf record refused: {exc}", file=sys.stderr)
             return EXIT_REWRITE_ERROR
-        total = time.perf_counter() - t0
+        tracer.finish()   # stops the tracemalloc this tracer started
         instructions = cycles = None
         guard_failure_rate = engine_compile_seconds = None
         if not args.no_run:
@@ -488,10 +472,8 @@ def cmd_perf(args):
             instructions, cycles = result.icount, result.cycles
             guard_failure_rate = telemetry.guard_failure_rate
             engine_compile_seconds = telemetry.compile_seconds
-        sample = PerfSample.from_rewrite(
-            tracer, metrics, report,
-            workload=args.workload, arch=args.arch, mode=args.mode,
-            total_seconds=total, instructions=instructions,
+        sample = PerfSample.from_record(
+            records[-1], instructions=instructions,
             cycles=cycles, guard_failure_rate=guard_failure_rate,
             engine_compile_seconds=engine_compile_seconds,
         )
@@ -500,7 +482,7 @@ def cmd_perf(args):
                if sample.mem_peak is not None else "")
         dyn = (f", {cycles:,} cycles" if cycles is not None else "")
         print(f"recorded {args.workload}/{args.arch}/{args.mode}: "
-              f"{total * 1e3:.1f}ms over "
+              f"{sample.total_seconds * 1e3:.1f}ms over "
               f"{len(sample.stage_seconds)} stages{mem}{dyn} "
               f"-> {args.history}")
         return 0
@@ -541,111 +523,29 @@ def cmd_perf(args):
     return EXIT_PERF_REGRESSION if verdict.grade in gate else 0
 
 
-def cmd_receipt(args):
-    """The provenance ledger: list receipts, show one, diff two.
+def cmd_record(args):
+    """The rewrite-record ledger: list records, show one, rank one's
+    atlas rows, diff two.
 
     ``diff`` answers the reproducibility question first — do the two
     rewrites agree on the output digest? — then explains the cost
-    difference (stage timings, cache accounting, degradation shape).
-    It exits :data:`EXIT_DIVERGED` when both receipts carry an output
-    digest and they differ.
+    difference (stage timings, cache accounting, degradation shape)
+    and, when both records carry an atlas section, the per-function
+    coverage/mode/overhead deltas.  It exits
+    :data:`EXIT_COVERAGE_REGRESSION` when both have atlas sections and
+    the second covers less; otherwise :data:`EXIT_DIVERGED` when both
+    carry an output digest and they differ.
     """
     from repro.obs import (
-        diff_receipts,
-        render_receipt,
-        render_receipt_diff,
-        render_receipt_list,
+        diff_records,
+        render_record,
+        render_record_diff,
+        render_record_list,
+        render_record_top,
     )
 
-    ledger = ReceiptLedger(args.ledger)
-    receipts = ledger.load()
-    if ledger.skipped:
-        print(f"[{ledger.skipped} corrupt/foreign ledger line"
-              f"{'' if ledger.skipped == 1 else 's'} skipped]",
-              file=sys.stderr)
-
-    wanted = {"list": 0, "show": 1, "diff": 2}[args.action]
-    if len(args.ids) != wanted:
-        raise CliError(
-            f"receipt {args.action} takes {wanted} receipt id(s), "
-            f"got {len(args.ids)}",
-            EXIT_LOAD_ERROR,
-        )
-
-    if args.action == "list":
-        print(render_receipt_list(receipts, ledger.skipped,
-                                  ledger.summaries))
-        return 0
-
-    try:
-        found = [ledger.find(id_prefix) for id_prefix in args.ids]
-    except LookupError as exc:
-        raise CliError(str(exc), EXIT_LOAD_ERROR)
-
-    if args.action == "show":
-        if args.json:
-            import json
-            print(json.dumps(found[0].to_dict(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_receipt(found[0]))
-        return 0
-
-    a, b = found
-    diff = diff_receipts(a, b)
-    print(render_receipt_diff(a, b, diff))
-    return EXIT_DIVERGED if diff["same_output"] is False else 0
-
-
-def cmd_atlas(args):
-    """The rewrite atlas: per-function coverage/precision accounting.
-
-    ``build`` rewrites one workload with atlas emission on and appends
-    the :class:`~repro.obs.RewriteAtlas` to the ledger.  ``list``,
-    ``show`` (``latest`` or an id prefix; ``--json`` for the raw
-    document) and ``top`` inspect the ledger; ``diff`` compares two
-    atlases' coverage/mode/overhead and exits
-    :data:`EXIT_COVERAGE_REGRESSION` when the second covers less — the
-    standing gate for precision-affecting changes.
-    """
-    from repro.obs import (
-        AtlasLedger,
-        diff_atlases,
-        render_atlas,
-        render_atlas_diff,
-        render_atlas_list,
-        render_atlas_top,
-    )
-
-    if args.action == "build":
-        if not args.workload:
-            raise CliError("atlas build requires --workload",
-                           EXIT_LOAD_ERROR)
-        program, binary = _load_workload(args.workload, args.arch,
-                                         args.pie)
-        cache = _make_cache(args)
-        metrics = Metrics()
-        sink, atlases = _atlas_recorder(args.ledger)
-        try:
-            rewritten, report, _ = rewrite_binary(
-                binary, RewriteMode.parse(args.mode),
-                metrics=metrics, cache=cache, jobs=args.jobs,
-                atlas_sink=sink, workload=args.workload,
-            )
-        except ReproError as exc:
-            print(f"atlas build refused: {exc}", file=sys.stderr)
-            return EXIT_REWRITE_ERROR
-        atlas = atlases[-1]
-        roll = atlas.rollup
-        modes = " ".join(f"{m}={n}" for m, n in
-                         sorted(roll["mode_distribution"].items()))
-        print(f"atlas {atlas.short_id}: {roll['functions']} function(s), "
-              f"cfg {roll['cfg_fraction']:.1%}, modes [{modes}] "
-              f"-> {args.ledger}")
-        return 0
-
-    ledger = AtlasLedger(args.ledger)
-    atlases = ledger.load()
+    ledger = RecordLedger(args.ledger)
+    records = ledger.load()
     if ledger.skipped:
         print(f"[{ledger.skipped} corrupt/foreign ledger line"
               f"{'' if ledger.skipped == 1 else 's'} skipped]",
@@ -654,13 +554,14 @@ def cmd_atlas(args):
     wanted = {"list": 0, "show": 1, "top": 1, "diff": 2}[args.action]
     if len(args.ids) != wanted:
         raise CliError(
-            f"atlas {args.action} takes {wanted} atlas id(s), "
+            f"record {args.action} takes {wanted} record id(s), "
             f"got {len(args.ids)}",
             EXIT_LOAD_ERROR,
         )
 
     if args.action == "list":
-        print(render_atlas_list(atlases, ledger.skipped))
+        print(render_record_list(records, ledger.skipped,
+                                 ledger.summaries))
         return 0
 
     try:
@@ -674,18 +575,24 @@ def cmd_atlas(args):
             print(json.dumps(found[0].to_dict(), indent=2,
                              sort_keys=True))
         else:
-            print(render_atlas(found[0], limit=args.limit or 0))
+            print(render_record(found[0], limit=args.limit or 0))
         return 0
 
     if args.action == "top":
-        print(render_atlas_top(found[0], by=args.by,
-                               limit=args.limit or 10))
+        if not found[0].has_atlas:
+            raise CliError(
+                f"record {found[0].short_id} has no atlas section "
+                f"(rewrite with --record --atlas)", EXIT_LOAD_ERROR)
+        print(render_record_top(found[0], by=args.by,
+                                limit=args.limit or 10))
         return 0
 
     a, b = found
-    diff = diff_atlases(a, b)
-    print(render_atlas_diff(a, b, diff))
-    return EXIT_COVERAGE_REGRESSION if diff["coverage_regressed"] else 0
+    diff = diff_records(a, b)
+    print(render_record_diff(a, b, diff))
+    if diff["coverage_regressed"]:
+        return EXIT_COVERAGE_REGRESSION
+    return EXIT_DIVERGED if diff["same_output"] is False else 0
 
 
 def cmd_run(args):
@@ -854,14 +761,13 @@ def build_parser():
     p.add_argument("--no-degrade", action="store_true",
                    help="refuse the whole binary instead of walking "
                         "unsupported functions down the mode ladder")
-    p.add_argument("--receipt", nargs="?", const=DEFAULT_LEDGER,
+    p.add_argument("--record", nargs="?", const=DEFAULT_LEDGER,
                    default=None, metavar="LEDGER",
-                   help="append a provenance receipt to LEDGER "
+                   help="append a rewrite record to LEDGER "
                         f"(default {DEFAULT_LEDGER})")
-    p.add_argument("--atlas", nargs="?", const=DEFAULT_ATLAS_LEDGER,
-                   default=None, metavar="LEDGER",
-                   help="append a per-function coverage atlas to LEDGER "
-                        f"(default {DEFAULT_ATLAS_LEDGER})")
+    p.add_argument("--atlas", action="store_true",
+                   help="give the record a per-function coverage atlas "
+                        "(implies --record)")
     p.add_argument("-o", "--output")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_rewrite)
@@ -881,11 +787,11 @@ def build_parser():
                         "rounds)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write rewritten binaries under DIR")
-    p.add_argument("--receipts", default=DEFAULT_LEDGER, metavar="FILE",
-                   help="receipt ledger the batch appends to "
+    p.add_argument("--records", default=DEFAULT_LEDGER, metavar="FILE",
+                   help="record ledger the batch appends to "
                         f"(default {DEFAULT_LEDGER})")
-    p.add_argument("--no-receipts", action="store_true",
-                   help="skip receipt emission")
+    p.add_argument("--no-records", action="store_true",
+                   help="skip record emission")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_batch)
 
@@ -953,48 +859,24 @@ def build_parser():
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
-        "receipt",
-        help="inspect the rewrite-receipt ledger (provenance records)",
+        "record",
+        help="inspect the rewrite-record ledger: list, show, top, diff",
     )
-    p.add_argument("action", choices=["list", "show", "diff"])
+    p.add_argument("action", choices=["list", "show", "top", "diff"])
     p.add_argument("ids", nargs="*", metavar="ID",
-                   help="receipt id prefix(es) or `latest`: one for "
-                        "show, two for diff")
-    p.add_argument("--ledger", default=DEFAULT_LEDGER, metavar="FILE",
-                   help=f"receipt ledger (default {DEFAULT_LEDGER})")
-    p.add_argument("--json", action="store_true",
-                   help="show: print the raw receipt document")
-    p.set_defaults(func=cmd_receipt)
-
-    p = sub.add_parser(
-        "atlas",
-        help="per-function coverage/precision atlases: build one, "
-             "inspect the ledger, diff two",
-    )
-    p.add_argument("action",
-                   choices=["build", "list", "show", "top", "diff"])
-    p.add_argument("ids", nargs="*", metavar="ID",
-                   help="atlas id prefix(es) or `latest`: one for "
+                   help="record id prefix(es) or `latest`: one for "
                         "show/top, two for diff")
-    p.add_argument("--ledger", default=DEFAULT_ATLAS_LEDGER,
-                   metavar="FILE",
-                   help=f"atlas ledger (default {DEFAULT_ATLAS_LEDGER})")
-    p.add_argument("--workload", help="build: workload to rewrite")
-    p.add_argument("--arch", default="x86")
-    p.add_argument("--pie", action="store_true")
-    p.add_argument("--mode", default="jt",
-                   choices=[m.value for m in RewriteMode])
+    p.add_argument("--ledger", default=DEFAULT_LEDGER, metavar="FILE",
+                   help=f"record ledger (default {DEFAULT_LEDGER})")
     p.add_argument("--json", action="store_true",
-                   help="show: print the raw atlas document")
+                   help="show: print the raw record document")
     p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="show/top: cap the rows printed "
+                   help="show/top: cap the atlas rows printed "
                         "(show: all, top: 10)")
     p.add_argument("--by", default="trampoline-bytes",
-                   choices=["trampoline-bytes", "unreached",
-                            "analysis-seconds", "indirect-targets"],
+                   choices=sorted(TOP_ORDERINGS),
                    help="top: ranking field (default trampoline-bytes)")
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_atlas)
+    p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("run", help="run a (possibly rewritten) binary")
     p.add_argument("binary")

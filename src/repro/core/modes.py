@@ -71,9 +71,9 @@ def ladder_rung(mode):
 
     The rung is the diffable encoding of "how far down the ladder did
     this function fall" — a larger rung always means strictly less
-    rewritten control flow, so observability consumers (the rewrite
-    atlas, ``repro atlas diff``) can order modes without re-deriving
-    ladder semantics.
+    rewritten control flow, so observability consumers (a rewrite
+    record's atlas section, ``repro record diff``) can order modes
+    without re-deriving ladder semantics.
     """
     if isinstance(mode, RewriteMode):
         return MODE_LADDER.index(mode)

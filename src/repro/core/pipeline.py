@@ -197,7 +197,7 @@ def run_accounted(fn, task, fault=None):
     (``worker.task_seconds``), and whatever the task itself counted via
     :func:`worker_metrics`.  Module-level (not a closure or bound
     method) so a process pool can pickle it; the deltas travel back
-    over the result pipe, which is what keeps ``--jobs N`` receipts as
+    over the result pipe, which is what keeps ``--jobs N`` records as
     accurate as serial ones — worker-side accounting used to die with
     the worker process.
 

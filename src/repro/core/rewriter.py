@@ -55,10 +55,9 @@ from repro.core.trampolines import ScratchPool, TrampolineInstaller
 from repro.isa import get_arch
 from repro.isa.archspec import ILLEGAL_BYTE
 from repro.obs import NULL_METRICS, NULL_TRACER
-from repro.obs.atlas import AtlasBuilder
 from repro.obs.receipt import (
-    RewriteReceipt,
-    content_digest,
+    AtlasBuilder,
+    RewriteRecord,
     delta_metrics,
     snapshot_metrics,
 )
@@ -153,8 +152,8 @@ class IncrementalRewriter:
                  function_order="address", block_order="address",
                  tracer=None, metrics=None, cache=None, executor=None,
                  jobs=1, executor_kind="thread", degrade=True,
-                 worker_faults=None, receipt_sink=None, workload=None,
-                 atlas_sink=None):
+                 worker_faults=None, record_sink=None, workload=None,
+                 atlas=False):
         self.mode = (RewriteMode.parse(mode) if isinstance(mode, str)
                      else mode)
         self.instrumentation = instrumentation or EmptyInstrumentation()
@@ -190,22 +189,17 @@ class IncrementalRewriter:
         #: :class:`repro.analysis.failures.WorkerFaultInjector` consulted
         #: by executors this rewriter creates (chaos harness); None = off
         self.worker_faults = worker_faults
-        #: provenance sink: a :class:`repro.obs.ReceiptLedger` (or any
-        #: callable) receiving one :class:`repro.obs.RewriteReceipt` per
-        #: rewrite — failed rewrites included; None disables receipts
-        self.receipt_sink = receipt_sink
-        #: workload label stamped on emitted receipts
+        #: record sink: a :class:`repro.obs.RecordLedger` (or any
+        #: callable) receiving one :class:`repro.obs.RewriteRecord` per
+        #: rewrite — failed rewrites included; None disables records
+        self.record_sink = record_sink
+        #: workload label stamped on emitted records
         self.workload = workload
-        #: coverage/precision sink: a :class:`repro.obs.AtlasLedger`
-        #: (or any callable) receiving one
-        #: :class:`repro.obs.RewriteAtlas` per successful rewrite,
-        #: assembled stage-by-stage with no re-analysis; None disables
-        #: atlas emission
-        self.atlas_sink = atlas_sink
-        #: the most recent rewrite's receipt (None until one is emitted)
-        self.last_receipt = None
-        #: the most recent rewrite's atlas (None until one is emitted)
-        self.last_atlas = None
+        #: give each successful rewrite's record the per-function atlas
+        #: section, assembled stage-by-stage with no re-analysis
+        self.atlas = atlas
+        #: the most recent rewrite's record (None until one is emitted)
+        self.last_record = None
 
     # -- public ---------------------------------------------------------------
 
@@ -214,17 +208,17 @@ class IncrementalRewriter:
 
         Each pipeline stage runs under a :data:`PIPELINE_STAGES` trace
         span; per-function failures become ``function-skipped`` events.
-        With a :attr:`receipt_sink` attached, every rewrite — failed
+        With a :attr:`record_sink` attached, every rewrite — failed
         ones included — additionally emits one
-        :class:`repro.obs.RewriteReceipt` (kept on
-        :attr:`last_receipt`) before the result or error propagates.
+        :class:`repro.obs.RewriteRecord` (kept on :attr:`last_record`)
+        before the result or error propagates; with :attr:`atlas` set,
+        a successful rewrite's record carries the atlas section.
         """
         tr = self.tracer
         metrics = self.metrics
-        emit = self.receipt_sink is not None
+        emit = self.record_sink is not None
         before = snapshot_metrics(metrics) if emit else None
-        #: only an atlas emitted by *this* rewrite may link its receipt
-        self.last_atlas = None
+        atlas = AtlasBuilder() if emit and self.atlas else None
         t0 = time.perf_counter()
         error = None
         rewritten = report = None
@@ -233,33 +227,21 @@ class IncrementalRewriter:
             with tr.span("rewrite", mode=str(self.mode),
                          arch=binary.arch_name) as rewrite_span:
                 rewritten, report = self._rewrite_traced(
-                    binary, tr, metrics)
+                    binary, tr, metrics, atlas)
         except ReproError as exc:
             if not emit:
                 raise
             error = exc
-        # Memory accounting (Tracer(memory=True)) lands per-stage peaks
-        # on the stage spans; mirror the whole-rewrite peak and each
-        # stage's peak onto the metrics registry so PerfSample builders
-        # and dashboards need not walk the trace tree.
-        if getattr(rewrite_span, "mem_peak", None) is not None:
-            metrics.set_gauge("rewrite.mem_peak_bytes",
-                              rewrite_span.mem_peak)
-            for stage in rewrite_span.children:
-                if stage.name in PIPELINE_STAGES \
-                        and stage.mem_peak is not None:
-                    metrics.set_gauge(
-                        f"rewrite.stage.{stage.name}.mem_peak_bytes",
-                        stage.mem_peak)
         if emit:
-            self._emit_receipt(binary, rewritten, report, rewrite_span,
-                               before, time.perf_counter() - t0, error)
+            self._emit_record(binary, rewritten, report, rewrite_span,
+                              before, time.perf_counter() - t0, error,
+                              atlas if error is None else None)
             if error is not None:
                 raise error
         return rewritten, report
 
     def resolved_options(self):
-        """The receipt's resolved option set: every reproducibility-
+        """The record's resolved option set: every reproducibility-
         relevant knob as it actually applied to this rewrite."""
         return {
             "mode": str(self.mode),
@@ -273,36 +255,24 @@ class IncrementalRewriter:
             "block_order": self.block_order,
         }
 
-    def _emit_receipt(self, binary, rewritten, report, span, before,
-                      total_seconds, error):
-        receipt = RewriteReceipt.from_rewrite(
+    def _emit_record(self, binary, rewritten, report, span, before,
+                     total_seconds, error, atlas):
+        record = RewriteRecord.from_rewrite(
             binary, rewritten, report, span,
             delta_metrics(before, snapshot_metrics(self.metrics)),
             total_seconds,
             workload=self.workload,
             options=self.resolved_options(),
             error=error,
-            atlas_digest=(self.last_atlas.atlas_id
-                          if self.last_atlas is not None else None),
+            atlas=atlas,
         )
-        self.last_receipt = receipt
-        sink = self.receipt_sink
+        self.last_record = record
+        sink = self.record_sink
         append = getattr(sink, "append", None)
-        (append if append is not None else sink)(receipt)
-        return receipt
+        (append if append is not None else sink)(record)
+        return record
 
-    def _emit_atlas(self, builder, binary, rewritten):
-        atlas = builder.finish(
-            input_digest=content_digest(binary),
-            output_digest=content_digest(rewritten),
-        )
-        self.last_atlas = atlas
-        sink = self.atlas_sink
-        append = getattr(sink, "append", None)
-        (append if append is not None else sink)(atlas)
-        return atlas
-
-    def _rewrite_traced(self, binary, tr, metrics):
+    def _rewrite_traced(self, binary, tr, metrics, atlas):
         spec = get_arch(binary.arch_name)
 
         # The pipeline substrate for this rewrite: one cache view whose
@@ -329,18 +299,17 @@ class IncrementalRewriter:
         try:
             return self._rewrite_staged(
                 binary, tr, metrics, spec, pipeline_cache,
-                downstream_cache, executor,
+                downstream_cache, executor, atlas,
             )
         finally:
             if own_executor:
                 executor.close()
 
     def _rewrite_staged(self, binary, tr, metrics, spec, pipeline_cache,
-                        downstream_cache, executor):
-        # The atlas builder rides along the stages, accounting data each
-        # stage already computed — emission never re-analyzes anything.
-        atlas = (AtlasBuilder(workload=self.workload)
-                 if self.atlas_sink is not None else None)
+                        downstream_cache, executor, atlas):
+        # The atlas builder (None unless requested) rides along the
+        # stages, accounting data each stage already computed — it
+        # never re-analyzes anything.
         with tr.span("cfg-construction"):
             cfg = build_cfg(binary, self.construction_options,
                             tracer=tr, metrics=metrics,
@@ -360,7 +329,7 @@ class IncrementalRewriter:
                     mode=str(self.mode),
                 )
             if atlas is not None:
-                atlas.observe_cfg(cfg, spec.name, str(self.mode),
+                atlas.observe_cfg(cfg, str(self.mode),
                                   binary.metadata.get("text_range"))
 
         with tr.span("funcptr-analysis"):
@@ -591,7 +560,6 @@ class IncrementalRewriter:
         metrics.set_gauge("rewrite.size_increase", report.size_increase)
         if atlas is not None:
             atlas.observe_provenance(cfg.work_items)
-            self._emit_atlas(atlas, binary, out)
         return out, report
 
     def runtime_library(self, rewritten):

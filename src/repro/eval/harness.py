@@ -73,12 +73,9 @@ class ToolRun:
     #: the :class:`repro.obs.EngineTelemetry` that observed this run's
     #: superblock JIT (None when engine telemetry was not requested)
     telemetry: object = field(default=None, repr=False)
-    #: the rewrite's :class:`repro.obs.RewriteReceipt` (None for tools
-    #: without receipt support)
-    receipt: object = field(default=None, repr=False)
-    #: the rewrite's :class:`repro.obs.RewriteAtlas` (None unless the
-    #: caller passed an ``atlas_sink`` and the tool speaks atlases)
-    atlas: object = field(default=None, repr=False)
+    #: the rewrite's :class:`repro.obs.RewriteRecord` (None for tools
+    #: without record support)
+    record: object = field(default=None, repr=False)
 
 
 def make_tool(name, instrumentation=None, scorch=True, **kwargs):
@@ -130,14 +127,14 @@ def _cache_snapshot(metrics):
     )
 
 
-def _discard_receipt(receipt):
-    """No-op sink: enables receipt emission without persistence."""
+def _discard_record(record):
+    """No-op sink: enables record emission without persistence."""
 
 
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                   instrumentation=None, tracer=None, metrics=None,
                   flight=None, telemetry=None, cache=None, jobs=None,
-                  faults=None, receipt_sink=None, atlas_sink=None,
+                  faults=None, record_sink=None, atlas=False,
                   **tool_kwargs):
     """Run one tool on one binary; returns a :class:`ToolRun`.
 
@@ -171,17 +168,13 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     exactly as without faults — the invariant under test is that the
     output binary still matches the oracle and only coverage drops.
 
-    ``receipt_sink`` (a :class:`repro.obs.ReceiptLedger` or callable)
-    persists the rewrite's provenance receipt; even without one, tools
-    that speak receipts get a discard sink so the receipt is still
-    assembled and attached to :attr:`ToolRun.receipt`.
-
-    ``atlas_sink`` (a :class:`repro.obs.AtlasLedger` or callable) turns
-    on per-function coverage/precision accounting; the assembled
-    :class:`repro.obs.RewriteAtlas` comes back on
-    :attr:`ToolRun.atlas`.  Unlike receipts there is no default discard
-    sink — atlas assembly walks every function, so it runs only on
-    request.
+    ``record_sink`` (a :class:`repro.obs.RecordLedger` or callable)
+    persists the rewrite's :class:`repro.obs.RewriteRecord`; even
+    without one, tools that speak records get a discard sink so the
+    record is still assembled and attached to :attr:`ToolRun.record`.
+    ``atlas=True`` adds the per-function coverage/precision section to
+    that record; it is off by default because atlas assembly walks
+    every function.
     """
     attach = tracer if tracer is not None else None
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -198,15 +191,14 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
             rewriter.cache = cache
         if jobs is not None:
             rewriter.jobs = jobs
-        if hasattr(rewriter, "receipt_sink"):
+        if hasattr(rewriter, "record_sink"):
             # Not every baseline is an IncrementalRewriter; only wire
-            # receipts into tools that emit them.
-            rewriter.receipt_sink = (receipt_sink
-                                     if receipt_sink is not None
-                                     else _discard_receipt)
+            # records into tools that emit them.
+            rewriter.record_sink = (record_sink
+                                    if record_sink is not None
+                                    else _discard_record)
+            rewriter.atlas = atlas
             rewriter.workload = benchmark or None
-        if atlas_sink is not None and hasattr(rewriter, "atlas_sink"):
-            rewriter.atlas_sink = atlas_sink
         if faults is not None:
             _apply_faults(rewriter, faults, cache)
         before = _cache_snapshot(metrics)
@@ -225,8 +217,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
                        error=error, trace=attach, flight=flight,
                        telemetry=telemetry,
-                       receipt=getattr(rewriter, "last_receipt", None),
-                       atlas=getattr(rewriter, "last_atlas", None))
+                       record=getattr(rewriter, "last_record", None))
     mem_peak = None
     if attach is not None:
         rewrite_span = attach.find("rewrite")
@@ -243,8 +234,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                        cache_misses=cache_stats[1],
                        analysis_seconds_saved=cache_stats[2],
                        mem_peak=mem_peak,
-                       receipt=getattr(rewriter, "last_receipt", None),
-                       atlas=getattr(rewriter, "last_atlas", None))
+                       record=getattr(rewriter, "last_record", None))
     return ToolRun(
         tool=tool,
         benchmark=benchmark,
@@ -269,8 +259,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         trace=attach,
         flight=flight,
         telemetry=telemetry,
-        receipt=getattr(rewriter, "last_receipt", None),
-        atlas=getattr(rewriter, "last_atlas", None),
+        record=getattr(rewriter, "last_record", None),
     )
 
 

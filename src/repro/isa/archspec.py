@@ -30,6 +30,7 @@ inherits from E9Patch appears at true scale.
 import struct
 
 from repro.isa.insn import Instruction, Mem, PCREL_DISP_INDEX
+from repro.isa.registers import NUM_REGS
 from repro.util.errors import DecodingError, EncodingError
 from repro.util.ints import fits_signed, fits_unsigned, sign_extend
 
@@ -131,6 +132,12 @@ class ArchSpec:
         return f"<ArchSpec {self.name}>"
 
 
+def _bad_reg(what, value):
+    """The error for a register field that names no architectural
+    register — data bytes decoded as code."""
+    return DecodingError(f"{what}: register field {value} out of range")
+
+
 class VariableLengthSpec(ArchSpec):
     """x86-like encoding: opcode byte + raw operand fields.
 
@@ -221,13 +228,18 @@ class VariableLengthSpec(ArchSpec):
         operands = []
         for tok in fmt:
             if tok == "r":
-                operands.append(data[pos])
+                reg = data[pos]
+                if reg >= NUM_REGS:
+                    raise _bad_reg(mnemonic, reg)
+                operands.append(reg)
                 pos += 1
             elif tok == "u8":
                 operands.append(data[pos])
                 pos += 1
             elif tok == "m32":
                 base = data[pos]
+                if base >= NUM_REGS:
+                    raise _bad_reg(mnemonic, base)
                 disp = struct.unpack_from("<i", data, pos + 1)[0]
                 operands.append(Mem(base, disp))
                 pos += 5
@@ -366,11 +378,20 @@ class FixedLengthSpec(ArchSpec):
         operands = self._unpack(word, fmt)
         return Instruction(mnemonic, *operands, addr=addr, length=4)
 
-    @staticmethod
-    def _unpack(word, fmt):
+    #: how many leading 5-bit register fields each format uses
+    _REG_FIELDS = {"R1": 1, "R2": 2, "R3": 3, "RI16": 1, "RRI16": 2,
+                   "RM16": 2}
+
+    @classmethod
+    def _unpack(cls, word, fmt):
         r1 = (word >> 21) & 0x1F
         r2 = (word >> 16) & 0x1F
         r3 = (word >> 11) & 0x1F
+        used = cls._REG_FIELDS.get(fmt, 0)
+        if used and (r1 >= NUM_REGS
+                     or used > 1 and r2 >= NUM_REGS
+                     or used > 2 and r3 >= NUM_REGS):
+            raise _bad_reg(fmt, max((r1, r2, r3)[:used]))
         if fmt == "NONE":
             return ()
         if fmt == "R1":

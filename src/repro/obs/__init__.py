@@ -14,9 +14,10 @@ trajectory: a shared :class:`PerfSample` schema, the append-only
 :class:`BenchHistory` behind ``BENCH_history.json``, and the
 :class:`RegressionSentinel` that gates CI on cross-run regressions.
 
-:mod:`repro.obs.receipt` is the provenance layer: one schema-versioned,
-content-addressed :class:`RewriteReceipt` per rewrite, persisted in the
-append-only :class:`ReceiptLedger` — both speaking the shared store
+:mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
+content-addressed :class:`RewriteRecord` per rewrite (provenance, cost,
+and on request a per-function coverage atlas), persisted in the
+append-only :class:`RecordLedger` — both speaking the shared store
 discipline of :mod:`repro.obs.store`.
 
 :mod:`repro.obs.engine` is the engine observatory: the
@@ -25,16 +26,6 @@ fuse/compile/dispatch/guard time, read out as a schema-versioned
 ``EngineReport/v1`` via :func:`render_engine_report`.
 """
 
-from repro.obs.atlas import (
-    AtlasBuilder,
-    AtlasLedger,
-    RewriteAtlas,
-    diff_atlases,
-    render_atlas,
-    render_atlas_diff,
-    render_atlas_list,
-    render_atlas_top,
-)
 from repro.obs.degrade import render_degradation
 from repro.obs.engine import (
     ENGINE_REPORT_SCHEMA,
@@ -55,15 +46,17 @@ from repro.obs.observatory import (
     trend_document,
 )
 from repro.obs.receipt import (
-    ReceiptLedger,
-    RewriteReceipt,
+    AtlasBuilder,
+    RecordLedger,
+    RewriteRecord,
     content_digest,
     delta_metrics,
-    diff_receipts,
+    diff_records,
     fleet_summary,
-    render_receipt,
-    render_receipt_diff,
-    render_receipt_list,
+    render_record,
+    render_record_diff,
+    render_record_list,
+    render_record_top,
     snapshot_metrics,
 )
 from repro.obs.store import JsonlStore, atomic_write_text, parse_entries
@@ -113,24 +106,18 @@ __all__ = [
     "render_trend",
     "trend_document",
     "stamp_record",
-    "RewriteAtlas",
+    "RewriteRecord",
+    "RecordLedger",
     "AtlasBuilder",
-    "AtlasLedger",
-    "diff_atlases",
-    "render_atlas",
-    "render_atlas_list",
-    "render_atlas_top",
-    "render_atlas_diff",
-    "RewriteReceipt",
-    "ReceiptLedger",
     "content_digest",
     "snapshot_metrics",
     "delta_metrics",
     "fleet_summary",
-    "diff_receipts",
-    "render_receipt",
-    "render_receipt_list",
-    "render_receipt_diff",
+    "diff_records",
+    "render_record",
+    "render_record_list",
+    "render_record_top",
+    "render_record_diff",
     "JsonlStore",
     "atomic_write_text",
     "parse_entries",

@@ -179,44 +179,31 @@ class PerfSample:
         return (self.workload, self.arch, self.mode)
 
     @classmethod
-    def from_rewrite(cls, trace, metrics, report, workload, arch, mode,
-                     total_seconds, instructions=None, cycles=None,
-                     guard_failure_rate=None,
-                     engine_compile_seconds=None, fingerprint=None):
-        """Build a sample off one observed rewrite: the tracer's
-        ``rewrite`` span supplies per-stage times and memory peaks, the
-        metrics registry the cache accounting, the
-        :class:`~repro.core.rewriter.RewriteReport` the trampoline/trap
-        shape, and an optional machine run the dynamic totals."""
-        root = trace.finish() if hasattr(trace, "finish") else trace
-        rewrite_span = (root.find("rewrite") or root) \
-            if root is not None else None
-        stage_seconds = {}
-        stage_mem = {}
-        mem_peak = None
-        if rewrite_span is not None:
-            mem_peak = rewrite_span.mem_peak
-            for stage in rewrite_span.children:
-                stage_seconds[stage.name] = stage.duration
-                if stage.mem_peak is not None:
-                    stage_mem[stage.name] = stage.mem_peak
-        counters = (metrics.counter_values()
-                    if hasattr(metrics, "counter_values") else {})
+    def from_record(cls, record, instructions=None, cycles=None,
+                    guard_failure_rate=None,
+                    engine_compile_seconds=None):
+        """Build a sample off one rewrite's
+        :class:`~repro.obs.receipt.RewriteRecord` — its per-stage times
+        and memory peaks, cache accounting, and trampoline/trap shape —
+        plus an optional machine run's dynamic totals."""
         return cls(
-            workload=workload, arch=arch, mode=str(mode),
-            total_seconds=total_seconds,
-            stage_seconds=stage_seconds,
-            stage_mem_peak=stage_mem,
-            mem_peak=mem_peak,
-            cache_hits=counters.get("cache.hits", 0),
-            cache_misses=counters.get("cache.misses", 0),
-            trampolines=dict(getattr(report, "trampolines", {}) or {}),
-            traps=getattr(report, "traps", 0),
+            workload=record.workload, arch=record.arch, mode=record.mode,
+            total_seconds=record.total_seconds,
+            stage_seconds={name: entry["seconds"]
+                           for name, entry in record.stages.items()},
+            stage_mem_peak={name: entry["mem_peak"]
+                            for name, entry in record.stages.items()
+                            if "mem_peak" in entry},
+            mem_peak=record.mem_peak,
+            cache_hits=record.cache.get("hits", 0),
+            cache_misses=record.cache.get("misses", 0),
+            trampolines=record.trampolines,
+            traps=record.traps,
             instructions=instructions,
             cycles=cycles,
             guard_failure_rate=guard_failure_rate,
             engine_compile_seconds=engine_compile_seconds,
-            fingerprint=fingerprint,
+            fingerprint=record.fingerprint,
         )
 
     def to_dict(self):
@@ -299,7 +286,7 @@ class BenchHistory:
     — entries that are corrupt or carry a foreign schema, while
     appending preserves those raw entries verbatim, so a newer writer
     never destroys an older (or future) reader's data: the shared obs
-    persistence discipline of :mod:`repro.obs.store` (the receipt
+    persistence discipline of :mod:`repro.obs.store` (the record
     ledger speaks it too).  An unparseable *document* starts a fresh
     history rather than crashing.
     """

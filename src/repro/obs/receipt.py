@@ -1,20 +1,38 @@
-"""Rewrite receipts: typed per-rewrite provenance and their ledger.
+"""Rewrite records: one typed, content-addressed record per rewrite.
 
-A :class:`RewriteReceipt` is the single auditable record of one rewrite
-— the answer to "what exactly produced this binary?": input/output
-content digests, the resolved option set, the environment fingerprint,
-per-stage wall and memory cost, cache and worker-fleet accounting, the
-degradation ladder's verdict, and the outcome (with a typed error when
-the rewrite failed).  Receipts are schema-versioned and
-content-addressed: the ``receipt_id`` is the SHA-256 of the canonical
-JSON body, so a tampered or miscopied receipt no longer verifies.
+A :class:`RewriteRecord` is the single auditable record of one rewrite
+— the answer to "what exactly produced this binary, at what cost, and
+how much of it got rewritten?":
 
-Receipts are what the planned rewriting-as-a-service layer diffs: two
-receipts with the same input digest and options must agree on the
-output digest (the reproducibility contract), and their cache/stage
-deltas explain where a warm rewrite's speedup came from.
+* input/output content digests and the resolved option set;
+* the environment fingerprint, per-stage wall and memory cost, and
+  cache and worker-fleet accounting;
+* the degradation ladder's verdict and the outcome (with a typed error
+  when the rewrite failed);
+* the report's trampoline and trap counts;
+* optionally (``atlas``) an analysis-quality section: one row per
+  function (CFG shape, byte coverage split into cfg/padding/unreached,
+  indirect-target set size with a precision class, the ladder's
+  verdict, trampoline count/bytes by kind, relocated blocks, per-stage
+  cache provenance, analysis wall time) plus whole-binary rollups.
+  Figure 2's mode distribution and Table 2's space overhead are
+  reproducible from this section alone.
 
-The :class:`ReceiptLedger` persists receipts as JSON lines under the
+The atlas section is assembled *during* a rewrite — :class:`AtlasBuilder`
+is fed by the pipeline stages as they run, so nothing is re-analyzed —
+and only a successful rewrite gets one.
+
+Records are schema-versioned and content-addressed: ``record_id`` is the
+SHA-256 of the canonical JSON body, so a tampered or miscopied record no
+longer verifies.  Two rewrites of the same input with the same options
+are identical *modulo timings*: :meth:`RewriteRecord.comparable_dict`
+strips the wall-clock, memory, cache and worker fields (the only
+legitimate cold-vs-warm difference) and the machine's fingerprint, and
+:func:`diff_records` compares those.  A coverage regression — a function losing cfg bytes, falling
+down the ladder, or disappearing — is flagged so ``repro record diff``
+can gate on it.
+
+The :class:`RecordLedger` persists records as JSON lines under the
 shared obs store discipline (:mod:`repro.obs.store`): atomic writes,
 corrupt/foreign lines skipped-and-counted on load but preserved on
 append.  Fleet summaries (``repro batch``) live in the same file under
@@ -24,6 +42,7 @@ Everything here speaks plain data and duck types its inputs — this
 module never imports :mod:`repro.core`.
 """
 
+import bisect
 import hashlib
 import json
 import time
@@ -33,10 +52,44 @@ from repro.obs.store import JsonlStore
 from repro.obs.trace import format_bytes
 
 #: Schema tags; bump the version when a field changes meaning.
-RECEIPT_SCHEMA = "RewriteReceipt/v1"
+RECORD_SCHEMA = "RewriteRecord/v1"
 FLEET_SCHEMA = "RewriteFleet/v1"
 
-DEFAULT_LEDGER = "RECEIPTS.jsonl"
+DEFAULT_LEDGER = "RECORDS.jsonl"
+
+#: The degradation ladder's absolute rungs, mirrored as plain data so
+#: this module stays core-free; ``test_record`` cross-checks the table
+#: against :func:`repro.core.modes.ladder_rung`.
+MODE_RUNGS = {"func-ptr": 0, "jt": 1, "dir": 2, "skip": 3}
+
+#: ``repro record top --by`` orderings: flag value -> (row field, label).
+TOP_ORDERINGS = {
+    "trampoline-bytes": ("trampoline_bytes", "trampoline bytes"),
+    "unreached": ("unreached_bytes", "unreached bytes"),
+    "analysis-seconds": ("analysis_seconds", "analysis seconds"),
+    "indirect-targets": ("indirect_targets", "indirect targets"),
+}
+
+__all__ = [
+    "RECORD_SCHEMA",
+    "FLEET_SCHEMA",
+    "DEFAULT_LEDGER",
+    "MODE_RUNGS",
+    "TOP_ORDERINGS",
+    "session_fingerprint",
+    "AtlasBuilder",
+    "RewriteRecord",
+    "RecordLedger",
+    "content_digest",
+    "snapshot_metrics",
+    "delta_metrics",
+    "fleet_summary",
+    "diff_records",
+    "render_record",
+    "render_record_list",
+    "render_record_top",
+    "render_record_diff",
+]
 
 _SESSION_FINGERPRINT = None
 
@@ -45,9 +98,9 @@ def session_fingerprint():
     """The process-wide :class:`EnvFingerprint`, collected once.
 
     ``EnvFingerprint.collect()`` shells out for the git sha — a few
-    milliseconds, which would dominate receipt assembly if paid per
+    milliseconds, which would dominate record assembly if paid per
     rewrite.  The environment cannot change under a running process,
-    so every receipt shares one collection.
+    so every record shares one collection.
     """
     global _SESSION_FINGERPRINT
     if _SESSION_FINGERPRINT is None:
@@ -55,27 +108,9 @@ def session_fingerprint():
     return _SESSION_FINGERPRINT
 
 
-__all__ = [
-    "RECEIPT_SCHEMA",
-    "FLEET_SCHEMA",
-    "DEFAULT_LEDGER",
-    "session_fingerprint",
-    "RewriteReceipt",
-    "ReceiptLedger",
-    "content_digest",
-    "snapshot_metrics",
-    "delta_metrics",
-    "fleet_summary",
-    "diff_receipts",
-    "render_receipt",
-    "render_receipt_list",
-    "render_receipt_diff",
-]
-
-
 def content_digest(obj):
     """SHA-256 hex digest of anything with ``to_bytes()`` (or raw
-    bytes); None for None — the input/output identity of a receipt."""
+    bytes); None for None — the input/output identity of a record."""
     if obj is None:
         return None
     data = obj.to_bytes() if hasattr(obj, "to_bytes") else bytes(obj)
@@ -84,14 +119,14 @@ def content_digest(obj):
 
 # -- metrics snapshots -------------------------------------------------------
 #
-# Receipts must account one rewrite even when the metrics registry is
+# Records must account one rewrite even when the metrics registry is
 # shared across rewrites (the harness reuses one registry per tool):
 # snapshot before, snapshot after, subtract.
 
 
 def snapshot_metrics(metrics):
     """Plain-data point-in-time reading of a registry: counter values
-    plus histogram sums (the two monotonic quantities receipts use)."""
+    plus histogram sums (the two monotonic quantities records use)."""
     data = metrics.as_dict() if hasattr(metrics, "as_dict") else {}
     return {
         "counters": dict(data.get("counters", {})),
@@ -113,7 +148,7 @@ def delta_metrics(before, after):
 
 
 def _cache_section(delta):
-    """The receipt's cache accounting, parsed out of ``cache.*``."""
+    """The record's cache accounting, parsed out of ``cache.*``."""
     counters = delta.get("counters", {})
     section = {
         "hits": counters.get("cache.hits", 0),
@@ -134,7 +169,7 @@ def _cache_section(delta):
 
 
 def _worker_section(delta):
-    """The receipt's worker-fleet accounting, parsed out of
+    """The record's worker-fleet accounting, parsed out of
     ``worker.*`` — accurate under ``--jobs N`` because pool workers
     ship their deltas home (:func:`repro.core.pipeline.run_accounted`)."""
     counters = delta.get("counters", {})
@@ -158,21 +193,231 @@ def _stage_section(span):
     return stages
 
 
-class RewriteReceipt:
-    """One rewrite's typed provenance record (see module docstring)."""
+# -- the atlas section -------------------------------------------------------
+
+
+class AtlasBuilder:
+    """Accumulates one record's atlas section as the pipeline stages run.
+
+    The rewriter calls one ``observe_*`` method per stage with the data
+    that stage already computed — the builder only *accounts*, it never
+    re-analyzes.  ``finish`` seals the rows and computes the rollups.
+    """
+
+    def __init__(self):
+        self.mode = None
+        self._rows = {}          # function name -> row dict
+        self._entries = []       # sorted entry addrs (address -> row)
+        self._by_entry = {}      # entry addr -> row dict
+        self._failed = {}        # function name -> failure reason
+        self._text_range = None
+
+    # -- per-stage feeds -----------------------------------------------------
+
+    def observe_cfg(self, cfg, mode, text_range=None):
+        """cfg-construction: one row per non-runtime-support function —
+        CFG shape (blocks/edges), body extent, cfg byte coverage, and
+        the jump-table-resolved indirect target set."""
+        self.mode = str(mode)
+        self._text_range = list(text_range) if text_range else None
+        for fcfg in cfg.sorted_functions():
+            if fcfg.is_runtime_support:
+                continue
+            low = fcfg.low
+            high = fcfg.high
+            cfg_bytes = sum(b.size for b in fcfg.blocks.values())
+            targets = {t for table in fcfg.jump_tables
+                       for t in table.targets}
+            row = {
+                "function": fcfg.name,
+                "entry": fcfg.entry,
+                "body_bytes": max(0, high - low),
+                "blocks": len(fcfg.blocks),
+                "edges": sum(len(b.succs) for b in fcfg.blocks.values()),
+                "cfg_bytes": cfg_bytes,
+                "padding_bytes": 0,
+                "unreached_bytes": max(0, (high - low) - cfg_bytes),
+                "indirect_targets": len(targets),
+                "precision": "precise",
+                "mode": self.mode,
+                "rung": MODE_RUNGS.get(self.mode, 0),
+                "reason": "",
+                "trampolines": {},
+                "trampoline_bytes": 0,
+                "relocated_blocks": 0,
+                "provenance": {},
+                "analysis_seconds": 0.0,
+            }
+            self._rows[fcfg.name] = row
+            self._by_entry[fcfg.entry] = row
+            if fcfg.failed:
+                self._failed[fcfg.name] = str(fcfg.failed)
+        self._entries = sorted(self._by_entry)
+
+    def observe_funcptrs(self, funcptrs):
+        """funcptr-analysis: per-function precision class plus the
+        pointer definitions that target each function's entry (they
+        join the jump-table targets in the indirect-target count)."""
+        targeting = {}
+        for attr in ("data_defs", "code_defs"):
+            for d in getattr(funcptrs, attr, ()) or ():
+                targeting.setdefault(d.target, set()).add(
+                    getattr(d, "slot", None) or ("code", d.target))
+        for row in self._rows.values():
+            row["precision"] = funcptrs.precision_class(row["function"])
+            row["indirect_targets"] += len(
+                targeting.get(row["entry"], ()))
+
+    def observe_plan(self, degradation, candidate_entries):
+        """degradation-planning: the ladder's verdict per function.
+
+        Failed functions and functions the instrumentation did not
+        select land on ``skip`` with their reason; degraded functions
+        get the ladder's final mode/rung/reason; everything else keeps
+        the requested mode (already stamped by ``observe_cfg``)."""
+        candidates = set(candidate_entries)
+        for row in self._rows.values():
+            name = row["function"]
+            if name in self._failed:
+                self._set_mode(row, "skip", self._failed[name])
+            elif row["entry"] not in candidates:
+                self._set_mode(row, "skip",
+                               "not selected for instrumentation")
+        for rec in getattr(degradation, "entries", ()) or ():
+            row = self._rows.get(rec.function)
+            if row is not None:
+                self._set_mode(row, str(rec.final), rec.reason)
+
+    @staticmethod
+    def _set_mode(row, mode, reason):
+        row["mode"] = mode
+        row["rung"] = MODE_RUNGS.get(mode, len(MODE_RUNGS) - 1)
+        row["reason"] = reason
+
+    def observe_padding(self, pad_ranges):
+        """trampoline-installation: verified inter-function nop runs,
+        each attributed to the function whose body precedes it."""
+        for start, end in pad_ranges:
+            row = self._row_at(start)
+            if row is not None:
+                row["padding_bytes"] += max(0, end - start)
+
+    def observe_relocation(self, block_labels):
+        """relocation: how many of each function's blocks got relocated
+        (the per-function relocation count)."""
+        for addr in block_labels:
+            row = self._row_at(addr)
+            if row is not None:
+                row["relocated_blocks"] += 1
+
+    def observe_trampolines(self, records):
+        """trampoline-installation: count and byte cost per function,
+        split by trampoline kind."""
+        for rec in records:
+            row = self._rows.get(rec.function)
+            if row is None:
+                continue
+            nbytes = sum(n for _, n in rec.written)
+            kind = row["trampolines"].setdefault(
+                rec.kind, {"count": 0, "bytes": 0})
+            kind["count"] += 1
+            kind["bytes"] += nbytes
+            row["trampoline_bytes"] += nbytes
+
+    def observe_provenance(self, work_items):
+        """emit-layout: per-stage cache hit/miss provenance and analysis
+        wall time off the pipeline's work items."""
+        for entry, item in work_items.items():
+            row = self._by_entry.get(entry)
+            if row is None:
+                continue
+            row["provenance"] = {
+                kind: "hit" if hit else "miss"
+                for kind, hit in sorted(item.cached.items())
+            }
+            row["analysis_seconds"] = sum(item.seconds.values())
+
+    def _row_at(self, addr):
+        """The row owning ``addr``: the nearest function entry at or
+        below it (padding and block addresses always trail an entry)."""
+        idx = bisect.bisect_right(self._entries, addr) - 1
+        if idx < 0:
+            return None
+        return self._by_entry[self._entries[idx]]
+
+    # -- sealing -------------------------------------------------------------
+
+    def finish(self):
+        """Seal the rows and compute the rollups: ``(rows, rollup)``."""
+        rows = [self._by_entry[e] for e in self._entries]
+        return rows, _rollup(rows, self._text_range)
+
+
+def _rollup(rows, text_range):
+    """Whole-binary aggregates over the sealed rows."""
+    text_bytes = 0
+    if text_range and len(text_range) == 2:
+        text_bytes = max(0, text_range[1] - text_range[0])
+    cfg_bytes = sum(r["cfg_bytes"] for r in rows)
+    padding = sum(r["padding_bytes"] for r in rows)
+    unreached = sum(r["unreached_bytes"] for r in rows)
+    modes = {}
+    precision = {}
+    trampolines = {}
+    tramp_bytes = 0
+    for r in rows:
+        modes[r["mode"]] = modes.get(r["mode"], 0) + 1
+        precision[r["precision"]] = precision.get(r["precision"], 0) + 1
+        for kind, entry in r["trampolines"].items():
+            agg = trampolines.setdefault(kind, {"count": 0, "bytes": 0})
+            agg["count"] += entry["count"]
+            agg["bytes"] += entry["bytes"]
+        tramp_bytes += r["trampoline_bytes"]
+    denom = text_bytes or (cfg_bytes + padding + unreached) or 1
+    return {
+        "functions": len(rows),
+        "text_bytes": text_bytes,
+        "cfg_bytes": cfg_bytes,
+        "padding_bytes": padding,
+        "unreached_bytes": unreached,
+        "cfg_fraction": cfg_bytes / denom,
+        "padding_fraction": padding / denom,
+        "unreached_fraction": unreached / denom,
+        "mode_distribution": modes,
+        "precision_histogram": precision,
+        "trampolines": trampolines,
+        "trampoline_bytes": tramp_bytes,
+        "trampoline_overhead": tramp_bytes / denom,
+        "relocated_blocks": sum(r["relocated_blocks"] for r in rows),
+        "analysis_seconds": sum(r["analysis_seconds"] for r in rows),
+    }
+
+
+# -- the record --------------------------------------------------------------
+
+#: Body fields that vary between two runs of the same rewrite (wall
+#: clock, memory, cache warmth, worker scheduling) or name the machine
+#: rather than the rewrite; :meth:`RewriteRecord.comparable_dict` drops
+#: them.
+_RUN_FIELDS = ("unix_time", "total_seconds", "stages", "mem_peak",
+               "cache", "workers", "fingerprint")
+
+
+class RewriteRecord:
+    """One rewrite's typed record (see module docstring)."""
 
     __slots__ = ("workload", "arch", "mode", "input_digest",
                  "output_digest", "options", "fingerprint",
                  "total_seconds", "stages", "mem_peak", "cache",
-                 "workers", "degradation", "outcome", "error",
-                 "atlas_digest", "unix_time")
+                 "workers", "trampolines", "traps", "degradation",
+                 "outcome", "error", "functions", "rollup", "unix_time")
 
     def __init__(self, workload, arch, mode, input_digest,
                  output_digest=None, options=None, fingerprint=None,
                  total_seconds=0.0, stages=None, mem_peak=None,
-                 cache=None, workers=None, degradation=None,
-                 outcome="ok", error=None, atlas_digest=None,
-                 unix_time=None):
+                 cache=None, workers=None, trampolines=None, traps=0,
+                 degradation=None, outcome="ok", error=None,
+                 functions=None, rollup=None, unix_time=None):
         self.workload = workload
         self.arch = arch
         self.mode = mode
@@ -188,29 +433,35 @@ class RewriteReceipt:
         self.mem_peak = mem_peak
         self.cache = dict(cache or {})
         self.workers = dict(workers or {})
+        #: the report's trampoline counts by kind and installed traps
+        self.trampolines = dict(trampolines or {})
+        self.traps = traps
         #: DegradationReport.as_dict() payload, or None
         self.degradation = degradation
         #: "ok" or "failed"
         self.outcome = outcome
         #: {"type": ..., "message": ...} when the rewrite failed
         self.error = dict(error) if error else None
-        #: atlas_id of the rewrite's :class:`repro.obs.atlas
-        #: .RewriteAtlas`, when one was emitted alongside this receipt
-        self.atlas_digest = atlas_digest
+        #: atlas section: row dicts sorted by function entry address,
+        #: and their whole-binary rollup; None when not requested
+        self.functions = (None if functions is None
+                          else list(functions))
+        self.rollup = None if rollup is None else dict(rollup)
         self.unix_time = time.time() if unix_time is None else unix_time
 
     @classmethod
     def from_rewrite(cls, binary, rewritten, report, span, delta,
                      total_seconds, workload=None, options=None,
-                     fingerprint=None, error=None, atlas_digest=None):
-        """Assemble a receipt off one observed rewrite.
+                     error=None, atlas=None):
+        """Assemble a record off one observed rewrite.
 
         Duck-typed: ``binary``/``rewritten`` need ``to_bytes()`` (and
         the input's ``arch_name``), ``report`` a
         :class:`~repro.core.rewriter.RewriteReport` shape (may be None
         on failure), ``span`` the finished ``rewrite`` trace span (or a
         null span), ``delta`` a :func:`delta_metrics` result for just
-        this rewrite.
+        this rewrite, ``atlas`` the :class:`AtlasBuilder` that rode
+        along a successful rewrite (None for no atlas section).
         """
         mode = getattr(report, "mode", None) \
             or (options or {}).get("mode", "?")
@@ -221,6 +472,8 @@ class RewriteReceipt:
         err = None
         if error is not None:
             err = {"type": type(error).__name__, "message": str(error)}
+        functions, rollup = atlas.finish() if atlas is not None \
+            else (None, None)
         return cls(
             workload=workload,
             arch=getattr(binary, "arch_name", "?"),
@@ -228,24 +481,30 @@ class RewriteReceipt:
             input_digest=content_digest(binary),
             output_digest=content_digest(rewritten),
             options=options,
-            fingerprint=fingerprint,
             total_seconds=total_seconds,
             stages=_stage_section(span),
             mem_peak=getattr(span, "mem_peak", None),
             cache=_cache_section(delta),
             workers=_worker_section(delta),
+            trampolines=getattr(report, "trampolines", None),
+            traps=getattr(report, "traps", 0),
             degradation=degradation,
             outcome="ok" if error is None else "failed",
             error=err,
-            atlas_digest=atlas_digest,
+            functions=functions,
+            rollup=rollup,
         )
+
+    @property
+    def has_atlas(self):
+        return self.functions is not None
 
     # -- identity ------------------------------------------------------------
 
     def body_dict(self):
         """The id-covered payload: everything but the id itself."""
         out = {
-            "schema": RECEIPT_SCHEMA,
+            "schema": RECORD_SCHEMA,
             "workload": self.workload,
             "arch": self.arch,
             "mode": self.mode,
@@ -256,6 +515,8 @@ class RewriteReceipt:
             "stages": dict(self.stages),
             "cache": dict(self.cache),
             "workers": dict(self.workers),
+            "trampolines": dict(self.trampolines),
+            "traps": self.traps,
             "outcome": self.outcome,
             "unix_time": self.unix_time,
         }
@@ -267,29 +528,53 @@ class RewriteReceipt:
             out["degradation"] = self.degradation
         if self.error is not None:
             out["error"] = dict(self.error)
-        if self.atlas_digest is not None:
-            out["atlas_digest"] = self.atlas_digest
+        if self.has_atlas:
+            out["functions"] = [dict(r) for r in self.functions]
+            out["rollup"] = dict(self.rollup)
         return out
 
     @property
-    def receipt_id(self):
+    def record_id(self):
         """Content address: SHA-256 of the canonical JSON body."""
         canonical = json.dumps(self.body_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     @property
     def short_id(self):
-        return self.receipt_id[:12]
+        return self.record_id[:12]
 
     def verify(self, claimed_id):
-        """Does ``claimed_id`` still match this receipt's content?"""
-        return claimed_id == self.receipt_id
+        """Does ``claimed_id`` still match this record's content?"""
+        return claimed_id == self.record_id
+
+    def comparable_dict(self):
+        """The body with every run-dependent field stripped: wall-clock,
+        memory, cache and worker accounting, the fingerprint, and in the
+        atlas section per-row ``analysis_seconds`` and cache
+        ``provenance`` (a warm rewrite hits where a cold one missed)
+        plus the rollup's ``analysis_seconds``.  Two rewrites of the
+        same input under the same options must agree on this."""
+        body = self.body_dict()
+        for key in _RUN_FIELDS:
+            body.pop(key, None)
+        for row in body.get("functions", ()):
+            row.pop("analysis_seconds", None)
+            row.pop("provenance", None)
+        if "rollup" in body:
+            body["rollup"].pop("analysis_seconds", None)
+        return body
+
+    def row(self, function_name):
+        for r in self.functions or ():
+            if r["function"] == function_name:
+                return r
+        return None
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
         out = self.body_dict()
-        out["receipt_id"] = self.receipt_id
+        out["record_id"] = self.record_id
         return out
 
     @classmethod
@@ -298,12 +583,13 @@ class RewriteReceipt:
         foreign input (wrong shape, missing schema, alien schema)."""
         if not isinstance(data, dict):
             raise ValueError(
-                f"not a receipt object: {type(data).__name__}")
+                f"not a record object: {type(data).__name__}")
         schema = data.get("schema", "")
         if not isinstance(schema, str) \
-                or not schema.startswith("RewriteReceipt/"):
+                or not schema.startswith("RewriteRecord/"):
             raise ValueError(f"foreign schema {schema!r}")
         try:
+            functions = data.get("functions")
             return cls(
                 workload=data.get("workload"),
                 arch=data["arch"],
@@ -318,28 +604,34 @@ class RewriteReceipt:
                 mem_peak=data.get("mem_peak"),
                 cache=dict(data.get("cache", {})),
                 workers=dict(data.get("workers", {})),
+                trampolines=dict(data.get("trampolines", {})),
+                traps=data.get("traps", 0),
                 degradation=data.get("degradation"),
                 outcome=data.get("outcome", "ok"),
                 error=data.get("error"),
-                atlas_digest=data.get("atlas_digest"),
+                functions=(None if functions is None
+                           else [dict(r) for r in functions]),
+                rollup=data.get("rollup"),
                 unix_time=data.get("unix_time", 0.0),
             )
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"corrupt receipt: {exc}")
+            raise ValueError(f"corrupt record: {exc}")
 
     def __repr__(self):
-        return (f"<RewriteReceipt {self.short_id} "
+        atlas = (f" {len(self.functions)} function(s)"
+                 if self.has_atlas else "")
+        return (f"<RewriteRecord {self.short_id} "
                 f"{self.workload or '?'}/{self.arch}/{self.mode} "
-                f"{self.outcome}>")
+                f"{self.outcome}{atlas}>")
 
 
 # -- the ledger --------------------------------------------------------------
 
 
-class ReceiptLedger:
-    """Append-only receipt store behind ``RECEIPTS.jsonl``.
+class RecordLedger:
+    """Append-only record store behind ``RECORDS.jsonl``.
 
-    One JSON object per line: receipts under ``RewriteReceipt/*`` and
+    One JSON object per line: records under ``RewriteRecord/*`` and
     fleet summaries under ``RewriteFleet/*`` (collected on
     :attr:`summaries`, not counted as foreign).  Loading skips — and
     counts on :attr:`skipped` — lines that are corrupt or speak a
@@ -358,9 +650,9 @@ class ReceiptLedger:
         self.summaries = []
 
     def load(self):
-        """Every parseable :class:`RewriteReceipt`, oldest first."""
+        """Every parseable :class:`RewriteRecord`, oldest first."""
         raw, bad = self._store.load_raw()
-        receipts = []
+        records = []
         summaries = []
         skipped = bad
         for obj in raw:
@@ -371,16 +663,16 @@ class ReceiptLedger:
                 summaries.append(obj)
                 continue
             try:
-                receipts.append(RewriteReceipt.from_dict(obj))
+                records.append(RewriteRecord.from_dict(obj))
             except ValueError:
                 skipped += 1
         self.skipped = skipped
         self.summaries = summaries
-        return receipts
+        return records
 
-    def append(self, receipt):
-        """Append one receipt; atomic, existing lines preserved."""
-        return self._store.append_raw(receipt.to_dict())
+    def append(self, record):
+        """Append one record; atomic, existing lines preserved."""
+        return self._store.append_raw(record.to_dict())
 
     def append_summary(self, summary):
         """Append one fleet-summary row (a plain dict under
@@ -388,29 +680,29 @@ class ReceiptLedger:
         return self._store.append_raw(summary)
 
     def find(self, id_prefix):
-        """The unique receipt whose id starts with ``id_prefix``; the
+        """The unique record whose id starts with ``id_prefix``; the
         literal id ``latest`` resolves to the newest ledger entry.
 
         Raises :class:`LookupError` when none or several match — a
         truncated id is only an address while it is unambiguous.
         """
-        receipts = self.load()
+        records = self.load()
         if id_prefix == "latest":
-            if not receipts:
-                raise LookupError("receipt ledger is empty; no latest")
-            return receipts[-1]
-        matches = [r for r in receipts
-                   if r.receipt_id.startswith(id_prefix)]
+            if not records:
+                raise LookupError("record ledger is empty; no latest")
+            return records[-1]
+        matches = [r for r in records
+                   if r.record_id.startswith(id_prefix)]
         if not matches:
-            raise LookupError(f"no receipt matches {id_prefix!r}")
+            raise LookupError(f"no record matches {id_prefix!r}")
         if len(matches) > 1:
             raise LookupError(
-                f"{id_prefix!r} is ambiguous: {len(matches)} receipts "
+                f"{id_prefix!r} is ambiguous: {len(matches)} records "
                 f"match")
         return matches[0]
 
     def query(self, input_digest=None, workload=None, fingerprint=None):
-        """Receipts filtered by input digest, workload, and/or
+        """Records filtered by input digest, workload, and/or
         fingerprint key (an :class:`EnvFingerprint` or its ``key``)."""
         key = getattr(fingerprint, "key", fingerprint)
         out = []
@@ -426,40 +718,51 @@ class ReceiptLedger:
         return out
 
     def __repr__(self):
-        return f"<ReceiptLedger {self.path}>"
+        return f"<RecordLedger {self.path}>"
 
 
-def fleet_summary(receipts, unix_time=None):
-    """One ``RewriteFleet/v1`` row aggregating a batch's receipts."""
+def fleet_summary(records, unix_time=None):
+    """One ``RewriteFleet/v1`` row aggregating a batch's records."""
     outcomes = {}
-    for r in receipts:
+    for r in records:
         outcomes[r.outcome] = outcomes.get(r.outcome, 0) + 1
     return {
         "schema": FLEET_SCHEMA,
-        "receipts": [r.receipt_id for r in receipts],
-        "workloads": sorted({r.workload for r in receipts
+        "records": [r.record_id for r in records],
+        "workloads": sorted({r.workload for r in records
                              if r.workload}),
         "outcomes": outcomes,
-        "total_seconds": sum(r.total_seconds for r in receipts),
+        "total_seconds": sum(r.total_seconds for r in records),
         "cache": {
-            "hits": sum(r.cache.get("hits", 0) for r in receipts),
-            "misses": sum(r.cache.get("misses", 0) for r in receipts),
+            "hits": sum(r.cache.get("hits", 0) for r in records),
+            "misses": sum(r.cache.get("misses", 0) for r in records),
         },
         "worker_tasks": sum(r.workers.get("tasks", 0)
-                            for r in receipts),
+                            for r in records),
         "unix_time": time.time() if unix_time is None else unix_time,
     }
 
 
 # -- diffing -----------------------------------------------------------------
 
+#: Per-function fields the atlas diff compares (timings excluded).
+_ROW_DIFF_FIELDS = ("cfg_bytes", "padding_bytes", "unreached_bytes",
+                    "mode", "rung", "precision", "indirect_targets",
+                    "trampoline_bytes", "relocated_blocks")
 
-def diff_receipts(a, b):
-    """A structured comparison of two receipts.
 
-    The reproducibility question first — same input? same output? —
-    then the explanatory deltas: per-stage wall time, cache
-    accounting, and degradation shape.
+def diff_records(a, b):
+    """A structured comparison of two records (a -> b).
+
+    The reproducibility question first — same input? same options?
+    same output? identical modulo timings? — then the explanatory
+    deltas: per-stage wall time, cache accounting, degradation shape.
+    When both records carry an atlas section the per-function and
+    rollup deltas follow, and ``coverage_regressed`` is True when b
+    soundly covers less than a: a function disappeared, lost cfg
+    bytes, or fell down the ladder (a larger rung).  Extra trampoline
+    bytes are reported but are *overhead*, not a coverage regression.
+    ``coverage_regressed`` is None when either side has no atlas.
     """
     stage_deltas = {}
     for name in sorted(set(a.stages) | set(b.stages)):
@@ -479,19 +782,69 @@ def diff_receipts(a, b):
     deg_b = len((b.degradation or {}).get("entries", ()))
     both_outputs = (a.output_digest is not None
                     and b.output_digest is not None)
-    return {
-        "a": a.receipt_id,
-        "b": b.receipt_id,
+    diff = {
+        "a": a.record_id,
+        "b": b.record_id,
         "same_input": a.input_digest == b.input_digest,
         "same_options": a.options == b.options,
         #: None when either side failed before producing output
         "same_output": (a.output_digest == b.output_digest
                         if both_outputs else None),
+        "identical": a.comparable_dict() == b.comparable_dict(),
         "total_seconds": {"a": a.total_seconds, "b": b.total_seconds,
                           "delta": b.total_seconds - a.total_seconds},
         "stage_deltas": stage_deltas,
         "cache_deltas": cache_deltas,
         "degradation": {"a": deg_a, "b": deg_b, "delta": deg_b - deg_a},
+        "function_deltas": {},
+        "rollup_deltas": {},
+        "regressions": [],
+        "coverage_regressed": None,
+    }
+    if a.has_atlas and b.has_atlas:
+        diff.update(_diff_atlas(a, b))
+    return diff
+
+
+def _diff_atlas(a, b):
+    """The atlas-section half of :func:`diff_records`."""
+    rows_a = {r["function"]: r for r in a.functions}
+    rows_b = {r["function"]: r for r in b.functions}
+    function_deltas = {}
+    regressions = []
+    for name in sorted(set(rows_a) | set(rows_b)):
+        ra, rb = rows_a.get(name), rows_b.get(name)
+        if ra is None or rb is None:
+            function_deltas[name] = {"only_in": "a" if rb is None
+                                     else "b"}
+            if rb is None:
+                regressions.append(f"{name}: present in a, lost in b")
+            continue
+        changed = {}
+        for field in _ROW_DIFF_FIELDS:
+            if ra[field] != rb[field]:
+                changed[field] = {"a": ra[field], "b": rb[field]}
+        if changed:
+            function_deltas[name] = changed
+        if rb["cfg_bytes"] < ra["cfg_bytes"]:
+            regressions.append(
+                f"{name}: cfg coverage {ra['cfg_bytes']} -> "
+                f"{rb['cfg_bytes']} bytes")
+        if rb["rung"] > ra["rung"]:
+            regressions.append(
+                f"{name}: mode {ra['mode']} -> {rb['mode']} "
+                f"(down the ladder)")
+    rollup_deltas = {}
+    for key in sorted(set(a.rollup) | set(b.rollup)):
+        va, vb = a.rollup.get(key), b.rollup.get(key)
+        if key == "analysis_seconds" or va == vb:
+            continue
+        rollup_deltas[key] = {"a": va, "b": vb}
+    return {
+        "function_deltas": function_deltas,
+        "rollup_deltas": rollup_deltas,
+        "regressions": regressions,
+        "coverage_regressed": bool(regressions),
     }
 
 
@@ -502,11 +855,58 @@ def _short(digest, n=12):
     return digest[:n] if digest else "-"
 
 
-def render_receipt(receipt):
-    """The ``repro receipt show`` body: one receipt, human-readable."""
-    r = receipt
+def _row_line(r):
+    tramp = ",".join(f"{k}:{v['count']}"
+                     for k, v in sorted(r["trampolines"].items()))
+    return (f"  {r['function']:<20} {r['mode']:<8} "
+            f"{r['precision']:<18} {r['blocks']:>4} {r['cfg_bytes']:>7} "
+            f"{r['padding_bytes']:>4} {r['unreached_bytes']:>6} "
+            f"{r['indirect_targets']:>4} {r['trampoline_bytes']:>6} "
+            f"{tramp or '-'}")
+
+
+_ROW_HEADER = (f"  {'function':<20} {'mode':<8} {'precision':<18} "
+               f"{'blks':>4} {'cfg':>7} {'pad':>4} {'unrch':>6} "
+               f"{'ind':>4} {'tramp':>6} kinds")
+
+
+def _atlas_lines(r, limit):
+    """The atlas section of :func:`render_record`: rollups, then rows
+    (all of them unless ``limit`` truncates)."""
+    roll = r.rollup
     lines = [
-        f"receipt {r.short_id}  [{r.outcome}]",
+        f"  functions: {roll.get('functions', len(r.functions))}",
+        f"  coverage:  cfg {roll.get('cfg_fraction', 0):.1%} / "
+        f"padding {roll.get('padding_fraction', 0):.1%} / "
+        f"unreached {roll.get('unreached_fraction', 0):.1%} "
+        f"of {roll.get('text_bytes', 0):,} text byte(s)",
+        f"  modes:     " + (" ".join(
+            f"{m}={n}" for m, n in
+            sorted(roll.get("mode_distribution", {}).items())) or "-"),
+        f"  precision: " + (" ".join(
+            f"{p}={n}" for p, n in
+            sorted(roll.get("precision_histogram", {}).items())) or "-"),
+        f"  overhead:  {roll.get('trampoline_bytes', 0):,} trampoline "
+        f"byte(s) ({roll.get('trampoline_overhead', 0):.2%} of text), "
+        f"{roll.get('relocated_blocks', 0)} relocated block(s)",
+        f"  analysis:  {roll.get('analysis_seconds', 0) * 1e3:.1f}ms "
+        f"attributed",
+    ]
+    rows = r.functions[:limit] if limit else r.functions
+    if rows:
+        lines.append(_ROW_HEADER)
+        lines.extend(_row_line(row) for row in rows)
+    if limit and len(r.functions) > limit:
+        lines.append(f"  ... {len(r.functions) - limit} more row(s)")
+    return lines
+
+
+def render_record(record, limit=0):
+    """The ``repro record show`` body: one record, human-readable;
+    ``limit`` caps the atlas rows printed (0 = all)."""
+    r = record
+    lines = [
+        f"record {r.short_id}  [{r.outcome}]",
         f"  workload:  {r.workload or '-'}",
         f"  arch/mode: {r.arch}/{r.mode}",
         f"  input:     {_short(r.input_digest, 16)}",
@@ -543,6 +943,10 @@ def render_receipt(receipt):
         if seconds is not None:
             parts += f" task_seconds={seconds * 1e3:.1f}ms"
         lines.append(f"  workers:   {parts}")
+    if r.trampolines or r.traps:
+        lines.append("  tramps:    " + " ".join(
+            f"{k}={v}" for k, v in sorted(r.trampolines.items()) if v)
+            + f" traps={r.traps}")
     if r.degradation:
         entries = r.degradation.get("entries", ())
         lines.append(f"  degraded:  {len(entries)} function(s)")
@@ -550,49 +954,64 @@ def render_receipt(receipt):
             lines.append(f"    {entry.get('function', '?')}: "
                          f"{entry.get('requested', '?')} -> "
                          f"{entry.get('final', '?')}")
-    if r.atlas_digest:
-        lines.append(f"  atlas:     {_short(r.atlas_digest)}")
     if r.error:
         lines.append(f"  error:     {r.error.get('type', '?')}: "
                      f"{r.error.get('message', '')}")
+    if r.has_atlas:
+        lines.extend(_atlas_lines(r, limit))
     return "\n".join(lines)
 
 
-def render_receipt_list(receipts, skipped=0, summaries=()):
-    """The ``repro receipt list`` table."""
-    if not receipts and not summaries:
+def render_record_list(records, skipped=0, summaries=()):
+    """The ``repro record list`` table."""
+    if not records and not summaries:
         return "(empty ledger)"
-    lines = [f"{len(receipts)} receipt(s)"
+    lines = [f"{len(records)} record(s)"
              + (f", {len(summaries)} fleet summar"
                 + ("y" if len(summaries) == 1 else "ies")
                 if summaries else "")
              + (f", {skipped} skipped line(s)" if skipped else "")]
-    if receipts:
+    if records:
         lines.append(f"  {'id':<12}  {'workload':<16} "
                      f"{'arch/mode':<12} {'outcome':<7} "
-                     f"{'total':>9}  {'cache h/m':>9}  {'output':<12}")
-        for r in receipts:
+                     f"{'total':>9}  {'cache h/m':>9}  {'cfg%':>6}  "
+                     f"{'output':<12}")
+        for r in records:
+            cfg = (f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
+                   if r.has_atlas else f"{'-':>6}")
             lines.append(
                 f"  {r.short_id:<12}  {(r.workload or '-'):<16} "
                 f"{r.arch + '/' + r.mode:<12} {r.outcome:<7} "
                 f"{r.total_seconds * 1e3:>7.1f}ms  "
                 f"{r.cache.get('hits', 0)}/{r.cache.get('misses', 0):<5}"
-                f"  {_short(r.output_digest):<12}")
+                f"  {cfg}  {_short(r.output_digest):<12}")
     for summary in summaries:
         outcomes = summary.get("outcomes", {})
         tally = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
         lines.append(
-            f"  fleet: {len(summary.get('receipts', ()))} receipt(s) "
+            f"  fleet: {len(summary.get('records', ()))} record(s) "
             f"[{tally}] "
             f"{summary.get('total_seconds', 0) * 1e3:.1f}ms total")
     return "\n".join(lines)
 
 
-def render_receipt_diff(a, b, diff=None):
-    """The ``repro receipt diff`` body; verdict first, deltas after."""
+def render_record_top(record, by="trampoline-bytes", limit=10):
+    """The ``repro record top`` body: atlas rows ranked by one cost
+    field (the record must carry an atlas section)."""
+    field, label = TOP_ORDERINGS[by]
+    ranked = sorted(record.functions, key=lambda r: r[field],
+                    reverse=True)[:limit]
+    lines = [f"record {record.short_id} — top {len(ranked)} by {label}"]
+    lines.append(_ROW_HEADER)
+    lines.extend(_row_line(r) for r in ranked)
+    return "\n".join(lines)
+
+
+def render_record_diff(a, b, diff=None):
+    """The ``repro record diff`` body; verdict first, deltas after."""
     if diff is None:
-        diff = diff_receipts(a, b)
-    lines = [f"receipt diff {a.short_id} -> {b.short_id}"]
+        diff = diff_records(a, b)
+    lines = [f"record diff {a.short_id} -> {b.short_id}"]
     lines.append(f"  input:   "
                  + ("identical" if diff["same_input"]
                     else f"DIFFERENT ({_short(a.input_digest)} vs "
@@ -634,4 +1053,31 @@ def render_receipt_diff(a, b, diff=None):
     if deg["a"] or deg["b"]:
         lines.append(f"  degraded functions: {deg['a']} -> {deg['b']} "
                      f"({deg['delta']:+d})")
+    for name, changed in diff["function_deltas"].items():
+        if "only_in" in changed:
+            lines.append(f"  {name}: only in {changed['only_in']}")
+            continue
+        parts = ", ".join(f"{f} {e['a']} -> {e['b']}"
+                          for f, e in sorted(changed.items()))
+        lines.append(f"  {name}: {parts}")
+    for key, entry in diff["rollup_deltas"].items():
+        va, vb = entry["a"], entry["b"]
+        if isinstance(va, float) or isinstance(vb, float):
+            lines.append(f"  rollup {key}: {va:.4f} -> {vb:.4f}")
+        else:
+            lines.append(f"  rollup {key}: {va} -> {vb}")
+    if diff["identical"]:
+        lines.append("  verdict: identical modulo timings"
+                     + (" (zero coverage/mode/overhead deltas)"
+                        if diff["coverage_regressed"] is not None
+                        else ""))
+    elif diff["coverage_regressed"]:
+        lines.append("  verdict: COVERAGE REGRESSED")
+        for reason in diff["regressions"]:
+            lines.append(f"    {reason}")
+    elif diff["coverage_regressed"] is None:
+        lines.append("  verdict: changed (no atlas on both sides: "
+                     "coverage not compared)")
+    else:
+        lines.append("  verdict: changed, no coverage regression")
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 Two stores persist observability records across runs — the benchmark
 history behind ``BENCH_history.json`` (one JSON document holding a
-sample list) and the rewrite-receipt ledger behind ``RECEIPTS.jsonl``
+sample list) and the rewrite-record ledger behind ``RECORDS.jsonl``
 (one JSON object per line).  Both owe their callers the same three
 guarantees, factored here so they cannot drift apart:
 
@@ -57,7 +57,7 @@ def parse_entries(raw_entries, parse_one):
 
     ``parse_one`` is expected to raise :class:`ValueError` on corrupt
     or foreign input (the contract of ``PerfSample.from_dict`` and
-    ``RewriteReceipt.from_dict``); each reject bumps the skip count
+    ``RewriteRecord.from_dict``); each reject bumps the skip count
     instead of propagating, which is the shared skip-counting semantics
     of every obs store.
     """
@@ -112,7 +112,7 @@ class JsonlStore:
         lines = self._read_lines()
         lines.append(json.dumps(obj, sort_keys=True))
         return atomic_write_text(self.path, "\n".join(lines) + "\n",
-                                 prefix=".receipts-")
+                                 prefix=".records-")
 
     def __repr__(self):
         return f"<JsonlStore {self.path}>"

@@ -182,7 +182,7 @@ class TestCli:
         # exit code says "a rewrite-level failure", not "nothing
         # loaded".
         from repro.cli import EXIT_LOAD_ERROR, EXIT_REWRITE_ERROR, main
-        monkeypatch.chdir(tmp_path)   # the default receipt ledger
+        monkeypatch.chdir(tmp_path)   # the default record ledger
         rc = main(["batch", "619.lbm_s", "no_such_workload"])
         captured = capsys.readouterr()
         assert rc == EXIT_REWRITE_ERROR

@@ -189,6 +189,41 @@ class TestInvalidEncodings:
         with pytest.raises(DecodingError):
             spec.decode(encoded[:1], 0)
 
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    def test_x86_register_out_of_range_never_decodes(self, field):
+        # Data bytes decoded as code (a stale speculated jump target)
+        # must not yield register indices past the register file.
+        spec = get_arch("x86")
+        raw = bytearray(spec.encode(Instruction("sub", 1, 2, 3)))
+        raw[field] = NUM_REGS
+        with pytest.raises(DecodingError):
+            spec.decode(bytes(raw), 0)
+        raw[field] = NUM_REGS - 1
+        assert spec.decode(bytes(raw), 0).operands[field - 1] == \
+            NUM_REGS - 1
+
+    def test_x86_mem_base_out_of_range_never_decodes(self):
+        spec = get_arch("x86")
+        raw = bytearray(spec.encode(Instruction("ld64", 1, Mem(SP, 8))))
+        raw[2] = 0xFF
+        with pytest.raises(DecodingError):
+            spec.decode(bytes(raw), 0)
+
+    @pytest.mark.parametrize("name", ["ppc64", "aarch64"])
+    @pytest.mark.parametrize("insn,shift", [
+        (Instruction("add", 1, 2, 3), 21),
+        (Instruction("add", 1, 2, 3), 16),
+        (Instruction("add", 1, 2, 3), 11),
+        (Instruction("ld64", 1, Mem(SP, 8)), 16),
+    ])
+    def test_fixed_register_out_of_range_never_decodes(self, name, insn,
+                                                        shift):
+        spec = get_arch(name)
+        word = int.from_bytes(spec.encode(insn), "little")
+        word = (word & ~(0x1F << shift)) | (NUM_REGS << shift)
+        with pytest.raises(DecodingError):
+            spec.decode(word.to_bytes(4, "little"), 0)
+
     def test_x86_only_mnemonics_rejected_on_fixed(self):
         for name in ("ppc64", "aarch64"):
             spec = get_arch(name)

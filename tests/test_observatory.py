@@ -14,9 +14,12 @@ from repro.obs import (
     Metrics,
     PerfSample,
     RegressionSentinel,
+    RewriteRecord,
     Tracer,
+    delta_metrics,
     render_sentinel_report,
     render_trend,
+    snapshot_metrics,
     stamp_record,
     trend_document,
 )
@@ -106,33 +109,45 @@ class TestPerfSample:
         assert rebuilt.mem_peak is None
         assert rebuilt.cycles is None
 
-    def test_from_rewrite_reads_stage_spans_and_memory(self):
+    def test_from_record_reads_stage_spans_and_memory(self):
         tr = Tracer(name="rewrite:test", memory=True)
-        with tr.span("rewrite", mode="jt"):
+        with tr.span("rewrite", mode="jt") as span:
             with tr.span("cfg-construction"):
                 blob = bytearray(1_000_000)
             with tr.span("relocation"):
                 pass
             del blob
+        tr.finish()   # stops tracemalloc
         metrics = Metrics()
         metrics.inc("cache.hits", 7)
         metrics.inc("cache.misses", 3)
 
         class Report:
+            mode = "jt"
             trampolines = {"direct": 5}
             traps = 2
 
-        s = PerfSample.from_rewrite(
-            tr, metrics, Report(), workload="w", arch="x86", mode="jt",
-            total_seconds=0.5, instructions=100, cycles=200,
-            fingerprint=FP,
-        )
+        class Image:
+            arch_name = "x86"
+
+            def to_bytes(self):
+                return b"image"
+
+        record = RewriteRecord.from_rewrite(
+            Image(), None, Report(), span,
+            delta_metrics(snapshot_metrics(Metrics()),
+                          snapshot_metrics(metrics)),
+            total_seconds=0.5, workload="w")
+        s = PerfSample.from_record(record, instructions=100, cycles=200)
+        assert s.key == ("w", "x86", "jt")
+        assert s.total_seconds == 0.5
         assert set(s.stage_seconds) == {"cfg-construction", "relocation"}
         assert s.stage_mem_peak["cfg-construction"] >= 1_000_000
         assert s.mem_peak >= s.stage_mem_peak["cfg-construction"]
         assert (s.cache_hits, s.cache_misses) == (7, 3)
-        assert s.trampolines == {"direct": 5}
+        assert (s.trampolines, s.traps) == ({"direct": 5}, 2)
         assert (s.instructions, s.cycles) == (100, 200)
+        assert s.fingerprint is record.fingerprint
 
 
 class TestBenchHistory:
@@ -409,6 +424,20 @@ class TestPerfCli:
         out = capsys.readouterr().out
         assert code == EXIT_PERF_REGRESSION
         assert "stage.cfg-construction.seconds" in out
+
+    def test_perf_fail_on_rejects_unknown_grades(self, tmp_path,
+                                                 capsys, monkeypatch):
+        from repro.cli import EXIT_LOAD_ERROR
+
+        monkeypatch.chdir(tmp_path)
+        rc = main(["perf", "check", "--fail-on", "bogus"])
+        assert rc == EXIT_LOAD_ERROR
+        err = capsys.readouterr().err
+        assert "bogus" in err and "warn" in err and "fail" in err
+        # "ok" is a severity but not a gate.
+        assert main(["perf", "check", "--fail-on", "ok"]) == \
+            EXIT_LOAD_ERROR
+        capsys.readouterr()
 
     def test_check_on_empty_history_is_quiet(self, tmp_path, capsys):
         history = str(tmp_path / "missing.json")

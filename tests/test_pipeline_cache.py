@@ -249,7 +249,7 @@ class TestWorkerAccounting:
     registry and ship its deltas back for merge
     (:func:`repro.core.pipeline.run_accounted`), so ``worker.*`` and
     ``cache.*`` totals never depend on which executor ran the work —
-    the property rewrite receipts stand on."""
+    the property rewrite records stand on."""
 
     def test_jobs2_counters_match_serial(self, binary):
         _, _, serial = _rewrite(binary, cache=ArtifactCache(), jobs=1)
@@ -386,7 +386,7 @@ class TestCliPipeline:
     def test_batch_second_round_all_hits(self, capsys, tmp_path,
                                          monkeypatch):
         from repro.cli import main
-        monkeypatch.chdir(tmp_path)   # the default receipt ledger
+        monkeypatch.chdir(tmp_path)   # the default record ledger
         rc = main(["batch", "619.lbm_s", "--repeat", "2", "--jobs", "2"])
         assert rc == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines()
@@ -400,6 +400,6 @@ class TestCliPipeline:
     def test_batch_no_cache(self, capsys):
         from repro.cli import main
         assert main(["batch", "619.lbm_s", "--no-cache",
-                     "--no-receipts"]) == 0
+                     "--no-records"]) == 0
         out = capsys.readouterr().out
         assert "cache 0/0" in out

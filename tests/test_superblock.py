@@ -325,3 +325,31 @@ class TestFlightFallback:
         plain, _ = _run_engine(binary, "superblock")
         assert_parity(recorded, plain)
         assert len(flight.ring) > 0
+
+
+class TestStaleSpeculation:
+    def test_guard_on_stale_register_reaches_data_bytes(self):
+        # libcuda-like variant 9: a ``jmpr`` guard speculates on a stale
+        # register value and fuses a trace into data bytes that decode
+        # as ``sub r227, r255, r255``.  The decoder must refuse register
+        # fields past the register file, so the trace is sealed as
+        # unfetchable instead of loading ``r[227]`` at block entry.
+        import dataclasses
+
+        from repro.toolchain import interpret
+        from repro.toolchain.workloads import (
+            compile_program,
+            generate_program,
+            libcuda_spec,
+        )
+
+        spec = dataclasses.replace(libcuda_spec(),
+                                   name=libcuda_spec().name + "#9",
+                                   main_reps=1)
+        program = generate_program(spec)
+        binary = compile_program(program, "x86")
+        step = run_binary(binary, engine="step")
+        sb = run_binary(binary, engine="superblock")
+        assert step == sb
+        exit_code, output = interpret(program)
+        assert sb.checksum == (exit_code, tuple(output))
