@@ -11,6 +11,10 @@ Measured with the emulator's direct-mapped i-cache model: misses for the
 original binary vs each rewriting mode.  The binary roughly doubles in
 size, yet func-ptr-mode misses stay near the original's; dir mode (which
 bounces at every indirect transfer) pollutes measurably more.
+
+Every row runs on both execution tiers, which must agree exactly on
+``icache_misses``, ``cycles`` and ``icount``: the superblock tier checks
+i-cache tags from generated source, the per-step tier per instruction.
 """
 
 from repro.core import RewriteMode, rewrite_binary
@@ -18,12 +22,22 @@ from repro.machine import CostModel, machine_for
 from repro.toolchain.workloads import build_workload, spec_workload
 
 
+#: Fields the two execution tiers must agree on under the i-cache model.
+_PARITY_FIELDS = ("icache_misses", "cycles", "icount")
+
+
 def _misses(binary, runtime=None):
-    machine = machine_for(binary, costs=CostModel.with_icache())
-    image = machine.load(binary)
-    if runtime is not None:
-        machine.install_runtime(runtime, image)
-    result = machine.run(image)
+    results = {}
+    for engine in ("step", "superblock"):
+        machine = machine_for(binary, costs=CostModel.with_icache(),
+                              engine=engine)
+        image = machine.load(binary)
+        if runtime is not None:
+            machine.install_runtime(runtime, image)
+        results[engine] = machine.run(image)
+    step, result = results["step"], results["superblock"]
+    for field in _PARITY_FIELDS:
+        assert getattr(step, field) == getattr(result, field), field
     return result.icache_misses, result
 
 

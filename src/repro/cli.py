@@ -891,7 +891,7 @@ def build_parser():
     p.add_argument("--engine", choices=["superblock", "step"],
                    default="superblock",
                    help="execution tier: fused superblocks (default) "
-                        "or the per-step closure loop; accounting is "
+                        "or the per-step loop; accounting is "
                         "identical, only speed differs")
     p.set_defaults(func=cmd_run)
 

@@ -50,13 +50,13 @@ class ToolRun:
     ra_translations: int = 0
     dyn_translations: int = 0
     unwound_frames: int = 0
-    #: artifact-cache accounting for this run (deltas over the shared
-    #: metrics registry, so a reused registry still reports per-run)
+    #: artifact-cache accounting for this run, read off :attr:`record`
+    #: (zeros for tools without record support)
     cache_hits: int = 0
     cache_misses: int = 0
     analysis_seconds_saved: float = 0.0
-    #: peak traced-memory bytes of the rewrite (None unless the caller
-    #: passed a ``Tracer(memory=True)``)
+    #: peak traced-memory bytes of the rewrite, read off :attr:`record`
+    #: (None unless the caller passed a ``Tracer(memory=True)``)
     mem_peak: int = None
     #: functions the degradation ladder moved below the requested mode
     degraded_functions: int = 0
@@ -112,19 +112,16 @@ def runtime_for(tool, rewriter, rewritten):
     return None
 
 
-def _cache_snapshot(metrics):
-    """(hits, misses, seconds_saved) so far in ``metrics``; per-run
-    numbers are deltas between two snapshots (registries are often
-    shared across a whole evaluation)."""
-    if not hasattr(metrics, "counter_values"):
-        return (0, 0, 0.0)
-    counters = metrics.counter_values()
-    hist = metrics.as_dict().get("histograms", {})
-    return (
-        counters.get("cache.hits", 0),
-        counters.get("cache.misses", 0),
-        hist.get("cache.seconds_saved", {}).get("sum", 0.0),
-    )
+def _record_accounting(record):
+    """The :class:`ToolRun` cache/memory fields carried by a rewrite
+    record (zeros and no peak without one)."""
+    if record is None:
+        return {}
+    return {"cache_hits": record.cache.get("hits", 0),
+            "cache_misses": record.cache.get("misses", 0),
+            "analysis_seconds_saved": record.cache.get("saved_seconds",
+                                                       0.0),
+            "mem_peak": record.mem_peak}
 
 
 def _discard_record(record):
@@ -156,7 +153,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
     across many evaluations) and ``jobs`` feed the incremental pipeline;
-    the run's own hit/miss/time-saved deltas come back on the ToolRun.
+    the run's own hit/miss/time-saved deltas come back on the ToolRun,
+    read off its record.
 
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
@@ -201,10 +199,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
             rewriter.workload = benchmark or None
         if faults is not None:
             _apply_faults(rewriter, faults, cache)
-        before = _cache_snapshot(metrics)
         rewritten, report = rewriter.rewrite(binary)
-        cache_stats = [b - a for a, b in
-                       zip(before, _cache_snapshot(metrics))]
         runtime = runtime_for(tool, rewriter, rewritten)
         result = run_binary(rewritten, runtime_lib=runtime,
                             tracer=tracer, metrics=metrics,
@@ -218,11 +213,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                        error=error, trace=attach, flight=flight,
                        telemetry=telemetry,
                        record=getattr(rewriter, "last_record", None))
-    mem_peak = None
-    if attach is not None:
-        rewrite_span = attach.find("rewrite")
-        if rewrite_span is not None:
-            mem_peak = rewrite_span.mem_peak
+    record = getattr(rewriter, "last_record", None)
+    accounting = _record_accounting(record)
     if (result.exit_code, result.output) != oracle:
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error="wrong output")
@@ -230,11 +222,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
                        error="wrong output", report=report, trace=attach,
                        flight=flight, telemetry=telemetry,
-                       cache_hits=cache_stats[0],
-                       cache_misses=cache_stats[1],
-                       analysis_seconds_saved=cache_stats[2],
-                       mem_peak=mem_peak,
-                       record=getattr(rewriter, "last_record", None))
+                       record=record, **accounting)
     return ToolRun(
         tool=tool,
         benchmark=benchmark,
@@ -249,17 +237,14 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         ra_translations=result.counters.get("ra_translations", 0),
         dyn_translations=result.counters.get("dyn_translations", 0),
         unwound_frames=result.counters.get("unwound_frames", 0),
-        cache_hits=cache_stats[0],
-        cache_misses=cache_stats[1],
-        analysis_seconds_saved=cache_stats[2],
-        mem_peak=mem_peak,
         degraded_functions=len(getattr(report, "degradation", ()) or ()),
         degradation=getattr(report, "degradation", None),
         report=report,
         trace=attach,
         flight=flight,
         telemetry=telemetry,
-        record=getattr(rewriter, "last_record", None),
+        record=record,
+        **accounting,
     )
 
 

@@ -6,23 +6,31 @@ original ``.text`` is filled with illegal bytes, so any control flow that
 the rewriter failed to intercept faults immediately instead of silently
 executing stale code.
 
-Execution is tiered:
+Every opcode's semantics is written once, as Python source in
+:data:`_TEMPLATES`: register and memory effects, bounds checks with
+their fault messages, the signed compare of conditional branches, the
+return-address push/pop of calls and returns, and how the instruction
+retires (next pc, taken-branch/call/return cost).  Both execution tiers
+are generated from that one table:
 
-* **per-step tier** — each decoded instruction is compiled once into a
-  Python closure keyed by address; repeated execution (loops) runs the
-  closure without re-decoding.  :meth:`CPU.step` (lockstep/differential
-  use) always runs here, and :meth:`CPU.run` falls back to it when
+* **per-step tier** — each opcode's template is compiled once per
+  process, with its operands as parameters, and every decoded
+  instruction becomes a function instantiated from that cached code
+  object (:class:`types.FunctionType` with the operands as defaults),
+  keyed by address; repeated execution (loops) runs it without
+  re-decoding.  :meth:`CPU.step` (lockstep/differential use) always
+  runs here, and :meth:`CPU.run` falls back to it when
   ``engine="step"`` is selected or a *step-granularity*
   :class:`~repro.obs.flight.FlightRecorder` is attached (per-transfer
   block events demand per-step execution).
 * **superblock tier** — the default for :meth:`CPU.run`.  At first
-  execution of an address, the run of instructions from that address up
-  to the next control transfer (or watch-region boundary, or
+  execution of an address, the trace from that address up to the next
+  indirect or kernel transfer (or watch-region boundary, or
   :data:`SUPERBLOCK_CAP`) is fused into one generated block function:
-  straight-line register/memory operations are inlined as Python source
-  and everything else calls its per-step closure.  A block is dispatched
-  once per entry with pre-computed instruction/cycle deltas, so
-  straight-line runs skip per-step bookkeeping entirely.
+  every instruction's template is formatted with its concrete operands,
+  and i-cache tag checks are emitted into the same source.  A block is
+  dispatched once per entry with pre-computed instruction/cycle deltas,
+  so straight-line runs skip per-step bookkeeping entirely.
 
 Demotions away from the fused tier are never silent: a manual
 :meth:`CPU.step` on a superblock CPU and a step-granularity recorder
@@ -52,8 +60,15 @@ import itertools
 import re
 import struct
 from time import perf_counter
+from types import FunctionType
 
-from repro.isa.insn import LOAD_SIZES, SIGNED_LOADS, STORE_SIZES
+from repro.isa.insn import (
+    COND_BRANCH_MNEMONICS,
+    LOAD_SIZES,
+    PCREL_LOAD_MNEMONICS,
+    SIGNED_LOADS,
+    STORE_SIZES,
+)
 from repro.isa.registers import LR, NUM_REGS, SP
 from repro.machine.costs import CostModel
 from repro.util.errors import (
@@ -64,9 +79,6 @@ from repro.util.errors import (
 )
 
 _MASK = (1 << 64) - 1
-_SIGN = 1 << 63
-#: The 64-bit mask as it appears in generated superblock source.
-_MASK_SRC = "0xffffffffffffffff"
 
 #: Default dynamic-instruction budget per run.
 DEFAULT_STEP_LIMIT = 80_000_000
@@ -79,54 +91,233 @@ ENGINES = ("superblock", "step")
 #: follow-on block resumes accounting at the split point.
 SUPERBLOCK_CAP = 128
 
-#: Mnemonics that end a superblock: anything whose closure can move the
-#: pc non-sequentially or enter the kernel (which may redirect the pc,
-#: stop the machine, or raise).
+#: Mnemonics that end a superblock unless the fuser follows them: anything
+#: that can move the pc non-sequentially or enter the kernel (which may
+#: redirect the pc, stop the machine, or raise).
 _TRANSFERS = frozenset({
     "jmp", "jmp.s", "beq", "bne", "blt", "bge", "bgt", "ble",
     "jmpr", "call", "callr", "ret", "trap", "syscall",
 })
 
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << (b & 63),
-    "shr": lambda a, b: a >> (b & 63),
-}
 
-#: Straight-line arithmetic fused as infix source inside superblocks.
-_ARITH_SRC = {"add": "+", "sub": "-", "mul": "*", "and": "&",
-              "or": "|", "xor": "^"}
+def _templates(pushes):
+    """Every opcode's semantics as source templates, for the call
+    convention ``pushes`` (return address on the stack vs in LR).
 
-_COND = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-    "bgt": lambda a, b: a > b,
-    "ble": lambda a, b: a <= b,
-}
+    Each mnemonic is written as ``(operands, effect, retire)`` and
+    returned as its :func:`_template`.  ``operands`` names the
+    instruction's operands in order (a memory operand
+    ``mem`` splits into ``$base`` + ``$off``; ``$pc``, ``$nxt`` and,
+    for pc-relative ``$disp``, ``$target`` are always available).
+    ``effect`` is the architectural effect: register/memory writes,
+    bounds checks, the signed compare of a conditional branch (its last
+    line is the open ``if``), the return-address push/pop (the popped
+    or read target lands in ``p``), kernel entry.  ``retire`` finishes
+    the instruction per step: the next pc and the transfer cost.
 
-#: Comparison operators as they appear in generated loop-block source.
-_COND_SRC = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">=",
-             "bgt": ">", "ble": "<="}
+    ``$M``/``$SIGN``/``$WRAP``/``$SP``/``$LR`` are constants; ``$msize``
+    is the memory size and ``$tb``/``$cc``/``$rc`` the taken-branch,
+    call and return costs.  Names bound in both tiers: ``s`` (the CPU),
+    ``r`` (the register file), ``d`` (memory bytes), ``UF``
+    (:class:`UnmappedMemoryFault`) and the :data:`_MEM_OPS` accessors
+    (``u8``/``g4``/``p2``...).
+    """
+    nxt = ("s.pc = $nxt",)
+
+    def taken(pc, cost):
+        return (f"s.pc = {pc}", f"s.cycles += ${cost}",
+                "s.taken_branches += 1")
+
+    def push(m, value):
+        return ("a = (r[$SP] - 8) & $M",
+                f'if a + 8 > $msize: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
+                f"p8(d, a, {value})",
+                "r[$SP] = a")
+
+    def pop(m, dest):
+        return ("a = r[$SP]",
+                f'if a + 8 > $msize: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
+                f"{dest} = u8(d, a)[0]",
+                "r[$SP] = (a + 8) & $M")
+
+    t = {
+        "nop": ("", (), nxt),
+        "mov": ("rd ra", ("r[$rd] = r[$ra]",), nxt),
+        "movi": ("rd imm", ("r[$rd] = $imm & $M",), nxt),
+        "lis": ("rd imm", ("r[$rd] = ($imm << 16) & $M",), nxt),
+        "addis": ("rd ra imm",
+                  ("r[$rd] = (r[$ra] + ($imm << 16)) & $M",), nxt),
+        "adrp": ("rd imm",
+                 ("r[$rd] = (($pc & ~0xFFF) + ($imm << 12)) & $M",), nxt),
+        "addi": ("rd ra imm", ("r[$rd] = (r[$ra] + $imm) & $M",), nxt),
+        "shl": ("rd ra rb",
+                ("r[$rd] = (r[$ra] << (r[$rb] & 63)) & $M",), nxt),
+        "shr": ("rd ra rb", ("r[$rd] = r[$ra] >> (r[$rb] & 63)",), nxt),
+        "shli": ("rd ra imm",
+                 ("r[$rd] = (r[$ra] << ($imm & 63)) & $M",), nxt),
+        "shri": ("rd ra imm", ("r[$rd] = r[$ra] >> ($imm & 63)",), nxt),
+        "inc": ("rd", ("r[$rd] = (r[$rd] + 1) & $M",), nxt),
+        "leapc": ("rd disp", ("r[$rd] = $target & $M",), nxt),
+        "push": ("rs", push("push", "r[$rs]"), nxt),
+        "pop": ("rd", pop("pop", "r[$rd]"), nxt),
+        "jmp": ("disp", (), taken("$target", "tb")),
+        "jmp.s": ("disp", (), taken("$target", "tb")),
+        "jmpr": ("rt", ("p = r[$rt]",), taken("p", "tb")),
+        "trap": ("", ("s.pc = $pc", "s.kernel.handle_trap(s)"), ()),
+        "syscall": ("num", ("s.pc = $pc", "s.kernel.syscall(s, $num)",
+                            "if s.running and s.pc == $pc: s.pc = $nxt"),
+                    ()),
+    }
+    for m, op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"),
+                  ("or", "|"), ("xor", "^")):
+        t[m] = ("rd ra rb", (f"r[$rd] = (r[$ra] {op} r[$rb]) & $M",), nxt)
+    for m, op in (("beq", "=="), ("bne", "!="), ("blt", "<"),
+                  ("bge", ">="), ("bgt", ">"), ("ble", "<=")):
+        t[m] = ("ra rb disp",
+                ("x = r[$ra]", "y = r[$rb]",
+                 "if x >= $SIGN: x -= $WRAP", "if y >= $SIGN: y -= $WRAP",
+                 f"if x {op} y:"),
+                tuple("    " + line for line in taken("$target", "tb"))
+                + ("else:", "    s.pc = $nxt"))
+    for m, size in LOAD_SIZES.items():
+        if m in PCREL_LOAD_MNEMONICS:
+            t[m] = ("rd disp",
+                    ("a = $target",
+                     f"if a < 0 or a + {size} > $msize: raise UF("
+                     f'f"pc-relative load at {{a:#x}}", pc=$pc)',
+                     f"r[$rd] = u{size}(d, a)[0]"), nxt)
+            continue
+        # A signed unpack plus the 64-bit mask is the sign extension.
+        value = (f"g{size}(d, a)[0] & $M" if m in SIGNED_LOADS
+                 else f"u{size}(d, a)[0]")
+        t[m] = ("rd mem",
+                ("a = (r[$base] + $off) & $M",
+                 f'if a + {size} > $msize: raise UF(f"load at {{a:#x}} '
+                 f'(pc={{$pc:#x}})", pc=$pc)',
+                 f"r[$rd] = {value}"), nxt)
+    for m, size in STORE_SIZES.items():
+        value = "r[$rs]" if size == 8 else \
+            f"r[$rs] & {(1 << (size * 8)) - 1:#x}"
+        t[m] = ("rs mem",
+                ("a = (r[$base] + $off) & $M",
+                 f'if a + {size} > $msize: raise UF(f"store at {{a:#x}} '
+                 f'(pc={{$pc:#x}})", pc=$pc)',
+                 f"p{size}(d, a, {value})"), nxt)
+    link = (lambda m: push(m, "$nxt")) if pushes \
+        else (lambda m: ("r[$LR] = $nxt",))
+    t["call"] = ("disp", link("call"), taken("$target", "cc"))
+    t["callr"] = ("rt", link("callr") + ("p = r[$rt]",), taken("p", "cc"))
+    t["ret"] = ("", pop("ret", "p") if pushes else ("p = r[$LR]",),
+                taken("p", "rc"))
+    return {m: _template(names, effect, retire)
+            for m, (names, effect, retire) in t.items()}
+
+
+def _template(names, effect, retire):
+    """One opcode's template in both tiers' forms: ``(operand names,
+    per-step lines, fused effect, fused retire, registers)``.
+
+    Fused lines name guest registers as frame locals (``r[{rd}]`` ->
+    ``v{rd}``, ``r[16]`` -> ``v16``); ``registers`` lists the operand
+    fields and constant indices they reference, so the fuser knows
+    which locals to load and write back.
+    """
+    effect = tuple(map(_format_src, effect))
+    retire = tuple(map(_format_src, retire))
+    registers = tuple(field or int(index) for line in effect + retire
+                      for field, index in _REG_REF.findall(line))
+    return (tuple(names.split()), effect + retire,
+            tuple(_REG_REF.sub(_as_local, line) for line in effect),
+            tuple(_REG_REF.sub(_as_local, line) for line in retire),
+            registers)
+
+
+#: A guest-register reference in a template format: ``r[{field}]`` or
+#: ``r[16]``.
+_REG_REF = re.compile(r"\br\[(?:\{(\w+)\}|(\d+))\]")
+
+
+def _as_local(mo):
+    field, index = mo.groups()
+    return "v{%s}" % field if field else "v" + index
+
+
+_PLACEHOLDER = re.compile(r"\$(\w+)")
+_CONSTS = {"M": "0xffffffffffffffff", "SIGN": str(1 << 63),
+           "WRAP": str(1 << 64), "SP": str(SP), "LR": str(LR)}
+
+
+def _format_src(line):
+    """A template line as a :meth:`str.format` string: constants filled
+    in, every other ``$name`` a ``{name}`` field."""
+    line = line.replace("{", "{{").replace("}", "}}")
+    return _PLACEHOLDER.sub(
+        lambda mo: _CONSTS.get(mo.group(1), "{%s}" % mo.group(1)), line)
+
+
+#: call convention (``call_pushes_return_address``) -> mnemonic -> the
+#: :func:`_template` tuple.
+_TEMPLATES = {pushes: _templates(pushes) for pushes in (False, True)}
+
+
+def _operand_values(insn, names):
+    """The template fields of one decoded instruction."""
+    addr = insn.addr
+    values = {"pc": addr, "nxt": addr + insn.length}
+    for name, op in zip(names, insn.operands):
+        if name == "mem":
+            values["base"] = op.base
+            values["off"] = op.disp
+        else:
+            values[name] = op
+    if "disp" in values:
+        values["target"] = addr + values["disp"]
+    return values
+
+
+class _Fields(dict):
+    """Formats a template with each field as its own name (the per-step
+    tier's parameters), remembering which fields were used."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+#: Names the per-step functions may bind besides template fields.
+_ENV_NAME = re.compile(r"\b(s|r|d|UF|[ugp][1248])\b")
+#: (mnemonic, call convention) -> (code object, parameter names).
+_STEP_CODE = {}
+
+
+def _step_code(mnemonic, pushes):
+    """The per-step code object for one opcode, compiled once per
+    process with the template's fields and bound names as parameters."""
+    key = (mnemonic, pushes)
+    entry = _STEP_CODE.get(key)
+    if entry is None:
+        fields = _Fields()
+        body = [line.format_map(fields)
+                for line in _TEMPLATES[pushes][mnemonic][1]]
+        params = sorted(set(fields) | set(_ENV_NAME.findall(
+            "\n".join(body))))
+        src = (f"def op({', '.join(params)}):\n"
+               + "".join(f"    {line}\n" for line in body or ["pass"]))
+        namespace = {}
+        exec(compile(src, f"<step {mnemonic}>", "exec"), namespace)
+        entry = _STEP_CODE[key] = (namespace["op"].__code__,
+                                   tuple(params))
+    return entry
+
+
+#: Globals of the per-step functions (they reference none).
+_STEP_GLOBALS = {"__builtins__": __builtins__}
 
 #: Unique filename suffix per generated superblock (fault forensics
 #: match tracebacks against the block's filename).
 _block_ids = itertools.count()
 
-#: Guest-register references in generated superblock source, promoted
-#: to frame locals (``r[3]`` -> ``v3``) by the allocation pass.
-_REG_REF = re.compile(r"\br\[(\d+)\]")
-#: A per-step-closure call statement in generated source (these lines
-#: operate on the shared register list, not the frame locals).
-_CLOSURE_CALL = re.compile(r"^c\d+\(\)$")
-
-#: Pre-compiled memory accessors bound into generated superblocks:
+#: Pre-compiled memory accessors bound into generated code:
 #: ``u{size}``/``g{size}`` unpack unsigned/signed little-endian
 #: integers, ``p{size}`` packs them — measurably faster than slicing
 #: plus ``int.from_bytes``/``to_bytes`` on the hot path.
@@ -137,120 +328,6 @@ for _size, _u, _g in ((1, "B", "b"), (2, "H", "h"),
     _MEM_OPS[f"g{_size}"] = struct.Struct("<" + _g).unpack_from
     _MEM_OPS[f"p{_size}"] = struct.Struct("<" + _u).pack_into
 del _size, _u, _g
-
-
-def _inline_src(insn, msize):
-    """Python source lines for one straight-line instruction inside a
-    superblock, or ``None`` when it must run via its per-step closure.
-
-    The emitted source mirrors the per-step closures statement for
-    statement — including fault messages — so the two tiers are
-    byte-identical in outputs and in every counter.  Names bound in the
-    generated scope: ``s`` (the CPU), ``r`` (the register file), ``d``
-    (memory bytes), ``UF`` (:class:`UnmappedMemoryFault`), and the
-    :data:`_MEM_OPS` accessors (``u8``/``g4``/``p2``...).  Inlined operations deliberately do
-    *not* update ``s.pc``; the block seals the pc once at its end, and
-    fault recovery (:meth:`CPU._fault_index`) restores the exact pc of
-    a faulting instruction from the block's line map.
-    """
-    m = insn.mnemonic
-    ops = insn.operands
-    addr = insn.addr
-    M = _MASK_SRC
-
-    if m == "nop":
-        return []
-    if m == "mov":
-        rd, ra = ops
-        return [f"r[{rd}] = r[{ra}]"]
-    if m == "movi":
-        rd, imm = ops
-        return [f"r[{rd}] = {imm & _MASK}"]
-    if m == "lis":
-        rd, imm = ops
-        return [f"r[{rd}] = {(imm << 16) & _MASK}"]
-    if m == "addis":
-        rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] + ({imm << 16})) & {M}"]
-    if m == "adrp":
-        rd, imm = ops
-        return [f"r[{rd}] = {((addr & ~0xFFF) + (imm << 12)) & _MASK}"]
-    if m == "addi":
-        rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] + ({imm})) & {M}"]
-    if m in _ARITH_SRC:
-        rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] {_ARITH_SRC[m]} r[{rb}]) & {M}"]
-    if m == "shl":
-        rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] << (r[{rb}] & 63)) & {M}"]
-    if m == "shr":
-        rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] >> (r[{rb}] & 63)) & {M}"]
-    if m == "shli":
-        rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] << {imm & 63}) & {M}"]
-    if m == "shri":
-        rd, ra, imm = ops
-        return [f"r[{rd}] = r[{ra}] >> {imm & 63}"]
-    if m == "inc":
-        (rd,) = ops
-        return [f"r[{rd}] = (r[{rd}] + 1) & {M}"]
-    if m in LOAD_SIZES and not m.startswith("ldpc"):
-        rd, mem_op = ops
-        size = LOAD_SIZES[m]
-        lines = [
-            f"a = (r[{mem_op.base}] + ({mem_op.disp})) & {M}",
-            f'if a + {size} > {msize}: raise UF(f"load at {{a:#x}} '
-            f'(pc={addr:#x})", pc={addr})',
-        ]
-        if m in SIGNED_LOADS:
-            # A signed unpack plus the 64-bit mask is the same value
-            # the per-step closure's manual sign extension produces.
-            lines.append(f"r[{rd}] = g{size}(d, a)[0] & {M}")
-        else:
-            lines.append(f"r[{rd}] = u{size}(d, a)[0]")
-        return lines
-    if m in STORE_SIZES:
-        rs, mem_op = ops
-        size = STORE_SIZES[m]
-        vmask = (1 << (size * 8)) - 1
-        value = f"r[{rs}]" if size == 8 else f"r[{rs}] & {vmask}"
-        return [
-            f"a = (r[{mem_op.base}] + ({mem_op.disp})) & {M}",
-            f'if a + {size} > {msize}: raise UF(f"store at {{a:#x}} '
-            f'(pc={addr:#x})", pc={addr})',
-            f"p{size}(d, a, {value})",
-        ]
-    if m.startswith("ldpc"):
-        rd, disp = ops
-        size = LOAD_SIZES[m]
-        a = addr + disp
-        if a < 0 or a + size > msize:
-            return None   # always-faulting: keep the closure's raise
-        return [f"r[{rd}] = u{size}(d, {a})[0]"]
-    if m == "leapc":
-        rd, disp = ops
-        return [f"r[{rd}] = {(addr + disp) & _MASK}"]
-    if m == "push":
-        (rs,) = ops
-        return [
-            f"a = (r[{SP}] - 8) & {M}",
-            f'if a + 8 > {msize}: '
-            f'raise UF(f"push at {{a:#x}}", pc={addr})',
-            f"p8(d, a, r[{rs}])",
-            f"r[{SP}] = a",
-        ]
-    if m == "pop":
-        (rd,) = ops
-        return [
-            f"a = r[{SP}]",
-            f'if a + 8 > {msize}: '
-            f'raise UF(f"pop at {{a:#x}}", pc={addr})',
-            f"r[{rd}] = u8(d, a)[0]",
-            f"r[{SP}] = (a + 8) & {M}",
-        ]
-    return None
 
 
 class CPU:
@@ -303,13 +380,26 @@ class CPU:
         self.on_demote = None
         self._step_demoted = False
 
+        #: per-step function per address (see :meth:`_compile`)
         self._compiled = {}
-        self._ends = {}
-        #: decoded Instruction per address (feeds the superblock fuser)
+        #: decoded Instruction per address (both tiers decode through it)
         self._insns = {}
         #: superblock start address -> block record (see _build_block)
         self._blocks = {}
         self._watch_regions = None
+        #: Direct-mapped i-cache tags (None without an i-cache model):
+        #: one list for the whole CPU, because fused blocks bind it and
+        #: check it from generated source; reset by every :meth:`run`.
+        self._icache_tags = ([-1] * self.costs.icache_lines
+                             if self.costs.icache_enabled else None)
+        #: Template fields fixed per CPU (both tiers).
+        self._fields = {"msize": memory.size,
+                        "tb": self.costs.taken_branch,
+                        "cc": self.costs.call, "rc": self.costs.ret}
+        #: What the per-step functions bind besides their operands.
+        self._step_env = {"s": self, "r": self.regs, "d": memory.data,
+                          "UF": UnmappedMemoryFault, **_MEM_OPS,
+                          **self._fields}
 
     # -- public API --------------------------------------------------------
 
@@ -328,10 +418,9 @@ class CPU:
             self._invalidate_cause("watch-region")
 
     def invalidate_code(self):
-        """Drop compiled closures and fused superblocks (call after
-        writing to code memory)."""
+        """Drop decoded instructions, per-step functions and fused
+        superblocks (call after writing to code memory)."""
         self._compiled.clear()
-        self._ends.clear()
         self._insns.clear()
         if self._blocks:
             self._invalidate_cause("invalidate_code")
@@ -418,20 +507,19 @@ class CPU:
         compile_one = self._compile
         costs = self.costs
         insn_cost = costs.insn
-        icache_on = costs.icache_enabled
-        if icache_on:
+        tags = self._icache_tags
+        if tags is not None:
+            tags[:] = [-1] * len(tags)
             line_bits = costs.icache_line_bits
-            nlines = costs.icache_lines
+            mask = len(tags) - 1
             miss_cost = costs.icache_miss
-            tags = [-1] * nlines
-            mask = nlines - 1
         watch = self._watch_regions
         if watch:
             (a_lo, a_hi), (b_lo, b_hi) = watch
             prev_region = -1
         flight = self.flight
         if flight is not None:
-            ends = self._ends
+            decoded = self._insns
             fsites = flight.tramp_sites
             flight.record_block(self.pc, self.cycles)
         self.running = True
@@ -444,103 +532,47 @@ class CPU:
                 telem = self.telemetry
                 observe = telem is not None or flight is not None
                 tstats = telem.block_stats if telem is not None else None
-                if icache_on:
-                    # Segmented dispatch: one tag check per i-cache
-                    # line actually crossed inside the block, charged
-                    # before its instructions run — exactly the
-                    # per-step order.
-                    while self.running:
-                        b = blocks.get(self.pc)
-                        if b is None:
-                            b = build(self.pc)
-                        n = b[1]
-                        if steps + n >= limit:
-                            break
-                        if watch:
-                            region = b[2]
-                            if region is not None \
-                                    and region != prev_region:
-                                if prev_region != -1:
-                                    self.transitions += 1
-                                prev_region = region
-                        if observe:
-                            pc0 = self.pc
-                            c0 = self.cycles
-                            steps0 = steps
-                        for line, idx, seg_fns, seg_n, seg_cyc in b[3]:
-                            if tags[idx] != line:
-                                tags[idx] = line
-                                self.cycles += miss_cost
-                                self.icache_misses += 1
-                            k = 0
-                            try:
-                                for fn in seg_fns:
-                                    fn()
-                                    k += 1
-                            except BaseException:
-                                steps += k
-                                self.cycles += k * insn_cost
-                                raise
-                            steps += seg_n
-                            self.cycles += seg_cyc
-                        if observe:
-                            done = steps - steps0
-                            if tstats is not None:
-                                st = tstats.get(pc0)
-                                if st is None:
-                                    tstats[pc0] = \
-                                        [1, done, self.cycles - c0]
-                                else:
-                                    st[0] += 1
-                                    st[1] += done
-                                    st[2] += self.cycles - c0
-                            if flight is not None:
-                                flight.record_superblock(
-                                    b, self.pc, done, self.cycles)
-                else:
-                    while self.running:
-                        b = blocks.get(self.pc)
-                        if b is None:
-                            b = build(self.pc)
-                        n = b[1]
-                        if steps + n >= limit:
-                            break
-                        if watch:
-                            region = b[2]
-                            if region is not None \
-                                    and region != prev_region:
-                                if prev_region != -1:
-                                    self.transitions += 1
-                                prev_region = region
-                        if observe:
-                            pc0 = self.pc
-                            c0 = self.cycles
-                        try:
-                            # Fused blocks take the remaining step
-                            # budget (loop blocks iterate internally
-                            # until it nears exhaustion) and return
-                            # the number of instructions executed.
-                            done = b[0](limit - steps)
-                        except BaseException as exc:
-                            done = self._fault_index(b, exc)
-                            steps += done
-                            self.cycles += done * insn_cost
-                            raise
+                while self.running:
+                    b = blocks.get(self.pc)
+                    if b is None:
+                        b = build(self.pc)
+                    n = b[1]
+                    if steps + n >= limit:
+                        break
+                    if watch:
+                        region = b[2]
+                        if region is not None and region != prev_region:
+                            if prev_region != -1:
+                                self.transitions += 1
+                            prev_region = region
+                    if observe:
+                        pc0 = self.pc
+                        c0 = self.cycles
+                    try:
+                        # Fused blocks take the remaining step budget
+                        # (loop blocks iterate internally until it nears
+                        # exhaustion) and return the number of
+                        # instructions executed.
+                        done = b[0](limit - steps)
+                    except BaseException as exc:
+                        done = self._fault_index(b, exc)
                         steps += done
                         self.cycles += done * insn_cost
-                        if observe:
-                            if tstats is not None:
-                                st = tstats.get(pc0)
-                                if st is None:
-                                    tstats[pc0] = \
-                                        [1, done, self.cycles - c0]
-                                else:
-                                    st[0] += 1
-                                    st[1] += done
-                                    st[2] += self.cycles - c0
-                            if flight is not None:
-                                flight.record_superblock(
-                                    b, self.pc, done, self.cycles)
+                        raise
+                    steps += done
+                    self.cycles += done * insn_cost
+                    if observe:
+                        if tstats is not None:
+                            st = tstats.get(pc0)
+                            if st is None:
+                                tstats[pc0] = [1, done, self.cycles - c0]
+                            else:
+                                st[0] += 1
+                                st[1] += done
+                                st[2] += self.cycles - c0
+                        if flight is not None:
+                            flight.record_superblock(
+                                b, self.pc, done, self.cycles)
             # Per-step tier: flight recording, engine="step", and the
             # final strides of a run approaching its step limit.
             while self.running:
@@ -549,7 +581,7 @@ class CPU:
                 if fn is None:
                     fn = compile_one(pc)
                     compiled[pc] = fn
-                if icache_on:
+                if tags is not None:
                     line = pc >> line_bits
                     idx = line & mask
                     if tags[idx] != line:
@@ -574,7 +606,7 @@ class CPU:
                     if pc in fsites:
                         flight.tramp_hit(pc)
                     npc = self.pc
-                    if npc != ends[pc]:
+                    if npc != pc + decoded[pc].length:
                         flight.record_block(npc, self.cycles)
                 if steps >= limit:
                     raise MachineFault(
@@ -588,22 +620,34 @@ class CPU:
             self.icount += steps
         return self.exit_code
 
-    # -- closure compiler --------------------------------------------------
+    # -- decoder and per-step tier ----------------------------------------
+
+    def _decode(self, addr):
+        """The instruction at ``addr`` (decoded once per address)."""
+        insn = self._insns.get(addr)
+        if insn is None:
+            if addr < 0 or addr >= self.memory.size:
+                raise UnmappedMemoryFault(f"fetch at {addr:#x}", pc=addr)
+            try:
+                insn = self.spec.decode(self.memory.data, addr, addr=addr)
+            except DecodingError as exc:
+                raise IllegalInstructionFault(
+                    f"illegal instruction at {addr:#x}: {exc}", pc=addr
+                )
+            self._insns[addr] = insn
+        return insn
 
     def _compile(self, addr):
-        data = self.memory.data
-        msize = self.memory.size
-        if addr < 0 or addr >= msize:
-            raise UnmappedMemoryFault(f"fetch at {addr:#x}", pc=addr)
-        try:
-            insn = self.spec.decode(data, addr, addr=addr)
-        except DecodingError as exc:
-            raise IllegalInstructionFault(
-                f"illegal instruction at {addr:#x}: {exc}", pc=addr
-            )
-        self._ends[addr] = addr + insn.length
-        self._insns[addr] = insn
-        return self._make_closure(insn, data, msize)
+        """The per-step function for the instruction at ``addr``: its
+        opcode's cached code object with the operands as defaults."""
+        insn = self._decode(addr)
+        pushes = self.spec.call_pushes_return_address
+        code, params = _step_code(insn.mnemonic, pushes)
+        values = _operand_values(insn,
+                                 _TEMPLATES[pushes][insn.mnemonic][0])
+        env = self._step_env
+        return FunctionType(code, _STEP_GLOBALS, None, tuple(
+            values[p] if p in values else env[p] for p in params))
 
     # -- superblock fuser --------------------------------------------------
 
@@ -611,7 +655,7 @@ class CPU:
         """Fuse the execution trace starting at ``addr`` into a
         superblock.
 
-        Trace formation (the default): decoding follows the
+        Trace formation: decoding follows the
         *fall-through* of conditional branches (emitted as side exits)
         and follows unconditional ``jmp``s (their taken-branch cost is
         inlined), so a whole loop — head test, body, backward latch —
@@ -623,13 +667,8 @@ class CPU:
         :data:`SUPERBLOCK_CAP`, at watch-region boundaries, and at
         unfetchable addresses.
 
-        Under an i-cache cost model the trace is instead cut at *any*
-        control transfer, because the segmented dispatch below must
-        see a strictly sequential closure list to charge misses in
-        per-step order.
-
-        The block record is a tuple ``(fn, n, region, segs, addrs,
-        linemap, filename)``:
+        The block record is a tuple ``(fn, n, region, addrs, linemap,
+        filename, alloc, nowb)``:
 
         * ``fn`` — the fused block function; called with the remaining
           step budget, returns the number of instructions executed;
@@ -639,27 +678,20 @@ class CPU:
         * ``region`` — the watch-region class shared by every
           instruction: traces are cut at watch-region boundaries, so a
           single entry check reproduces the per-step transition count;
-        * ``segs`` — per-i-cache-line segments ``(line, set_index,
-          closures, n, cycles)``, built only under an i-cache cost
-          model, so misses are charged per line actually crossed;
         * ``addrs``/``linemap``/``filename`` — fault forensics: the
           instruction addresses plus the generated-source line ->
           ``(index, restore_pc)`` map that reconstructs exact partial
           accounting when a block faults mid-flight;
         * ``alloc``/``nowb`` — the guest registers promoted to frame
-          locals by :meth:`_fuse` and the closure-call lines where a
+          locals by :meth:`_fuse` and the kernel-entry lines where a
           fault must not write those locals back.
         """
         telem = self.telemetry
         t0 = perf_counter() if telem is not None else 0.0
-        compiled = self._compiled
-        decoded = self._insns
         watch = self._watch_regions
         if watch:
             (a_lo, a_hi), (b_lo, b_hi) = watch
-        trace = not self.costs.icache_enabled
         reason = None   # why the trace ended (telemetry trace shape)
-        data = self.memory.data
         msize = self.memory.size
         regs = self.regs
         pushes = self.spec.call_pushes_return_address
@@ -676,17 +708,13 @@ class CPU:
         region = None
         a = addr
         while True:
-            fn = compiled.get(a)
-            if fn is None:
-                try:
-                    fn = self._compile(a)
-                except MachineFault:
-                    if not items:
-                        raise   # faulting first fetch: as per-step
-                    reason = "unfetchable"
-                    break       # seal here; the next dispatch faults
-                compiled[a] = fn
-            insn = decoded[a]
+            try:
+                insn = self._decode(a)
+            except MachineFault:
+                if not items:
+                    raise   # faulting first fetch: as per-step
+                reason = "unfetchable"
+                break       # seal here; the next dispatch faults
             if watch:
                 r = (0 if a_lo <= a < a_hi
                      else 1 if b_lo <= a < b_hi else None)
@@ -697,7 +725,7 @@ class CPU:
                     break       # watch-region boundary ends the trace
             mn = insn.mnemonic
             addrs.append(a)
-            if mn in _COND and trace:
+            if mn in COND_BRANCH_MNEMONICS:
                 target = a + insn.operands[2]
                 if target == addr:
                     items.append(("condclose", insn, None))
@@ -705,7 +733,7 @@ class CPU:
                     break
                 items.append(("cond", insn, None))
                 a += insn.length
-            elif mn in ("jmp", "jmp.s") and trace:
+            elif mn in ("jmp", "jmp.s"):
                 target = a + insn.operands[0]
                 if target == addr:
                     items.append(("jmpclose", insn, None))
@@ -713,7 +741,7 @@ class CPU:
                     break
                 items.append(("jmp", insn, None))
                 a = target
-            elif mn == "call" and trace:
+            elif mn == "call":
                 # Direct call: the return address is a compile-time
                 # constant, so the push/link inlines and the trace
                 # continues into the callee.
@@ -724,8 +752,7 @@ class CPU:
                 else:
                     lr_dirty = True
                 a = a + insn.operands[0]
-            elif mn == "callr" and trace \
-                    and regs[insn.operands[0]] < msize:
+            elif mn == "callr" and regs[insn.operands[0]] < msize:
                 # Indirect call: speculate on the target the register
                 # holds right now (block building happens mid-run, at
                 # first execution); the generated code re-reads the
@@ -738,13 +765,11 @@ class CPU:
                 else:
                     lr_dirty = True
                 a = observed
-            elif mn == "jmpr" and trace \
-                    and regs[insn.operands[0]] < msize:
+            elif mn == "jmpr" and regs[insn.operands[0]] < msize:
                 observed = regs[insn.operands[0]]
                 items.append(("jmpr", insn, observed))
                 a = observed
-            elif mn == "ret" and trace \
-                    and (expected := self._predict_return(
+            elif mn == "ret" and (expected := self._predict_return(
                         callstack, sp_delta, sp_known,
                         lr_dirty)) is not None:
                 # Speculate the return lands at the matching call's
@@ -757,7 +782,7 @@ class CPU:
                     sp_delta += 8
                 a = expected
             elif mn in _TRANSFERS:
-                items.append(("end", insn, fn))
+                items.append(("end", insn, None))
                 reason = f"transfer:{mn}"
                 break
             else:
@@ -775,40 +800,15 @@ class CPU:
                         sp_known = False
                     if insn.operands[0] == LR:
                         lr_dirty = True
-                items.append(("s", insn, fn))
+                items.append(("s", insn, None))
                 a += insn.length
             if len(items) >= SUPERBLOCK_CAP:
                 break
         n = len(items)
-        if self.costs.icache_enabled:
-            # Segment the block by i-cache line, grouping consecutive
-            # runs of equal lines: the first instruction of a run can
-            # miss, the rest are guaranteed hits (nothing else touches
-            # the set in between), which is exactly the per-step check
-            # sequence.
-            insn_cost = self.costs.insn
-            line_bits = self.costs.icache_line_bits
-            mask = self.costs.icache_lines - 1
-            groups = []
-            for (_, _, fn), ia in zip(items, addrs):
-                line = ia >> line_bits
-                if groups and groups[-1][0] == line:
-                    groups[-1][2].append(fn)
-                else:
-                    groups.append([line, line & mask, [fn]])
-            segs = tuple(
-                (line, idx, tuple(seg), len(seg), len(seg) * insn_cost)
-                for line, idx, seg in groups
-            )
-            fused = linemap = filename = None
-            alloc, nowb = (), frozenset()
-            fuse_stats = (n, 0)   # every insn runs via its closure
-        else:
-            segs = None
-            fused, linemap, filename, alloc, nowb, fuse_stats = \
-                self._fuse(items, addrs)
-        block = (fused, n, region, segs, tuple(addrs),
-                 linemap, filename, alloc, nowb)
+        fused, linemap, filename, alloc, nowb, source_lines = \
+            self._fuse(items, addrs)
+        block = (fused, n, region, tuple(addrs), linemap, filename,
+                 alloc, nowb)
         self._blocks[addr] = block
         if telem is not None:
             telem.record_compile(
@@ -816,8 +816,7 @@ class CPU:
                 loop=items[-1][0] in ("condclose", "jmpclose"),
                 reason=reason if reason is not None else "cap",
                 seconds=perf_counter() - t0,
-                closure_insns=fuse_stats[0],
-                source_lines=fuse_stats[1],
+                source_lines=source_lines,
                 alloc_regs=len(alloc))
         return block
 
@@ -851,16 +850,19 @@ class CPU:
     def _fuse(self, items, addrs):
         """Generate the fused block function for a trace.
 
-        Inlinable instructions become Python source; the rest call
-        their per-step closures (bound as default-argument locals).
-        The generated function takes the remaining step budget and
-        returns the number of instructions it executed.  Two shapes:
+        Every instruction is its :data:`_TEMPLATES` effect formatted
+        with its concrete operands; the fuser adds only what differs
+        from per-step retirement — side exits, speculation guards,
+        deferred costs, and one pc seal per exit.  The generated
+        function takes the remaining step budget and returns the number
+        of instructions it executed.  Two shapes:
 
         * a *plain trace* runs each instruction at most once.
           Conditional branches become side exits (taken path sets the
           pc, accounts the branch, and returns its instruction count);
           followed jmps inline their taken-branch accounting; the end
-          either calls a terminator closure or seals ``s.pc`` once.
+          either retires a terminator (``jmpr``/``callr``/``ret`` not
+          speculated, ``trap``, ``syscall``) or seals ``s.pc`` once.
         * a *loop trace* — closed by a branch or ``jmp`` back to the
           trace's own start — wraps the same body in ``while True``,
           deferring taken-branch accounting to frame-local counters
@@ -870,6 +872,12 @@ class CPU:
           at all, which is where superblocks beat per-step execution
           by a wide margin.  The closing branch stops iterating when
           one more pass would reach the step budget.
+
+        Under an i-cache cost model, a tag check is emitted before
+        every instruction whose cache line differs from the previous
+        trace instruction's (and before the first), charging misses in
+        exactly the per-step order: consecutive instructions on one
+        line are guaranteed hits, since nothing else runs in between.
 
         When an :class:`~repro.obs.engine.EngineTelemetry` is attached,
         every speculation guard (``callr``/``jmpr``/``ret``) also gets
@@ -881,34 +889,34 @@ class CPU:
         instrumented blocks stay bit-identical in every observable.
 
         Returns ``(function, linemap, filename, alloc, nowb,
-        (closure_insns, source_lines))``.
+        source_lines)``.
         ``linemap`` maps generated line numbers to ``(index,
         restore_pc)``: ``index`` is the number of instructions
         completed *within the current pass* when that line raises
         (total = frame-local ``done`` + ``index``), and ``restore_pc``
         marks lines where the faulting instruction's pc must be
-        re-established (kernel-entering closures and post-branch
-        bookkeeping manage ``s.pc`` themselves).  ``alloc`` lists the
-        guest registers promoted to frame locals and ``nowb`` the line
-        numbers of closure calls, where fault recovery must *not*
+        re-established (kernel entries and post-branch bookkeeping
+        manage ``s.pc`` themselves).  ``alloc`` lists the guest
+        registers promoted to frame locals and ``nowb`` the line
+        numbers of kernel entries, where fault recovery must *not*
         write the (stale) locals back over the register file.
         """
-        msize = self.memory.size
         costs = self.costs
         tb_cost = costs.taken_branch
         call_cost = costs.call
         ret_cost = costs.ret
-        pushes = self.spec.call_pushes_return_address
+        fields = self._fields
+        templates = _TEMPLATES[self.spec.call_pushes_return_address]
         names = [("s", self), ("r", self.regs),
                  ("d", self.memory.data),
                  ("UF", UnmappedMemoryFault)]
         names.extend(_MEM_OPS.items())
+        tags = self._icache_tags
+        if tags is not None:
+            names.append(("T", tags))
+            line_bits = costs.icache_line_bits
+            set_mask = len(tags) - 1
         telem = self.telemetry
-
-        def bind_guard(k, insn, kind, extra):
-            site = telem.guard_site(insn.addr, kind, extra)
-            names.append((f"gh{k}", site.counts))
-            names.append((f"gm{k}", site.record_miss))
         n = len(items)
         last_kind = items[-1][0]
         loop = last_kind in ("condclose", "jmpclose")
@@ -935,6 +943,7 @@ class CPU:
                 + " + ".join(c for c, _ in counters))
 
         body = []   # (source line, linemap entry or None)
+        used = set()    # guest registers referenced (as frame locals)
 
         def emit(indent, text, entry=None):
             body.append(("    " * indent + text, entry))
@@ -943,14 +952,55 @@ class CPU:
             for text in flush_lines:
                 emit(depth, text, entry)
 
-        def emit_compare(depth, insn, k):
-            ra, rb, _ = insn.operands
-            emit(depth, f"x = r[{ra}]", (k, True))
-            emit(depth, f"y = r[{rb}]", (k, True))
-            emit(depth, f"if x >= {_SIGN}: x -= {1 << 64}", (k, True))
-            emit(depth, f"if y >= {_SIGN}: y -= {1 << 64}", (k, True))
-            emit(depth, f"if x {_COND_SRC[insn.mnemonic]} y:",
-                 (k, True))
+        def emit_insn(depth, k, insn):
+            """The i-cache tag check (when due) and the effect of
+            instruction ``k``; returns its retire lines."""
+            if tags is not None:
+                line = addrs[k] >> line_bits
+                if k == 0 or line != addrs[k - 1] >> line_bits:
+                    idx = line & set_mask
+                    emit(depth, f"if T[{idx}] != {line}: T[{idx}] = "
+                         f"{line}; s.cycles += {costs.icache_miss}; "
+                         "s.icache_misses += 1", (k, True))
+            operands, _, effect, retire, registers = \
+                templates[insn.mnemonic]
+            values = _operand_values(insn, operands)
+            values.update(fields)
+            for reg in registers:
+                used.add(values[reg] if reg.__class__ is str else reg)
+            for text in effect:
+                text = text.format_map(values)
+                emit(depth, text, (k, not text.startswith("s.kernel.")))
+            return (text.format_map(values) for text in retire)
+
+        def emit_return(depth, k):
+            """Side exit after ``k`` instructions of this pass."""
+            if loop:
+                emit_flush(depth, (k, False))
+                emit(depth, f"return done + {k}", (k, False))
+            else:
+                emit(depth, f"return {k}")
+
+        def emit_exit(depth, k, kind, insn, extra):
+            """Speculation guard on the transfer target in ``p``."""
+            if telem is not None:
+                site = telem.guard_site(insn.addr, kind, extra)
+                names.append((f"gh{k}", site.counts))
+                names.append((f"gm{k}", site.record_miss))
+            emit(depth, f"if p != {extra}:", (k + 1, False))
+            emit(depth + 1, "s.pc = p", (k + 1, False))
+            if telem is not None:
+                emit(depth + 1, f"gm{k}(p)", (k + 1, False))
+            emit_return(depth + 1, k + 1)
+            if telem is not None:
+                emit(depth, f"gh{k}[0] += 1", (k + 1, True))
+
+        def emit_cost(depth, counter, cost, entry):
+            if loop:
+                emit(depth, f"{counter} += 1", entry)
+            else:
+                emit(depth, f"s.cycles += {cost}", entry)
+                emit(depth, "s.taken_branches += 1", entry)
 
         depth = 2 if loop else 1
         if loop:
@@ -959,134 +1009,31 @@ class CPU:
                 emit(1, f"{c} = 0")
             emit(1, "while True:")
         for k, (kind, insn, extra) in enumerate(items):
-            if kind == "s":
-                lines = _inline_src(insn, msize)
-                if lines is None:
-                    names.append((f"c{k}", extra))
-                    emit(depth, f"c{k}()", (k, True))
-                else:
-                    for line in lines:
-                        emit(depth, line, (k, True))
-            elif kind == "cond":
+            retire = emit_insn(depth, k, insn)
+            if kind == "cond":
+                # The effect ends in the open ``if`` of the compare.
                 target = insn.addr + insn.operands[2]
-                emit_compare(depth, insn, k)
                 emit(depth + 1, f"s.pc = {target}", (k + 1, False))
-                if loop:
-                    emit(depth + 1, "t += 1", (k + 1, False))
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"s.cycles += {tb_cost}",
-                         (k + 1, False))
-                    emit(depth + 1, "s.taken_branches += 1",
-                         (k + 1, False))
-                    emit(depth + 1, f"return {k + 1}")
+                emit_cost(depth + 1, "t", tb_cost, (k + 1, False))
+                emit_return(depth + 1, k + 1)
             elif kind == "jmp":
                 # Followed unconditional jmp: only its cost remains.
-                if loop:
-                    emit(depth, "t += 1", (k + 1, True))
-                else:
-                    emit(depth, f"s.cycles += {tb_cost}", (k + 1, True))
-                    emit(depth, "s.taken_branches += 1", (k + 1, True))
+                emit_cost(depth, "t", tb_cost, (k + 1, True))
             elif kind in ("call", "callr"):
-                nxt = insn.addr + insn.length
-                mn = "call" if kind == "call" else "callr"
-                if pushes:
-                    emit(depth, f"a = (r[{SP}] - 8) & {_MASK_SRC}",
-                         (k, True))
-                    emit(depth,
-                         f'if a + 8 > {msize}: raise UF(f"{mn} at '
-                         f'{{a:#x}}", pc={insn.addr})', (k, True))
-                    emit(depth, f"p8(d, a, {nxt})", (k, True))
-                    emit(depth, f"r[{SP}] = a", (k, True))
-                else:
-                    emit(depth, f"r[{LR}] = {nxt}", (k, True))
-                if loop:
-                    emit(depth, "u += 1", (k + 1, True))
-                else:
-                    emit(depth, f"s.cycles += {call_cost}",
-                         (k + 1, True))
-                    emit(depth, "s.taken_branches += 1", (k + 1, True))
+                emit_cost(depth, "u", call_cost, (k + 1, True))
                 if kind == "callr":
-                    if telem is not None:
-                        bind_guard(k, insn, "callr", extra)
-                    emit(depth, f"p = r[{insn.operands[0]}]",
-                         (k + 1, False))
-                    emit(depth, f"if p != {extra}:", (k + 1, False))
-                    emit(depth + 1, "s.pc = p", (k + 1, False))
-                    if telem is not None:
-                        emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                    if loop:
-                        emit_flush(depth + 1, (k + 1, False))
-                        emit(depth + 1, f"return done + {k + 1}",
-                             (k + 1, False))
-                    else:
-                        emit(depth + 1, f"return {k + 1}")
-                    if telem is not None:
-                        emit(depth, f"gh{k}[0] += 1", (k + 1, True))
+                    emit_exit(depth, k, kind, insn, extra)
             elif kind == "jmpr":
-                if telem is not None:
-                    bind_guard(k, insn, "jmpr", extra)
-                emit(depth, f"p = r[{insn.operands[0]}]", (k, True))
-                if loop:
-                    emit(depth, "t += 1", (k + 1, False))
-                else:
-                    emit(depth, f"s.cycles += {tb_cost}",
-                         (k + 1, False))
-                    emit(depth, "s.taken_branches += 1",
-                         (k + 1, False))
-                emit(depth, f"if p != {extra}:", (k + 1, False))
-                emit(depth + 1, "s.pc = p", (k + 1, False))
-                if telem is not None:
-                    emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                if loop:
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"return {k + 1}")
-                if telem is not None:
-                    emit(depth, f"gh{k}[0] += 1", (k + 1, True))
+                emit_cost(depth, "t", tb_cost, (k + 1, False))
+                emit_exit(depth, k, kind, insn, extra)
             elif kind == "ret":
-                if pushes:
-                    emit(depth, f"a = r[{SP}]", (k, True))
-                    emit(depth,
-                         f'if a + 8 > {msize}: raise UF(f"ret at '
-                         f'{{a:#x}}", pc={insn.addr})', (k, True))
-                    emit(depth, "p = u8(d, a)[0]", (k, True))
-                    emit(depth, f"r[{SP}] = (a + 8) & {_MASK_SRC}",
-                         (k, True))
-                else:
-                    emit(depth, f"p = r[{LR}]", (k, True))
-                if telem is not None:
-                    bind_guard(k, insn, "ret", extra)
-                if loop:
-                    emit(depth, "w += 1", (k + 1, False))
-                else:
-                    emit(depth, f"s.cycles += {ret_cost}",
-                         (k + 1, False))
-                    emit(depth, "s.taken_branches += 1",
-                         (k + 1, False))
-                emit(depth, f"if p != {extra}:", (k + 1, False))
-                emit(depth + 1, "s.pc = p", (k + 1, False))
-                if telem is not None:
-                    emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                if loop:
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"return {k + 1}")
-                if telem is not None:
-                    emit(depth, f"gh{k}[0] += 1", (k + 1, True))
+                emit_cost(depth, "w", ret_cost, (k + 1, False))
+                emit_exit(depth, k, kind, insn, extra)
             elif kind == "end":
-                names.append((f"c{k}", extra))
-                emit(1, f"c{k}()",
-                     (k, insn.mnemonic not in ("trap", "syscall")))
+                for text in retire:
+                    emit(1, text, (k + 1, False))
                 emit(1, f"return {n}")
             elif kind == "condclose":
-                emit_compare(2, insn, k)
                 emit(3, "t += 1", (n, False))
                 emit(3, f"done += {n}", (n, False))
                 emit(3, f"if done + {n} < budget:", (0, False))
@@ -1120,18 +1067,17 @@ class CPU:
             emit(1, f"s.pc = {seal}", (n, False))
             emit(1, f"return {n}")
         # Register allocation: every guest register the generated code
-        # touches becomes a frame local (``r[3]`` -> ``v3``), loaded
-        # once at entry, written back at every exit and around closure
-        # calls (closures operate on the shared ``r`` list).  Inside a
-        # loop trace the registers live in locals across iterations,
-        # which is the single biggest throughput lever.  At any fault
-        # point the locals *are* the architectural register state;
-        # :meth:`_fault_index` writes them back — except when the
-        # fault came from inside a closure (``nowb`` lines), where the
-        # pre-flushed ``r`` list already carries the closure's partial
-        # effects and the locals are stale.
-        alloc = tuple(sorted({int(g) for text, _ in body
-                              for g in _REG_REF.findall(text)}))
+        # touches is a frame local (``v3`` for ``r[3]``), loaded once at
+        # entry, written back at every exit and around kernel entries
+        # (the kernel reads and writes the shared ``r`` list).
+        # Inside a loop trace the registers live in locals across
+        # iterations, which is the single biggest throughput lever.  At
+        # any fault point the locals *are* the architectural register
+        # state; :meth:`_fault_index` writes them back — except when
+        # the fault came from inside the kernel (``nowb`` lines), where
+        # the pre-flushed ``r`` list already carries the kernel's
+        # partial effects and the locals are stale.
+        alloc = tuple(sorted(used))
         nowb = set()
         if alloc:
             load = "; ".join(f"v{i} = r[{i}]" for i in alloc)
@@ -1145,7 +1091,7 @@ class CPU:
             for text, entry in body[head:]:
                 stripped = text.lstrip()
                 indent = text[:len(text) - len(stripped)]
-                if _CLOSURE_CALL.match(stripped):
+                if stripped.startswith("s.kernel."):
                     out.append((indent + store, None))
                     out.append((text, entry))
                     nowb.add(len(out) + 1)  # final line number
@@ -1154,7 +1100,7 @@ class CPU:
                     out.append((indent + store, None))
                     out.append((text, entry))
                 else:
-                    out.append((_REG_REF.sub(r"v\1", text), entry))
+                    out.append((text, entry))
             body = out
         header = ("def _sb(budget, "
                   + ", ".join(f"{nm}=_{nm}" for nm, _ in names) + "):")
@@ -1168,10 +1114,8 @@ class CPU:
                     f" #{next(_block_ids)}>")
         namespace = {f"_{nm}": value for nm, value in names}
         exec(compile(src, filename, "exec"), namespace)
-        closures = sum(1 for nm, _ in names
-                       if nm[0] == "c" and nm[1:].isdigit())
         return (namespace["_sb"], linemap, filename, alloc,
-                frozenset(nowb), (closures, len(body)))
+                frozenset(nowb), len(body))
 
     def _fault_index(self, block, exc):
         """How many instructions of ``block`` completed before ``exc``.
@@ -1184,12 +1128,11 @@ class CPU:
         instruction's pc is re-established where the per-step tier
         would have it, matching that tier bit for bit.
         """
-        linemap = block[5]
-        addrs = block[4]
+        addrs, linemap, filename, alloc, nowb = block[3:]
         tb = exc.__traceback__
         while tb is not None:
             frame = tb.tb_frame
-            if frame.f_code.co_filename == block[6]:
+            if frame.f_code.co_filename == filename:
                 idx, restore = linemap.get(tb.tb_lineno, (0, False))
                 locs = frame.f_locals
                 t = locs.get("t", 0)
@@ -1200,13 +1143,13 @@ class CPU:
                                     + u * self.costs.call
                                     + w * self.costs.ret)
                     self.taken_branches += t + u + w
-                if block[7] and tb.tb_lineno not in block[8]:
+                if alloc and tb.tb_lineno not in nowb:
                     # The frame locals are the architectural register
-                    # state at the fault point (closure-call lines
+                    # state at the fault point (kernel-entry lines
                     # excepted: there the pre-flushed register file is
                     # authoritative and the locals are stale).
                     regs = self.regs
-                    for i in block[7]:
+                    for i in alloc:
                         name = f"v{i}"
                         if name in locs:
                             regs[i] = locs[name]
@@ -1215,315 +1158,3 @@ class CPU:
                 return locs.get("done", 0) + idx
             tb = tb.tb_next
         return 0
-
-    def _make_closure(self, insn, data, msize):
-        self_ = self
-        regs = self.regs
-        m = insn.mnemonic
-        ops = insn.operands
-        addr = insn.addr
-        nxt = addr + insn.length
-        tb_cost = self.costs.taken_branch
-        call_cost = self.costs.call
-        ret_cost = self.costs.ret
-
-        if m == "nop":
-            def fn():
-                self_.pc = nxt
-            return fn
-
-        if m == "mov":
-            rd, ra = ops
-
-            def fn():
-                regs[rd] = regs[ra]
-                self_.pc = nxt
-            return fn
-
-        if m == "movi":
-            rd, imm = ops
-            value = imm & _MASK
-
-            def fn():
-                regs[rd] = value
-                self_.pc = nxt
-            return fn
-
-        if m == "lis":
-            rd, imm = ops
-            value = (imm << 16) & _MASK
-
-            def fn():
-                regs[rd] = value
-                self_.pc = nxt
-            return fn
-
-        if m == "addis":
-            rd, ra, imm = ops
-            delta = imm << 16
-
-            def fn():
-                regs[rd] = (regs[ra] + delta) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m == "adrp":
-            rd, imm = ops
-            value = ((addr & ~0xFFF) + (imm << 12)) & _MASK
-
-            def fn():
-                regs[rd] = value
-                self_.pc = nxt
-            return fn
-
-        if m == "addi":
-            rd, ra, imm = ops
-
-            def fn():
-                regs[rd] = (regs[ra] + imm) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m in _ARITH:
-            rd, ra, rb = ops
-            op = _ARITH[m]
-
-            def fn():
-                regs[rd] = op(regs[ra], regs[rb]) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m == "shli":
-            rd, ra, imm = ops
-            sh = imm & 63
-
-            def fn():
-                regs[rd] = (regs[ra] << sh) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m == "shri":
-            rd, ra, imm = ops
-            sh = imm & 63
-
-            def fn():
-                regs[rd] = regs[ra] >> sh
-                self_.pc = nxt
-            return fn
-
-        if m == "inc":
-            (rd,) = ops
-
-            def fn():
-                regs[rd] = (regs[rd] + 1) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m in LOAD_SIZES and not m.startswith("ldpc"):
-            rd, mem_op = ops
-            base = mem_op.base
-            disp = mem_op.disp
-            size = LOAD_SIZES[m]
-            signed = m in SIGNED_LOADS
-            bits = size * 8
-            sign_bit = 1 << (bits - 1)
-            wrap = 1 << bits
-
-            def fn():
-                a = (regs[base] + disp) & _MASK
-                if a + size > msize:
-                    raise UnmappedMemoryFault(
-                        f"load at {a:#x} (pc={addr:#x})", pc=addr
-                    )
-                v = int.from_bytes(data[a:a + size], "little")
-                if signed and v & sign_bit:
-                    v = (v - wrap) & _MASK
-                regs[rd] = v
-                self_.pc = nxt
-            return fn
-
-        if m in STORE_SIZES:
-            rs, mem_op = ops
-            base = mem_op.base
-            disp = mem_op.disp
-            size = STORE_SIZES[m]
-            vmask = (1 << (size * 8)) - 1
-
-            def fn():
-                a = (regs[base] + disp) & _MASK
-                if a + size > msize:
-                    raise UnmappedMemoryFault(
-                        f"store at {a:#x} (pc={addr:#x})", pc=addr
-                    )
-                data[a:a + size] = (regs[rs] & vmask).to_bytes(size, "little")
-                self_.pc = nxt
-            return fn
-
-        if m.startswith("ldpc"):
-            rd, disp = ops
-            size = LOAD_SIZES[m]
-            a = addr + disp
-            # The operands are compile-time constants, so the bounds
-            # check runs once here instead of on every execution; an
-            # out-of-range target keeps its exact runtime-fault
-            # behaviour via an always-raising closure.
-            if a < 0 or a + size > msize:
-                def fn():
-                    raise UnmappedMemoryFault(
-                        f"pc-relative load at {a:#x}", pc=addr
-                    )
-                return fn
-            hi = a + size
-
-            def fn():
-                regs[rd] = int.from_bytes(data[a:hi], "little")
-                self_.pc = nxt
-            return fn
-
-        if m == "leapc":
-            rd, disp = ops
-            value = (addr + disp) & _MASK
-
-            def fn():
-                regs[rd] = value
-                self_.pc = nxt
-            return fn
-
-        if m == "push":
-            (rs,) = ops
-
-            def fn():
-                sp = (regs[SP] - 8) & _MASK
-                if sp + 8 > msize:
-                    raise UnmappedMemoryFault(f"push at {sp:#x}", pc=addr)
-                data[sp:sp + 8] = regs[rs].to_bytes(8, "little")
-                regs[SP] = sp
-                self_.pc = nxt
-            return fn
-
-        if m == "pop":
-            (rd,) = ops
-
-            def fn():
-                sp = regs[SP]
-                if sp + 8 > msize:
-                    raise UnmappedMemoryFault(f"pop at {sp:#x}", pc=addr)
-                regs[rd] = int.from_bytes(data[sp:sp + 8], "little")
-                regs[SP] = (sp + 8) & _MASK
-                self_.pc = nxt
-            return fn
-
-        if m in ("jmp", "jmp.s"):
-            target = addr + ops[0]
-
-            def fn():
-                self_.pc = target
-                self_.cycles += tb_cost
-                self_.taken_branches += 1
-            return fn
-
-        if m in _COND:
-            ra, rb, disp = ops
-            target = addr + disp
-            cond = _COND[m]
-
-            def fn():
-                x = regs[ra]
-                y = regs[rb]
-                if x >= _SIGN:
-                    x -= 1 << 64
-                if y >= _SIGN:
-                    y -= 1 << 64
-                if cond(x, y):
-                    self_.pc = target
-                    self_.cycles += tb_cost
-                    self_.taken_branches += 1
-                else:
-                    self_.pc = nxt
-            return fn
-
-        if m == "jmpr":
-            (rt,) = ops
-
-            def fn():
-                self_.pc = regs[rt]
-                self_.cycles += tb_cost
-                self_.taken_branches += 1
-            return fn
-
-        if m == "call":
-            target = addr + ops[0]
-            if self.spec.call_pushes_return_address:
-                def fn():
-                    sp = (regs[SP] - 8) & _MASK
-                    if sp + 8 > msize:
-                        raise UnmappedMemoryFault(f"call at {sp:#x}", pc=addr)
-                    data[sp:sp + 8] = nxt.to_bytes(8, "little")
-                    regs[SP] = sp
-                    self_.pc = target
-                    self_.cycles += call_cost
-                    self_.taken_branches += 1
-            else:
-                def fn():
-                    regs[LR] = nxt
-                    self_.pc = target
-                    self_.cycles += call_cost
-                    self_.taken_branches += 1
-            return fn
-
-        if m == "callr":
-            (rt,) = ops
-            if self.spec.call_pushes_return_address:
-                def fn():
-                    sp = (regs[SP] - 8) & _MASK
-                    if sp + 8 > msize:
-                        raise UnmappedMemoryFault(f"callr at {sp:#x}", pc=addr)
-                    data[sp:sp + 8] = nxt.to_bytes(8, "little")
-                    regs[SP] = sp
-                    self_.pc = regs[rt]
-                    self_.cycles += call_cost
-                    self_.taken_branches += 1
-            else:
-                def fn():
-                    regs[LR] = nxt
-                    self_.pc = regs[rt]
-                    self_.cycles += call_cost
-                    self_.taken_branches += 1
-            return fn
-
-        if m == "ret":
-            if self.spec.call_pushes_return_address:
-                def fn():
-                    sp = regs[SP]
-                    if sp + 8 > msize:
-                        raise UnmappedMemoryFault(f"ret at {sp:#x}", pc=addr)
-                    self_.pc = int.from_bytes(data[sp:sp + 8], "little")
-                    regs[SP] = (sp + 8) & _MASK
-                    self_.cycles += ret_cost
-                    self_.taken_branches += 1
-            else:
-                def fn():
-                    self_.pc = regs[LR]
-                    self_.cycles += ret_cost
-                    self_.taken_branches += 1
-            return fn
-
-        if m == "trap":
-            def fn():
-                self_.pc = addr
-                self_.kernel.handle_trap(self_)
-            return fn
-
-        if m == "syscall":
-            (num,) = ops
-
-            def fn():
-                self_.pc = addr
-                self_.kernel.syscall(self_, num)
-                if self_.running and self_.pc == addr:
-                    self_.pc = nxt
-            return fn
-
-        raise IllegalInstructionFault(
-            f"unimplemented mnemonic {m} at {addr:#x}", pc=addr
-        )

