@@ -188,7 +188,6 @@ def generate(pick, num, arch):
                                              (1 << 63) - 1, 0x1234)))
     count = num(1, 24)
     base = len(prologue) + 1          # +1: the leapc below
-    body_slots = base + count         # slot index of the epilogue
 
     def target():
         slot = num(0, count)
@@ -275,7 +274,6 @@ def generate(pick, num, arch):
             body.append(I("nop"))
     epilogue = [I("syscall", 1), I("syscall", 0)]
     slots = prologue + body + epilogue
-    assert base + count == body_slots
 
     costs = pick(COST_MODELS)
     if costs.icache_enabled:
