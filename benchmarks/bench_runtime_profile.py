@@ -6,9 +6,8 @@ relevant tool with a :class:`FlightRecorder` attached and registers one
 machine-readable record per tool (cycles, instructions, trampoline hit
 totals) through the ``runtime_records`` fixture — every record is
 stamped with schema + environment fingerprint by the shared conftest
-helper; run with ``--json BENCH_runtime.json`` to persist them, which
-is how the perf trajectory across commits is tracked.  The second quantifies the flight
-hook's cost when *disabled*: the CPU hot loop pays one ``is not None``
+helper; run with ``--json BENCH_runtime.json`` to persist them.  The
+second quantifies the flight hook's cost when *disabled*: the CPU hot loop pays one ``is not None``
 test per step, and projecting that measured per-step cost against an
 un-instrumented run's wall time must stay under 2%.
 """

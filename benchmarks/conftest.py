@@ -10,12 +10,11 @@ in the Table 3 benches (the default uses a representative subset so
 
 Machine-readable output: ``--json OUT`` collects every record a bench
 registers through the ``runtime_records`` fixture and writes them as one
-``BENCH_runtime/v2`` JSON document at session end, so perf trajectories
-can be tracked across commits.  Every record is routed through the
-observatory's shared schema stamp (:func:`repro.obs.stamp_record`):
+``BENCH_runtime/v2`` JSON document at session end.  Every record is
+routed through the shared schema stamp (:func:`repro.obs.stamp_record`):
 each row carries ``schema`` + the session's environment fingerprint, so
-downstream consumers (the regression sentinel, dashboards) can attribute
-and compare rows without guessing where they came from.
+downstream consumers can attribute and compare rows without guessing
+where they came from.
 """
 
 import json
@@ -23,7 +22,8 @@ import os
 
 import pytest
 
-from repro.obs.observatory import EnvFingerprint, stamp_record
+from repro.obs import stamp_record
+from repro.obs.receipt import session_fingerprint
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 
@@ -64,24 +64,13 @@ def pytest_addoption(parser):
 
 
 _RUNTIME_RECORDS = []
-_FINGERPRINT = None
-
-
-def session_fingerprint():
-    """One :class:`EnvFingerprint` per bench session (collect once —
-    the git-sha probe shells out)."""
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        _FINGERPRINT = EnvFingerprint.collect()
-    return _FINGERPRINT
 
 
 def register_record(record):
     """The one place every bench's machine-readable record goes through:
     stamps schema + environment fingerprint and queues it for the
     session's ``--json`` document."""
-    _RUNTIME_RECORDS.append(
-        stamp_record(record, fingerprint=session_fingerprint()))
+    _RUNTIME_RECORDS.append(stamp_record(record))
 
 
 @pytest.fixture

@@ -12,9 +12,6 @@ Examples::
     python -m repro batch 619.lbm_s 602.sgcc_s --jobs 4 --repeat 2
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
         --underapprox 1 --worker-crashes 2 --jobs 4
-    python -m repro perf record --workload 602.sgcc_s
-    python -m repro perf report
-    python -m repro perf check --fail-on fail
     python -m repro rewrite --workload 602.sgcc_s --record --atlas
     python -m repro record list
     python -m repro record show latest --json
@@ -71,7 +68,6 @@ EXIT_DIVERGED = 1
 EXIT_DIFF_REFUSED = 2
 EXIT_LOAD_ERROR = 3
 EXIT_REWRITE_ERROR = 4
-EXIT_PERF_REGRESSION = 5
 EXIT_COVERAGE_REGRESSION = 6
 
 _APP_WORKLOADS = {
@@ -410,119 +406,6 @@ def cmd_chaos(args):
     return 0 if run.passed else EXIT_REWRITE_ERROR
 
 
-def cmd_perf(args):
-    """The performance observatory: record samples into the persisted
-    benchmark history, render the trend, and gate on regressions.
-
-    ``record`` rewrites one workload under a memory-accounting tracer
-    and appends a fingerprinted :class:`~repro.obs.PerfSample` (stage
-    times, stage memory peaks, cache accounting, trampoline shape, and
-    — unless ``--no-run`` — the emulated instruction/cycle totals) to
-    ``BENCH_history.json``.  ``report`` prints the cross-run trend
-    table.  ``check`` grades the newest sample against the rolling
-    same-fingerprint baseline and exits ``EXIT_PERF_REGRESSION`` on a
-    ``fail``-grade finding (``--fail-on warn`` tightens the gate;
-    ``--each`` grades the newest sample of every history key, so
-    emulator-throughput samples are gated alongside rewrite samples).
-    """
-    from repro.obs import (
-        BenchHistory,
-        PerfSample,
-        RegressionSentinel,
-        render_sentinel_report,
-        render_trend,
-    )
-    from repro.obs.observatory import SEVERITIES
-
-    # Validate the gate up front — even before `record`/`report`, a
-    # typoed grade name should fail loudly, never silently default.
-    if args.fail_on not in SEVERITIES or args.fail_on == "ok":
-        valid = ", ".join(s for s in SEVERITIES if s != "ok")
-        raise CliError(
-            f"unknown --fail-on grade {args.fail_on!r}; "
-            f"valid grades: {valid}",
-            EXIT_LOAD_ERROR,
-        )
-
-    history = BenchHistory(args.history)
-    if args.action == "record":
-        program, binary = _load_workload(args.workload, args.arch)
-        tracer = Tracer(name=f"perf:{args.workload}",
-                        memory=not args.no_mem)
-        records = []
-        try:
-            rewritten, _, runtime = rewrite_binary(
-                binary, RewriteMode.parse(args.mode),
-                tracer=tracer, metrics=Metrics(), jobs=args.jobs,
-                record_sink=records.append, workload=args.workload,
-            )
-        except ReproError as exc:
-            print(f"perf record refused: {exc}", file=sys.stderr)
-            return EXIT_REWRITE_ERROR
-        tracer.finish()   # stops the tracemalloc this tracer started
-        instructions = cycles = None
-        guard_failure_rate = engine_compile_seconds = None
-        if not args.no_run:
-            # Run with engine telemetry attached so the sentinel can
-            # gate guard-failure-rate and compile-time regressions
-            # alongside the static rewrite costs.
-            telemetry = EngineTelemetry()
-            result = run_binary(rewritten, runtime_lib=runtime,
-                                telemetry=telemetry)
-            instructions, cycles = result.icount, result.cycles
-            guard_failure_rate = telemetry.guard_failure_rate
-            engine_compile_seconds = telemetry.compile_seconds
-        sample = PerfSample.from_record(
-            records[-1], instructions=instructions,
-            cycles=cycles, guard_failure_rate=guard_failure_rate,
-            engine_compile_seconds=engine_compile_seconds,
-        )
-        history.append(sample)
-        mem = (f", peak {sample.mem_peak:,} bytes"
-               if sample.mem_peak is not None else "")
-        dyn = (f", {cycles:,} cycles" if cycles is not None else "")
-        print(f"recorded {args.workload}/{args.arch}/{args.mode}: "
-              f"{sample.total_seconds * 1e3:.1f}ms over "
-              f"{len(sample.stage_seconds)} stages{mem}{dyn} "
-              f"-> {args.history}")
-        return 0
-
-    samples = history.load()
-    if history.skipped:
-        print(f"[{history.skipped} corrupt/foreign history entr"
-              f"{'y' if history.skipped == 1 else 'ies'} skipped]",
-              file=sys.stderr)
-    if args.action == "report":
-        if args.json:
-            import json
-            from repro.obs import trend_document
-            print(json.dumps(trend_document(samples,
-                                            window=args.window),
-                             indent=2, sort_keys=True))
-        else:
-            print(render_trend(samples, window=args.window))
-        return 0
-
-    sentinel = RegressionSentinel(window=args.window)
-    gate = SEVERITIES[SEVERITIES.index(args.fail_on):]
-    if args.each:
-        # Grade the newest sample of every workload/arch/mode key, so
-        # rewrite samples and emulator-throughput samples are gated
-        # together instead of only whichever was appended last.
-        from repro.obs import newest_per_key
-        failed = False
-        for candidate in newest_per_key(samples):
-            verdict = sentinel.check(samples, candidate)
-            label = "/".join(candidate.key)
-            print(f"--- {label}")
-            print(render_sentinel_report(verdict))
-            failed = failed or verdict.grade in gate
-        return EXIT_PERF_REGRESSION if failed else 0
-    verdict = sentinel.check(samples)
-    print(render_sentinel_report(verdict))
-    return EXIT_PERF_REGRESSION if verdict.grade in gate else 0
-
-
 def cmd_record(args):
     """The rewrite-record ledger: list records, show one, rank one's
     atlas rows, diff two.
@@ -819,44 +702,6 @@ def build_parser():
                         "warmed by a clean rewrite first)")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "perf",
-        help="performance observatory: record/report/check the "
-             "persisted benchmark history",
-    )
-    p.add_argument("action", choices=["record", "report", "check"])
-    p.add_argument("--history", default="BENCH_history.json",
-                   metavar="FILE",
-                   help="benchmark history store "
-                        "(default BENCH_history.json)")
-    p.add_argument("--workload", default="602.sgcc_s",
-                   help="workload to record (default 602.sgcc_s)")
-    p.add_argument("--arch", default="x86")
-    p.add_argument("--mode", default="jt",
-                   choices=[m.value for m in RewriteMode])
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--no-run", action="store_true",
-                   help="record: skip the emulated run "
-                        "(no instruction/cycle totals)")
-    p.add_argument("--no-mem", action="store_true",
-                   help="record: skip tracemalloc memory accounting")
-    p.add_argument("--window", type=int, default=5, metavar="N",
-                   help="rolling baseline size / report depth "
-                        "(default 5)")
-    # Validated in cmd_perf against the SEVERITIES ladder so unknown
-    # grade names fail loudly with the valid options listed.
-    p.add_argument("--fail-on", default="fail", metavar="GRADE",
-                   help="check: lowest severity that exits nonzero "
-                        "(info, warn or fail; default fail)")
-    p.add_argument("--each", action="store_true",
-                   help="check: grade the newest sample of every "
-                        "workload/arch/mode key, not just the last "
-                        "appended one")
-    p.add_argument("--json", action="store_true",
-                   help="report: print the machine-readable trend "
-                        "document instead of the table")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
         "record",

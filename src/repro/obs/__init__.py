@@ -9,16 +9,13 @@ Everything is zero-dependency and defaults to no-op singletons
 (:data:`NULL_TRACER`, :data:`NULL_METRICS`) so un-instrumented runs pay
 near-zero cost.
 
-:mod:`repro.obs.observatory` turns individual measurements into a
-trajectory: a shared :class:`PerfSample` schema, the append-only
-:class:`BenchHistory` behind ``BENCH_history.json``, and the
-:class:`RegressionSentinel` that gates CI on cross-run regressions.
-
 :mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
 content-addressed :class:`RewriteRecord` per rewrite (provenance, cost,
-and on request a per-function coverage atlas), persisted in the
-append-only :class:`RecordLedger` — both speaking the shared store
-discipline of :mod:`repro.obs.store`.
+and on request a per-function coverage atlas), stamped with an
+:class:`EnvFingerprint` and persisted in the append-only
+:class:`RecordLedger` through :class:`~repro.obs.store.JsonlStore`.
+Performance across commits is not tracked here: the seeded end-to-end
+benchmark (``bench/run.py``) compares commits.
 
 :mod:`repro.obs.engine` is the engine observatory: the
 :class:`EngineTelemetry` collector the superblock JIT feeds at
@@ -34,19 +31,9 @@ from repro.obs.engine import (
     render_engine_report,
 )
 from repro.obs.flight import FlightRecorder, render_flight_report
-from repro.obs.observatory import (
-    BenchHistory,
-    EnvFingerprint,
-    PerfSample,
-    RegressionSentinel,
-    newest_per_key,
-    render_sentinel_report,
-    render_trend,
-    stamp_record,
-    trend_document,
-)
 from repro.obs.receipt import (
     AtlasBuilder,
+    EnvFingerprint,
     RecordLedger,
     RewriteRecord,
     content_digest,
@@ -58,8 +45,9 @@ from repro.obs.receipt import (
     render_record_list,
     render_record_top,
     snapshot_metrics,
+    stamp_record,
 )
-from repro.obs.store import JsonlStore, atomic_write_text, parse_entries
+from repro.obs.store import JsonlStore, atomic_write_text
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -97,14 +85,7 @@ __all__ = [
     "ENGINE_REPORT_SCHEMA",
     "render_engine_report",
     "render_degradation",
-    "PerfSample",
     "EnvFingerprint",
-    "BenchHistory",
-    "RegressionSentinel",
-    "newest_per_key",
-    "render_sentinel_report",
-    "render_trend",
-    "trend_document",
     "stamp_record",
     "RewriteRecord",
     "RecordLedger",
@@ -120,5 +101,4 @@ __all__ = [
     "render_record_diff",
     "JsonlStore",
     "atomic_write_text",
-    "parse_entries",
 ]

@@ -245,7 +245,7 @@ class EngineTelemetry:
     @property
     def guard_failure_rate(self):
         """misses / checks, or None before any guard executed — the
-        metric the :class:`~repro.obs.RegressionSentinel` gates."""
+        headline speculation-quality figure of the engine report."""
         checks = self.guard_checks
         return (self.guard_misses / checks) if checks else None
 

@@ -33,10 +33,15 @@ down the ladder, or disappearing — is flagged so ``repro record diff``
 can gate on it.
 
 The :class:`RecordLedger` persists records as JSON lines under the
-shared obs store discipline (:mod:`repro.obs.store`): atomic writes,
+store discipline of :mod:`repro.obs.store`: atomic writes,
 corrupt/foreign lines skipped-and-counted on load but preserved on
 append.  Fleet summaries (``repro batch``) live in the same file under
 their own schema tag.
+
+:class:`EnvFingerprint` (python, platform, cpu count, git sha) is the
+identity stamped on every record, collected once per process by
+:func:`session_fingerprint`; :func:`stamp_record` puts the same stamp
+on the ``bench_*.py`` JSON rows.
 
 Everything here speaks plain data and duck types its inputs — this
 module never imports :mod:`repro.core`.
@@ -45,15 +50,19 @@ module never imports :mod:`repro.core`.
 import bisect
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
 
-from repro.obs.observatory import EnvFingerprint
 from repro.obs.store import JsonlStore
 from repro.obs.trace import format_bytes
 
 #: Schema tags; bump the version when a field changes meaning.
 RECORD_SCHEMA = "RewriteRecord/v1"
 FLEET_SCHEMA = "RewriteFleet/v1"
+BENCH_RECORD_SCHEMA = "BENCH_record/v1"
 
 DEFAULT_LEDGER = "RECORDS.jsonl"
 
@@ -76,7 +85,10 @@ __all__ = [
     "DEFAULT_LEDGER",
     "MODE_RUNGS",
     "TOP_ORDERINGS",
+    "BENCH_RECORD_SCHEMA",
+    "EnvFingerprint",
     "session_fingerprint",
+    "stamp_record",
     "AtlasBuilder",
     "RewriteRecord",
     "RecordLedger",
@@ -90,6 +102,93 @@ __all__ = [
     "render_record_top",
     "render_record_diff",
 ]
+
+
+# -- environment fingerprint ------------------------------------------------
+
+
+class EnvFingerprint:
+    """Where a record came from: enough identity to refuse comparing
+    apples to oranges, small enough to stamp on every record."""
+
+    __slots__ = ("python", "platform", "cpus", "git_sha")
+
+    def __init__(self, python, platform, cpus, git_sha=None):
+        self.python = python
+        self.platform = platform
+        self.cpus = cpus
+        self.git_sha = git_sha
+
+    @classmethod
+    def collect(cls, git_sha=None):
+        """The running interpreter's fingerprint (git sha best-effort)."""
+        if git_sha is None:
+            git_sha = _git_sha()
+        return cls(
+            python="%d.%d.%d" % sys.version_info[:3],
+            platform=f"{platform.system()}-{platform.machine()}",
+            cpus=os.cpu_count() or 1,
+            git_sha=git_sha,
+        )
+
+    @property
+    def key(self):
+        """Grouping identity: same machine shape + interpreter.
+
+        The git sha is deliberately *not* part of the key, so records
+        of different commits on one machine group together."""
+        return (self.python, self.platform, self.cpus)
+
+    def to_dict(self):
+        out = {"python": self.python, "platform": self.platform,
+               "cpus": self.cpus}
+        if self.git_sha:
+            out["git_sha"] = self.git_sha
+        return out
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(python=data["python"], platform=data["platform"],
+                   cpus=data["cpus"], git_sha=data.get("git_sha"))
+
+    def __eq__(self, other):
+        return (isinstance(other, EnvFingerprint)
+                and self.key == other.key
+                and self.git_sha == other.git_sha)
+
+    def __repr__(self):
+        sha = self.git_sha or "?"
+        return (f"<EnvFingerprint py{self.python} {self.platform} "
+                f"x{self.cpus} @{sha}>")
+
+
+def _git_sha():
+    """Short HEAD sha of the working tree, or None outside a repo."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
+
+
+def stamp_record(record, fingerprint=None):
+    """Stamp one benchmark JSON row with schema + fingerprint.
+
+    The shared helper behind every ``bench_*.py`` machine-readable
+    record (``benchmarks/conftest.py`` routes all of them through here),
+    so BENCH_*.json rows are self-describing and attributable.
+    """
+    if fingerprint is None:
+        fingerprint = session_fingerprint()
+    stamped = {"schema": BENCH_RECORD_SCHEMA,
+               "fingerprint": fingerprint.to_dict()}
+    stamped.update(record)
+    return stamped
+
 
 _SESSION_FINGERPRINT = None
 
@@ -636,9 +735,7 @@ class RecordLedger:
     :attr:`summaries`, not counted as foreign).  Loading skips — and
     counts on :attr:`skipped` — lines that are corrupt or speak a
     schema this reader does not; appending preserves every existing
-    line verbatim: the shared obs store discipline
-    (:mod:`repro.obs.store`, same contract as
-    :class:`~repro.obs.observatory.BenchHistory`).
+    line verbatim (:class:`~repro.obs.store.JsonlStore`).
     """
 
     def __init__(self, path=DEFAULT_LEDGER):

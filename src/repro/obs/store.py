@@ -1,33 +1,26 @@
-"""Shared persistence discipline for the obs layer's durable records.
+"""Persistence for the obs layer's durable records.
 
-Two stores persist observability records across runs — the benchmark
-history behind ``BENCH_history.json`` (one JSON document holding a
-sample list) and the rewrite-record ledger behind ``RECORDS.jsonl``
-(one JSON object per line).  Both owe their callers the same three
-guarantees, factored here so they cannot drift apart:
+The rewrite-record ledger behind ``RECORDS.jsonl`` (one JSON object per
+line, :class:`~repro.obs.receipt.RecordLedger`) stores through
+:class:`JsonlStore`, which owes its callers three guarantees:
 
 * **Atomic writes** (:func:`atomic_write_text`): every persist goes
   through a temp file + ``os.replace``, so a crashed writer never
   leaves a half-written store behind.
-* **Corrupt/foreign tolerance** (:func:`parse_entries`): loading skips
-  — and *counts*, never raises on — entries that are corrupt or carry a
-  schema the reader does not speak, so one bad row cannot take the
-  whole store down and a newer writer's rows never crash an older
-  reader.
-* **Foreign preservation**: appending re-serializes the raw entries
+* **Corrupt tolerance**: loading skips — and *counts*, never raises
+  on — lines that are not JSON, so one bad row cannot take the whole
+  store down.  Schema checking is the caller's business: the ledger
+  skips and counts rows of a schema it does not speak the same way.
+* **Foreign preservation**: appending re-emits every existing line
   verbatim, so the skip-on-load tolerance never turns into
   destroy-on-append.
-
-:class:`JsonlStore` packages the three for line-oriented stores;
-:class:`~repro.obs.observatory.BenchHistory` keeps its document layout
-but routes its writes and entry parsing through the same helpers.
 """
 
 import json
 import os
 import tempfile
 
-__all__ = ["atomic_write_text", "parse_entries", "JsonlStore"]
+__all__ = ["atomic_write_text", "JsonlStore"]
 
 
 def atomic_write_text(path, text, prefix=".obs-store-"):
@@ -52,25 +45,6 @@ def atomic_write_text(path, text, prefix=".obs-store-"):
     return path
 
 
-def parse_entries(raw_entries, parse_one):
-    """``(records, skipped)``: every entry ``parse_one`` accepts.
-
-    ``parse_one`` is expected to raise :class:`ValueError` on corrupt
-    or foreign input (the contract of ``PerfSample.from_dict`` and
-    ``RewriteRecord.from_dict``); each reject bumps the skip count
-    instead of propagating, which is the shared skip-counting semantics
-    of every obs store.
-    """
-    records = []
-    skipped = 0
-    for entry in raw_entries:
-        try:
-            records.append(parse_one(entry))
-        except ValueError:
-            skipped += 1
-    return records, skipped
-
-
 class JsonlStore:
     """An append-only JSON-lines store: one record per line.
 
@@ -78,8 +52,8 @@ class JsonlStore:
     lines are counted, not raised); ``append_raw`` re-emits the
     existing lines verbatim — including ones this reader cannot parse —
     plus the new record, through one atomic write.  Schema checking is
-    the caller's business (via :func:`parse_entries`); this class only
-    owns the line/file discipline.
+    the caller's business; this class only owns the line/file
+    discipline.
     """
 
     def __init__(self, path):

@@ -21,6 +21,7 @@ covers its subtree.  Tracers without memory accounting pay one ``is
 None`` test per span boundary and nothing else.
 """
 
+import itertools
 import json
 import time
 import tracemalloc
@@ -324,12 +325,17 @@ def format_bytes(n):
         n /= 1024
 
 
-def render_profile(trace, min_child_ms=0.0):
+def render_profile(trace):
     """A per-stage timing table for a :class:`Tracer` or :class:`Span`.
 
     One row per span (indented by depth): wall time, share of the root's
     time, peak traced memory (only when the trace carries ``mem_peak``
-    readings), and a compact counter/event summary.
+    readings), and a compact counter/event summary.  A run of N
+    same-named sibling spans — one ``pipeline-analysis`` span per
+    function, say — collapses into one ``name ×N`` row: their total
+    time and share, their highest memory peak, the per-span p50/max in
+    the detail column, and their summed counters and events.  Their
+    children, concatenated, collapse the same way one level down.
     """
     root = trace.finish() if hasattr(trace, "finish") else trace
     if root is None:
@@ -337,33 +343,44 @@ def render_profile(trace, min_child_ms=0.0):
     total = root.duration or 1e-12
     rows = []
 
-    def walk(span, depth):
-        label = "  " * depth + span.name
+    def walk(group, depth):
+        label = "  " * depth + group[0].name
         extras = []
-        for key in sorted(span.counters):
-            extras.append(f"{key}={span.counters[key]}")
-        if span.events:
-            extras.append(f"events={len(span.events)}")
-        skipped = span.attrs.get("skipped")
+        if len(group) > 1:
+            label += f" ×{len(group)}"
+            ms = sorted(span.duration * 1000.0 for span in group)
+            extras.append(f"p50={ms[(len(ms) - 1) // 2]:.3f}ms "
+                          f"max={ms[-1]:.3f}ms")
+        counters = {}
+        for span in group:
+            for key, n in span.counters.items():
+                counters[key] = counters.get(key, 0) + n
+        extras.extend(f"{key}={counters[key]}" for key in sorted(counters))
+        events = sum(len(span.events) for span in group)
+        if events:
+            extras.append(f"events={events}")
+        skipped = sum(1 for span in group if span.attrs.get("skipped"))
         if skipped:
-            extras.append("(skipped)")
+            extras.append("(skipped)" if len(group) == 1
+                          else f"(skipped ×{skipped})")
+        peaks = [span.mem_peak for span in group
+                 if span.mem_peak is not None]
+        seconds = sum(span.duration for span in group)
         rows.append((
             label,
-            span.duration * 1000.0,
-            span.duration / total,
-            span.mem_peak,
+            seconds * 1000.0,
+            seconds / total,
+            max(peaks) if peaks else None,
             " ".join(extras),
         ))
-        for child in span.children:
-            if child.duration * 1000.0 >= min_child_ms:
-                walk(child, depth + 1)
+        children = [child for span in group for child in span.children]
+        for _, run in itertools.groupby(children, key=lambda c: c.name):
+            walk(list(run), depth + 1)
 
-    walk(root, 0)
-    # Mem-column presence is decided off the *displayed* rows, and a
-    # displayed span without a reading gets a "-" placeholder: trees
-    # with mixed mem_peak presence (old trace JSON round-tripped
-    # through the mem column, or ``min_child_ms`` filtering away the
-    # only mem-bearing spans) must render, not misalign or crash.
+    walk([root], 0)
+    # A row without a reading gets a "-" placeholder, so trees with
+    # mixed mem_peak presence (old trace JSON round-tripped through the
+    # mem column) render instead of misaligning or crashing.
     has_mem = any(mem is not None for _, _, _, mem, _ in rows)
     width = max(len(r[0]) for r in rows)
     mem_col = f"  {'mem peak':>9}" if has_mem else ""

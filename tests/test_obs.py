@@ -431,15 +431,43 @@ class TestProfileRendering:
         again = Span.from_dict(json.loads(json.dumps(root.to_dict())))
         assert "mem peak" in render_profile(again)
 
-    def test_profile_mem_column_follows_displayed_rows(self):
-        # min_child_ms can filter away the only mem-bearing spans; the
-        # column decision must track what is actually displayed.
-        root = Span("root")
-        root.t_start, root.t_end = 0.0, 1.0
-        tiny = Span("tiny")
-        tiny.t_start, tiny.t_end = 0.0, 0.0001
-        tiny.mem_peak = 1_000_000
-        root.children = [tiny]
-        text = render_profile(root, min_child_ms=10.0)
-        assert "tiny" not in text
-        assert "mem peak" not in text
+    @staticmethod
+    def _timed(name, start, end, mem_peak=None):
+        span = Span(name)
+        span.t_start, span.t_end = start, end
+        span.mem_peak = mem_peak
+        return span
+
+    def test_profile_mem_column_follows_collapsed_rows(self):
+        # The column decision tracks the displayed rows: a collapsed
+        # row shows its members' highest peak even when only one
+        # member carries a reading, and no reading means no column.
+        root = self._timed("root", 0.0, 4.0)
+        root.children = [self._timed("unit", 0.0, 1.0),
+                         self._timed("unit", 1.0, 2.0, 1_000_000),
+                         self._timed("unit", 2.0, 3.0, 3_000_000)]
+        text = render_profile(root)
+        assert "mem peak" in text
+        line = next(ln for ln in text.splitlines() if "unit ×3" in ln)
+        assert "2.9MiB" in line
+        for child in root.children:
+            child.mem_peak = None
+        assert "mem peak" not in render_profile(root)
+
+    def test_collapsed_row_total_is_the_sum_of_its_spans(self):
+        root = self._timed("root", 0.0, 1.0)
+        durations = (0.010, 0.030, 0.020, 0.100)
+        t = 0.0
+        for d in durations:
+            root.children.append(self._timed("unit", t, t + d))
+            t += d
+        root.children.append(self._timed("tail", t, t + 0.5))
+        lines = render_profile(root).splitlines()
+        assert sum("unit" in ln for ln in lines) == 1
+        row = next(ln for ln in lines if "unit ×4" in ln).split()
+        assert float(row[2]) == pytest.approx(sum(durations) * 1000.0)
+        assert row[3] == f"{sum(durations):.1%}"
+        assert "p50=20.000ms max=100.000ms" in " ".join(row)
+        # A lone span keeps its plain row: no count, no percentiles.
+        tail = next(ln for ln in lines if "tail" in ln)
+        assert "×" not in tail and "p50" not in tail

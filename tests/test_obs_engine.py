@@ -20,20 +20,14 @@ from repro.machine.cpu import ENGINES
 from repro.obs import (
     ENGINE_REPORT_SCHEMA,
     EngineTelemetry,
-    EnvFingerprint,
     FlightRecorder,
     Metrics,
-    PerfSample,
-    RegressionSentinel,
     Tracer,
     render_engine_report,
 )
-from repro.obs.observatory import sample_metrics
 
 from tests.conftest import compiled, small_program, workload
 from tests.test_machine import assemble
-
-FP = EnvFingerprint("3.11.0", "Linux-x86_64", 8)
 
 #: RunResult fields that must agree bit-for-bit with telemetry on.
 PARITY_FIELDS = ("checksum", "cycles", "icount", "icache_misses",
@@ -290,63 +284,6 @@ class TestFlightGranularity:
         assert summary["granularity"] == "block"
         assert summary["superblocks"] \
             == by_mode["block"].superblocks
-
-
-class TestObservatoryIntegration:
-    def _sample(self, rate=0.01, compile_s=0.010, **kwargs):
-        return PerfSample(
-            "w", "x86", "jt", 0.1, cycles=10_000,
-            guard_failure_rate=rate, engine_compile_seconds=compile_s,
-            fingerprint=FP, unix_time=1.0, **kwargs)
-
-    def test_engine_fields_round_trip(self):
-        s = self._sample()
-        rebuilt = PerfSample.from_dict(s.to_dict())
-        assert rebuilt.guard_failure_rate == s.guard_failure_rate
-        assert rebuilt.engine_compile_seconds \
-            == s.engine_compile_seconds
-        assert rebuilt.to_dict() == s.to_dict()
-
-    def test_engine_fields_stay_optional(self):
-        s = PerfSample("w", "x86", "jt", 0.1, fingerprint=FP)
-        data = s.to_dict()
-        assert "guard_failure_rate" not in data
-        assert "engine_compile_seconds" not in data
-        rebuilt = PerfSample.from_dict(data)
-        assert rebuilt.guard_failure_rate is None
-        assert rebuilt.engine_compile_seconds is None
-
-    def test_sample_metrics_kinds(self):
-        metrics = sample_metrics(self._sample())
-        assert metrics["engine.guard_failure_rate"] == ("rate", 0.01)
-        assert metrics["engine.compile_seconds"][0] == "time"
-
-    def test_sentinel_gates_guard_failure_regression(self):
-        samples = [self._sample() for _ in range(3)]
-        samples.append(self._sample(rate=0.5))   # speculation broke
-        report = RegressionSentinel().check(samples)
-        assert report.failed
-        assert any(f.metric == "engine.guard_failure_rate"
-                   and f.severity == "fail" for f in report.findings)
-
-    def test_sentinel_gates_compile_time_regression(self):
-        samples = [self._sample() for _ in range(3)]
-        samples.append(self._sample(compile_s=0.100))   # 10x
-        report = RegressionSentinel().check(samples)
-        assert report.failed
-        assert any(f.metric == "engine.compile_seconds"
-                   and f.severity == "fail" for f in report.findings)
-
-    def test_tiny_rates_under_noise_floor_pass(self):
-        # A 0.02% rate tripling stays under every threshold because
-        # the increase is taken against the 1-point floor, not the
-        # 0.02% baseline.
-        samples = [self._sample(rate=0.0002) for _ in range(3)]
-        samples.append(self._sample(rate=0.0006))
-        report = RegressionSentinel().check(samples)
-        assert not any(f.metric == "engine.guard_failure_rate"
-                       and f.severity in ("warn", "fail")
-                       for f in report.findings)
 
 
 class TestHarnessHook:

@@ -11,14 +11,17 @@ Covers the acceptance properties of the subsystem:
   timings; a failed rewrite's record has no atlas section;
 * the ladder-rung table the record carries (so ``obs`` stays core-free)
   agrees with :func:`repro.core.modes.ladder_rung`;
-* the ledger speaks the shared obs store discipline — atomic appends,
-  corrupt/foreign lines skipped-and-counted on load but preserved on
-  append — and resolves id prefixes and ``latest``;
+* the ledger speaks the store discipline of ``repro.obs.store`` —
+  atomic appends, corrupt/foreign lines skipped-and-counted on load
+  but preserved on append — and resolves id prefixes and ``latest``;
 * ``repro rewrite --record [--atlas]`` / ``repro batch`` persist records
   and ``repro record list/show/top/diff`` read them back, with ``diff``
   exiting :data:`~repro.cli.EXIT_COVERAGE_REGRESSION` when coverage
   regressed, else :data:`~repro.cli.EXIT_DIVERGED` on diverged outputs;
-* Figure 2's mode distribution is reproducible from the record alone.
+* Figure 2's mode distribution is reproducible from the record alone;
+* the environment fingerprint every record (and every ``bench_*.py``
+  JSON row, via :func:`~repro.obs.stamp_record`) carries round-trips
+  and groups across commits.
 """
 
 import json
@@ -28,19 +31,24 @@ import pytest
 from repro.core import ArtifactCache, IncrementalRewriter
 from repro.core.modes import MODE_LADDER, ladder_rung
 from repro.obs import (
+    EnvFingerprint,
     JsonlStore,
     Metrics,
     RecordLedger,
     RewriteRecord,
     Tracer,
+    delta_metrics,
     diff_records,
     fleet_summary,
     render_record,
     render_record_diff,
     render_record_list,
     render_record_top,
+    snapshot_metrics,
+    stamp_record,
 )
 from repro.obs.receipt import (
+    BENCH_RECORD_SCHEMA,
     FLEET_SCHEMA,
     MODE_RUNGS,
     RECORD_SCHEMA,
@@ -369,6 +377,79 @@ class TestSerialization:
     def test_from_dict_rejects_foreign_and_corrupt(self, data):
         with pytest.raises(ValueError):
             RewriteRecord.from_dict(data)
+
+    def test_from_rewrite_reads_stage_spans_and_memory(self):
+        tr = Tracer(name="rewrite:test", memory=True)
+        with tr.span("rewrite", mode="jt") as span:
+            with tr.span("cfg-construction"):
+                blob = bytearray(1_000_000)
+            with tr.span("relocation"):
+                pass
+            del blob
+        tr.finish()   # stops tracemalloc
+        metrics = Metrics()
+        metrics.inc("cache.hits", 7)
+        metrics.inc("cache.misses", 3)
+
+        class Report:
+            mode = "jt"
+            trampolines = {"direct": 5}
+            traps = 2
+
+        class Image:
+            arch_name = "x86"
+
+            def to_bytes(self):
+                return b"image"
+
+        record = RewriteRecord.from_rewrite(
+            Image(), None, Report(), span,
+            delta_metrics(snapshot_metrics(Metrics()),
+                          snapshot_metrics(metrics)),
+            total_seconds=0.5, workload="w")
+        assert (record.workload, record.arch, record.mode) \
+            == ("w", "x86", "jt")
+        assert record.total_seconds == 0.5
+        assert set(record.stages) == {"cfg-construction", "relocation"}
+        stage_peak = record.stages["cfg-construction"]["mem_peak"]
+        assert stage_peak >= 1_000_000
+        assert record.mem_peak >= stage_peak
+        assert (record.cache["hits"], record.cache["misses"]) == (7, 3)
+        assert (record.trampolines, record.traps) == ({"direct": 5}, 2)
+
+
+FP = EnvFingerprint("3.11.0", "Linux-x86_64", 8, git_sha="abc1234")
+
+
+class TestEnvFingerprint:
+    def test_collect_describes_this_interpreter(self):
+        fp = EnvFingerprint.collect()
+        import sys
+        assert fp.python.startswith("%d.%d" % sys.version_info[:2])
+        assert fp.cpus >= 1
+        assert "-" in fp.platform
+
+    def test_round_trip(self):
+        fp = EnvFingerprint.from_dict(FP.to_dict())
+        assert fp == FP
+        assert fp.git_sha == "abc1234"
+
+    def test_key_ignores_git_sha(self):
+        moved = EnvFingerprint("3.11.0", "Linux-x86_64", 8,
+                               git_sha="other")
+        assert moved.key == FP.key
+        assert moved != FP   # equality still sees the sha
+
+    def test_missing_sha_serializes_compactly(self):
+        fp = EnvFingerprint("3.11.0", "Linux-x86_64", 8)
+        assert "git_sha" not in fp.to_dict()
+        assert EnvFingerprint.from_dict(fp.to_dict()).git_sha is None
+
+    def test_stamp_record_adds_schema_and_fingerprint(self):
+        stamped = stamp_record({"cycles": 5}, fingerprint=FP)
+        assert stamped["schema"] == BENCH_RECORD_SCHEMA
+        assert stamped["fingerprint"]["python"] == "3.11.0"
+        assert stamped["cycles"] == 5
 
 
 class TestLedger:
