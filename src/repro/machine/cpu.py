@@ -19,18 +19,25 @@ are generated from that one table:
   object (:class:`types.FunctionType` with the operands as defaults),
   keyed by address; repeated execution (loops) runs it without
   re-decoding.  :meth:`CPU.step` (lockstep/differential use) always
-  runs here, and :meth:`CPU.run` falls back to it when
-  ``engine="step"`` is selected or a *step-granularity*
-  :class:`~repro.obs.flight.FlightRecorder` is attached (per-transfer
-  block events demand per-step execution).
-* **superblock tier** — the default for :meth:`CPU.run`.  At first
-  execution of an address, the trace from that address up to the next
-  indirect or kernel transfer (or watch-region boundary, or
-  :data:`SUPERBLOCK_CAP`) is fused into one generated block function:
-  every instruction's template is formatted with its concrete operands,
-  and i-cache tag checks are emitted into the same source.  A block is
-  dispatched once per entry with pre-computed instruction/cycle deltas,
-  so straight-line runs skip per-step bookkeeping entirely.
+  runs here; :meth:`CPU.run` runs cold code and trace recording here,
+  and everything when ``engine="step"`` is selected or a
+  *step-granularity* :class:`~repro.obs.flight.FlightRecorder` is
+  attached (per-transfer block events demand per-step execution).
+* **superblock tier** — the default for :meth:`CPU.run`.  Code runs
+  per-step (*cold*) until a trace head — the target of a backward
+  transfer, a pc where a fused block exits, or a pc where the kernel
+  resumes after ``trap``/``syscall`` — has been entered
+  :data:`HOT_THRESHOLD` times.  On that entry the per-step tier
+  records the path it actually executes (up to a return to the head,
+  an existing block, a kernel entry, a watch-region boundary or
+  :data:`SUPERBLOCK_CAP`), and exactly that path is fused into one
+  generated block function: every instruction's template is formatted
+  with its concrete operands, branches leave the trace on the
+  direction that was not recorded, and i-cache tag checks are emitted
+  into the same source.  A block is dispatched once per entry with
+  pre-computed instruction/cycle deltas, so hot straight-line runs
+  skip per-step bookkeeping entirely, and code that runs only a few
+  times is never compiled.
 
 Demotions away from the fused tier are never silent: a manual
 :meth:`CPU.step` on a superblock CPU and a step-granularity recorder
@@ -38,7 +45,8 @@ attach each count a cause in :attr:`CPU.demotions` (mirrored to the
 machine's metrics as ``engine.demoted`` and traced as an
 ``engine-demoted`` event).  The default block-granularity
 :class:`~repro.obs.flight.FlightRecorder` *rides* the fused tier — one
-ring entry per block dispatch with exact trampoline-hit recovery — and
+ring entry per block dispatch with exact trampoline-hit recovery, one
+per control transfer in cold code — and
 an attached :class:`~repro.obs.engine.EngineTelemetry` observes
 fuse/compile/dispatch/guard activity without demoting.  Block-cache
 invalidations are likewise counted by cause in
@@ -47,7 +55,8 @@ invalidations are likewise counted by cause in
 None`` discipline keeps the detached observer tax to one boolean test
 per block dispatch (budgeted under 2% by the throughput bench).
 
-Accounting stays *exact* across tiers (and with observers attached): cycle costs follow
+Accounting stays *exact* across tiers (and with observers attached):
+cycle costs follow
 :class:`repro.machine.costs.CostModel` (including :attr:`CostModel.insn`
 per executed instruction), i-cache misses are modeled per line actually
 crossed inside a block, watch-region transitions are counted once per
@@ -78,8 +87,6 @@ from repro.util.errors import (
     UnmappedMemoryFault,
 )
 
-_MASK = (1 << 64) - 1
-
 #: Default dynamic-instruction budget per run.
 DEFAULT_STEP_LIMIT = 80_000_000
 
@@ -91,13 +98,23 @@ ENGINES = ("superblock", "step")
 #: follow-on block resumes accounting at the split point.
 SUPERBLOCK_CAP = 128
 
-#: Mnemonics that end a superblock unless the fuser follows them: anything
-#: that can move the pc non-sequentially or enter the kernel (which may
-#: redirect the pc, stop the machine, or raise).
-_TRANSFERS = frozenset({
-    "jmp", "jmp.s", "beq", "bne", "blt", "bge", "bgt", "ble",
-    "jmpr", "call", "callr", "ret", "trap", "syscall",
-})
+#: Entries of one trace head after which the path executed next is
+#: recorded and fused; until then the head's code runs per-step.  A
+#: prime, so the recorded pass is never the exit pass of a loop whose
+#: trip count divides the threshold: at 256 every 8-trip inner loop
+#: was recorded on its exit pass and ran its body as a side exit.
+HOT_THRESHOLD = 127
+
+#: Base-plus-displacement loads and stores (their fused address line
+#: can fold into the access).
+_LOADS_STORES = (set(LOAD_SIZES) - set(PCREL_LOAD_MNEMONICS)) \
+    | set(STORE_SIZES)
+
+#: Trace item kind per mnemonic (conditional branches and everything
+#: straight-line are classified in :meth:`CPU._build_block`).
+_ITEM_KINDS = {"jmp": "jmp", "jmp.s": "jmp", "call": "call",
+               "callr": "callr", "jmpr": "jmpr", "ret": "ret",
+               "trap": "end", "syscall": "end"}
 
 
 def _templates(pushes):
@@ -130,13 +147,13 @@ def _templates(pushes):
 
     def push(m, value):
         return ("a = (r[$SP] - 8) & $M",
-                f'if a + 8 > $msize: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
+                f'if a > $msize - 8: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
                 f"p8(d, a, {value})",
                 "r[$SP] = a")
 
     def pop(m, dest):
         return ("a = r[$SP]",
-                f'if a + 8 > $msize: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
+                f'if a > $msize - 8: raise UF(f"{m} at {{a:#x}}", pc=$pc)',
                 f"{dest} = u8(d, a)[0]",
                 "r[$SP] = (a + 8) & $M")
 
@@ -168,22 +185,25 @@ def _templates(pushes):
                             "if s.running and s.pc == $pc: s.pc = $nxt"),
                     ()),
     }
-    for m, op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"),
-                  ("or", "|"), ("xor", "^")):
+    for m, op in (("add", "+"), ("sub", "-"), ("mul", "*")):
         t[m] = ("rd ra rb", (f"r[$rd] = (r[$ra] {op} r[$rb]) & $M",), nxt)
+    # Bitwise results of two 64-bit values need no mask.
+    for m, op in (("and", "&"), ("or", "|"), ("xor", "^")):
+        t[m] = ("rd ra rb", (f"r[$rd] = r[$ra] {op} r[$rb]",), nxt)
+    # Ordered compares are signed: one expression per operand.
+    signed = "(r[${0}] - $WRAP if r[${0}] >= $SIGN else r[${0}])".format
     for m, op in (("beq", "=="), ("bne", "!="), ("blt", "<"),
                   ("bge", ">="), ("bgt", ">"), ("ble", "<=")):
-        t[m] = ("ra rb disp",
-                ("x = r[$ra]", "y = r[$rb]",
-                 "if x >= $SIGN: x -= $WRAP", "if y >= $SIGN: y -= $WRAP",
-                 f"if x {op} y:"),
+        compare = (f"if r[$ra] {op} r[$rb]:" if m in ("beq", "bne") else
+                   f"if {signed('ra')} {op} {signed('rb')}:")
+        t[m] = ("ra rb disp", (compare,),
                 tuple("    " + line for line in taken("$target", "tb"))
                 + ("else:", "    s.pc = $nxt"))
     for m, size in LOAD_SIZES.items():
         if m in PCREL_LOAD_MNEMONICS:
             t[m] = ("rd disp",
                     ("a = $target",
-                     f"if a < 0 or a + {size} > $msize: raise UF("
+                     f"if a < 0 or a > $msize - {size}: raise UF("
                      f'f"pc-relative load at {{a:#x}}", pc=$pc)',
                      f"r[$rd] = u{size}(d, a)[0]"), nxt)
             continue
@@ -192,7 +212,7 @@ def _templates(pushes):
                  else f"u{size}(d, a)[0]")
         t[m] = ("rd mem",
                 ("a = (r[$base] + $off) & $M",
-                 f'if a + {size} > $msize: raise UF(f"load at {{a:#x}} '
+                 f'if a > $msize - {size}: raise UF(f"load at {{a:#x}} '
                  f'(pc={{$pc:#x}})", pc=$pc)',
                  f"r[$rd] = {value}"), nxt)
     for m, size in STORE_SIZES.items():
@@ -200,7 +220,7 @@ def _templates(pushes):
             f"r[$rs] & {(1 << (size * 8)) - 1:#x}"
         t[m] = ("rs mem",
                 ("a = (r[$base] + $off) & $M",
-                 f'if a + {size} > $msize: raise UF(f"store at {{a:#x}} '
+                 f'if a > $msize - {size}: raise UF(f"store at {{a:#x}} '
                  f'(pc={{$pc:#x}})", pc=$pc)',
                  f"p{size}(d, a, {value})"), nxt)
     link = (lambda m: push(m, "$nxt")) if pushes \
@@ -215,21 +235,18 @@ def _templates(pushes):
 
 def _template(names, effect, retire):
     """One opcode's template in both tiers' forms: ``(operand names,
-    per-step lines, fused effect, fused retire, registers)``.
+    per-step lines, fused effect, fused retire)``.
 
     Fused lines name guest registers as frame locals (``r[{rd}]`` ->
-    ``v{rd}``, ``r[16]`` -> ``v16``); ``registers`` lists the operand
-    fields and constant indices they reference, so the fuser knows
-    which locals to load and write back.
+    ``v{rd}``, ``r[16]`` -> ``v16``), and every register write is a
+    line of its own, ``v{rd} = ...``, so the fuser knows which locals
+    to load and write back.
     """
     effect = tuple(map(_format_src, effect))
     retire = tuple(map(_format_src, retire))
-    registers = tuple(field or int(index) for line in effect + retire
-                      for field, index in _REG_REF.findall(line))
     return (tuple(names.split()), effect + retire,
             tuple(_REG_REF.sub(_as_local, line) for line in effect),
-            tuple(_REG_REF.sub(_as_local, line) for line in retire),
-            registers)
+            tuple(_REG_REF.sub(_as_local, line) for line in retire))
 
 
 #: A guest-register reference in a template format: ``r[{field}]`` or
@@ -240,6 +257,22 @@ _REG_REF = re.compile(r"\br\[(?:\{(\w+)\}|(\d+))\]")
 def _as_local(mo):
     field, index = mo.groups()
     return "v{%s}" % field if field else "v" + index
+
+
+#: A guest register as a fused-block frame local, and a line writing one.
+_LOCAL = re.compile(r"\bv(\d+)\b")
+_WRITE = re.compile(r"^\s*v(\d+) = ")
+#: A register plus a zero displacement, masked: the register's value.
+_PLUS_ZERO = re.compile(r"\((v\d+) \+ 0\) & 0xffffffffffffffff")
+#: A register write whose value is a sum or left shift of non-negative
+#: terms, masked: only a result past 64 bits needs the mask.
+_NONNEG_WRAP = re.compile(
+    r"^(v\d+) = \((v\d+ (?:\+|<<) (?:v\d+|\d+|\((?:v\d+|\d+) & 63\)))\)"
+    r" & (0xffffffffffffffff)$")
+#: A memory access's address line once its displacement is folded.
+_ADDRESS = re.compile(r"^a = (v\d+)$")
+#: A name in generated source.
+_NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
 _PLACEHOLDER = re.compile(r"\$(\w+)")
@@ -386,6 +419,11 @@ class CPU:
         self._insns = {}
         #: superblock start address -> block record (see _build_block)
         self._blocks = {}
+        #: trace head -> entries so far (see :meth:`run`)
+        self._heat = {}
+        #: addresses of decoded ``trap``/``syscall`` instructions: the
+        #: kernel resumes at a trace head after each
+        self._kernel_pcs = set()
         self._watch_regions = None
         #: Direct-mapped i-cache tags (None without an i-cache model):
         #: one list for the whole CPU, because fused blocks bind it and
@@ -412,16 +450,21 @@ class CPU:
     @watch_regions.setter
     def watch_regions(self, regions):
         # Superblocks are fused with watch-region boundaries baked in,
-        # so changing the regions invalidates every block.
+        # so changing the regions invalidates every block (and the heat
+        # that selected them).
         self._watch_regions = regions
+        self._heat.clear()
         if self._blocks:
             self._invalidate_cause("watch-region")
 
     def invalidate_code(self):
-        """Drop decoded instructions, per-step functions and fused
-        superblocks (call after writing to code memory)."""
+        """Drop decoded instructions, per-step functions, fused
+        superblocks and trace-head heat (call after writing to code
+        memory)."""
         self._compiled.clear()
         self._insns.clear()
+        self._kernel_pcs.clear()
+        self._heat.clear()
         if self._blocks:
             self._invalidate_cause("invalidate_code")
 
@@ -484,7 +527,8 @@ class CPU:
         fn = self._compiled.get(pc)
         if fn is None:
             fn = self._compile(pc)
-            self._compiled[pc] = fn
+            if pc not in self._blocks:
+                self._compiled[pc] = fn
         fn()
         self.icount += 1
         self.cycles += self.costs.insn
@@ -492,19 +536,28 @@ class CPU:
     def run(self, entry=None, step_limit=None):
         """Execute until an exit syscall; returns the exit code.
 
-        Dispatches fused superblocks unless ``engine="step"`` was
-        selected or a step-granularity flight recorder is attached
-        (block-granularity recorders and engine telemetry ride the
-        fused tier); the last strides of a run approaching its step
-        limit always finish per-step, so the limit fault lands on the
-        exact instruction.  ``icount`` is committed in a ``finally`` so
-        faulting runs report exactly the instructions that completed.
+        One per-step loop body runs cold code, records traces, and
+        serves ``engine="step"`` and step-granularity flight recording
+        (which never fuse).  On the superblock engine, a pc reached as
+        a *trace head* — the target of a backward transfer, a pc where
+        a fused block exits, a pc where the kernel resumes after
+        ``trap``/``syscall`` — gains one unit of heat; its
+        :data:`HOT_THRESHOLD`-th entry records the path executed next
+        and fuses it (:meth:`_build_block`).  Any pc with a fused block
+        dispatches it (block-granularity recorders and engine
+        telemetry ride the fused tier), except that a block which could
+        reach the step limit runs per-step instead, so the limit fault
+        lands on the exact instruction.  A fault while recording
+        propagates as per-step and builds nothing.  ``icount`` is
+        committed in a ``finally`` so faulting runs report exactly the
+        instructions that completed.
         """
         if entry is not None:
             self.pc = entry
         limit = step_limit if step_limit is not None else self.step_limit
         compiled = self._compiled
         compile_one = self._compile
+        decoded = self._insns
         costs = self.costs
         insn_cost = costs.insn
         tags = self._icache_tags
@@ -519,68 +572,85 @@ class CPU:
             prev_region = -1
         flight = self.flight
         if flight is not None:
-            decoded = self._insns
             fsites = flight.tramp_sites
             flight.record_block(self.pc, self.cycles)
+        fusing = self.engine == "superblock" and (
+            flight is None or flight.granularity == "block")
+        blocks = self._blocks
+        heat = self._heat
+        kernel_pcs = self._kernel_pcs
+        hot = HOT_THRESHOLD
+        telem = self.telemetry
+        observe = telem is not None or flight is not None
+        tstats = telem.block_stats if telem is not None else None
+        trace = None    # the path being recorded: [(insn, next pc)]
+        head = False    # whether the pc was reached as a trace head
         self.running = True
         steps = 0
+        # Instructions and cycles of fused blocks, counted for the
+        # telemetry (the per-step tier has the rest).
+        fused = fused_cycles = 0
+        cycles_at_entry = self.cycles
         try:
-            if self.engine == "superblock" and (
-                    flight is None or flight.granularity == "block"):
-                blocks = self._blocks
-                build = self._build_block
-                telem = self.telemetry
-                observe = telem is not None or flight is not None
-                tstats = telem.block_stats if telem is not None else None
-                while self.running:
-                    b = blocks.get(self.pc)
-                    if b is None:
-                        b = build(self.pc)
-                    n = b[1]
-                    if steps + n >= limit:
-                        break
-                    if watch:
-                        region = b[2]
-                        if region is not None and region != prev_region:
-                            if prev_region != -1:
-                                self.transitions += 1
-                            prev_region = region
-                    if observe:
-                        pc0 = self.pc
-                        c0 = self.cycles
-                    try:
-                        # Fused blocks take the remaining step budget
-                        # (loop blocks iterate internally until it nears
-                        # exhaustion) and return the number of
-                        # instructions executed.
-                        done = b[0](limit - steps)
-                    except BaseException as exc:
-                        done = self._fault_index(b, exc)
-                        steps += done
-                        self.cycles += done * insn_cost
-                        raise
-                    steps += done
-                    self.cycles += done * insn_cost
-                    if observe:
-                        if tstats is not None:
-                            st = tstats.get(pc0)
-                            if st is None:
-                                tstats[pc0] = [1, done, self.cycles - c0]
-                            else:
-                                st[0] += 1
-                                st[1] += done
-                                st[2] += self.cycles - c0
-                        if flight is not None:
-                            flight.record_superblock(
-                                b, self.pc, done, self.cycles)
-            # Per-step tier: flight recording, engine="step", and the
-            # final strides of a run approaching its step limit.
             while self.running:
                 pc = self.pc
                 fn = compiled.get(pc)
                 if fn is None:
-                    fn = compile_one(pc)
-                    compiled[pc] = fn
+                    # Not yet decoded, or a fused block's start (block
+                    # starts are kept out of ``compiled``).
+                    b = blocks.get(pc)
+                    if b is None:
+                        fn = compiled[pc] = compile_one(pc)
+                    elif steps + b[1] < limit:
+                        if watch:
+                            region = b[2]
+                            if region is not None and region != prev_region:
+                                if prev_region != -1:
+                                    self.transitions += 1
+                                prev_region = region
+                        if observe:
+                            c0 = self.cycles
+                        done = 0
+                        try:
+                            # Fused blocks take the remaining step budget
+                            # (loop blocks iterate internally until it
+                            # nears exhaustion), charge their cycles and
+                            # return the number of instructions executed.
+                            done = b[0](limit - steps)
+                        except BaseException as exc:
+                            done = self._fault_index(b, exc)
+                            raise
+                        finally:
+                            steps += done
+                            if observe:
+                                if tstats is not None:
+                                    st = tstats.get(pc)
+                                    if st is None:
+                                        st = tstats[pc] = [0, 0, 0]
+                                    st[0] += 1
+                                    st[1] += done
+                                    st[2] += self.cycles - c0
+                                    fused += done
+                                    fused_cycles += self.cycles - c0
+                                if flight is not None:
+                                    flight.record_superblock(
+                                        b, self.pc, done, self.cycles)
+                        head = True
+                        continue
+                    else:
+                        # The final strides before the step limit run
+                        # per-step, so the limit fault is exact.
+                        fn = compile_one(pc)
+                        head = False
+                if head:
+                    head = False
+                    if trace is None:
+                        heat[pc] = entries = heat.get(pc, 0) + 1
+                        if entries >= hot:
+                            trace = []
+                # Per-step tier: cold code, trace recording,
+                # engine="step", step-granularity flight recording and
+                # the final strides of a run approaching its step limit.
                 if tags is not None:
                     line = pc >> line_bits
                     idx = line & mask
@@ -614,11 +684,53 @@ class CPU:
                         f"at pc={self.pc:#x}",
                         pc=self.pc,
                     )
+                if fusing:
+                    npc = self.pc
+                    if npc <= pc or pc in kernel_pcs:
+                        head = True
+                    if trace is not None:
+                        trace.append((decoded[pc], npc))
+                        end = self._trace_end(trace, npc)
+                        if end is not None:
+                            self._build_block(trace, end)
+                            trace = None
+                            head = True
         finally:
             # Committed even when a fault propagates, so failed runs
             # report exactly the instructions that completed.
             self.icount += steps
+            if telem is not None:
+                telem.cold_instructions += steps - fused
+                telem.cold_cycles += (self.cycles - cycles_at_entry
+                                      - fused_cycles)
         return self.exit_code
+
+    def _trace_end(self, trace, npc):
+        """Why recording ``trace`` stops before ``npc``, or ``None`` to
+        keep recording."""
+        insn = trace[0][0]
+        if trace[-1][0].mnemonic in ("trap", "syscall"):
+            return "kernel"
+        if npc == insn.addr:
+            return "loop"
+        if npc in self._blocks:
+            return "block"
+        if len(trace) >= SUPERBLOCK_CAP:
+            return "cap"
+        if self._region_of(npc) != self._region_of(insn.addr):
+            return "watch-boundary"
+        return None
+
+    def _region_of(self, addr):
+        """The watch region (0 or 1) holding ``addr``, else ``None``."""
+        watch = self._watch_regions
+        if watch:
+            (a_lo, a_hi), (b_lo, b_hi) = watch
+            if a_lo <= addr < a_hi:
+                return 0
+            if b_lo <= addr < b_hi:
+                return 1
+        return None
 
     # -- decoder and per-step tier ----------------------------------------
 
@@ -641,6 +753,8 @@ class CPU:
         """The per-step function for the instruction at ``addr``: its
         opcode's cached code object with the operands as defaults."""
         insn = self._decode(addr)
+        if insn.mnemonic in ("trap", "syscall"):
+            self._kernel_pcs.add(addr)
         pushes = self.spec.call_pushes_return_address
         code, params = _step_code(insn.mnemonic, pushes)
         values = _operand_values(insn,
@@ -651,227 +765,107 @@ class CPU:
 
     # -- superblock fuser --------------------------------------------------
 
-    def _build_block(self, addr):
-        """Fuse the execution trace starting at ``addr`` into a
-        superblock.
+    def _build_block(self, trace, reason):
+        """Fuse a recorded path into a superblock.
 
-        Trace formation: decoding follows the
-        *fall-through* of conditional branches (emitted as side exits)
-        and follows unconditional ``jmp``s (their taken-branch cost is
-        inlined), so a whole loop — head test, body, backward latch —
-        fuses into one block.  A branch or jmp targeting the trace's
-        own start closes it into a *loop trace* that iterates inside
-        the generated function.  Traces end at indirect/kernel
-        transfers (``jmpr``/``call``/``callr``/``ret``/``trap``/
-        ``syscall``), at a jmp to an address already in the trace, at
-        :data:`SUPERBLOCK_CAP`, at watch-region boundaries, and at
-        unfetchable addresses.
+        ``trace`` is what the per-step tier executed from a hot trace
+        head, as ``(insn, next pc)`` pairs; ``reason`` is why recording
+        stopped (see :meth:`_trace_end`; telemetry trace shape).  Each
+        instruction becomes a ``(kind, insn, next pc)`` item: a
+        conditional branch continues in the recorded direction and
+        side-exits on the other (``cond``: fall-through recorded,
+        ``condtaken``: taken recorded); ``jmp``/``call`` inline their
+        transfer; ``callr``/``jmpr``/``ret`` guard on the recorded
+        target; ``trap``/``syscall`` end the trace.  A path that
+        returned to its head closes into a *loop trace* that iterates
+        inside the generated function; any other trace seals the pc
+        at the recorded end.
 
         The block record is a tuple ``(fn, n, region, addrs, linemap,
-        filename, alloc, nowb)``:
+        filename, alloc, nowb, per_pass)``:
 
         * ``fn`` — the fused block function; called with the remaining
-          step budget, returns the number of instructions executed;
+          step budget, charges the cycles of what it ran and returns
+          the number of instructions executed;
         * ``n`` — instructions per full pass through the trace (early
           side exits return less; loop traces return accumulated
           totals);
         * ``region`` — the watch-region class shared by every
-          instruction: traces are cut at watch-region boundaries, so a
-          single entry check reproduces the per-step transition count;
+          instruction: recording stops at watch-region boundaries, so
+          a single entry check reproduces the per-step transition
+          count;
         * ``addrs``/``linemap``/``filename`` — fault forensics: the
           instruction addresses plus the generated-source line ->
-          ``(index, restore_pc)`` map that reconstructs exact partial
-          accounting when a block faults mid-flight;
+          ``(index, restore_pc, cycles, taken)`` map that reconstructs
+          exact partial accounting when a block faults mid-flight;
         * ``alloc``/``nowb`` — the guest registers promoted to frame
           locals by :meth:`_fuse` and the kernel-entry lines where a
-          fault must not write those locals back.
+          fault must not write those locals back;
+        * ``per_pass`` — ``(cycles, taken transfers)`` of one full
+          pass.
         """
         telem = self.telemetry
         t0 = perf_counter() if telem is not None else 0.0
-        watch = self._watch_regions
-        if watch:
-            (a_lo, a_hi), (b_lo, b_hi) = watch
-        reason = None   # why the trace ended (telemetry trace shape)
-        msize = self.memory.size
-        regs = self.regs
-        pushes = self.spec.call_pushes_return_address
-        items = []      # (kind, insn, extra)
-        addrs = []
-        callstack = []  # return addresses of calls followed in-trace
-        # Static effects on the return-address machinery since trace
-        # start, used to predict where an unmatched ``ret`` lands:
-        # the net SP displacement (while statically known) and whether
-        # the link register has been overwritten.
-        sp_delta = 0
-        sp_known = True
-        lr_dirty = False
-        region = None
-        a = addr
-        while True:
-            try:
-                insn = self._decode(a)
-            except MachineFault:
-                if not items:
-                    raise   # faulting first fetch: as per-step
-                reason = "unfetchable"
-                break       # seal here; the next dispatch faults
-            if watch:
-                r = (0 if a_lo <= a < a_hi
-                     else 1 if b_lo <= a < b_hi else None)
-                if not items:
-                    region = r
-                elif r != region:
-                    reason = "watch-boundary"
-                    break       # watch-region boundary ends the trace
+        items = []
+        for insn, npc in trace:
             mn = insn.mnemonic
-            addrs.append(a)
             if mn in COND_BRANCH_MNEMONICS:
-                target = a + insn.operands[2]
-                if target == addr:
-                    items.append(("condclose", insn, None))
-                    reason = "loop-cond"
-                    break
-                items.append(("cond", insn, None))
-                a += insn.length
-            elif mn in ("jmp", "jmp.s"):
-                target = a + insn.operands[0]
-                if target == addr:
-                    items.append(("jmpclose", insn, None))
-                    reason = "loop-jmp"
-                    break
-                items.append(("jmp", insn, None))
-                a = target
-            elif mn == "call":
-                # Direct call: the return address is a compile-time
-                # constant, so the push/link inlines and the trace
-                # continues into the callee.
-                items.append(("call", insn, None))
-                callstack.append(a + insn.length)
-                if pushes:
-                    sp_delta -= 8
-                else:
-                    lr_dirty = True
-                a = a + insn.operands[0]
-            elif mn == "callr" and regs[insn.operands[0]] < msize:
-                # Indirect call: speculate on the target the register
-                # holds right now (block building happens mid-run, at
-                # first execution); the generated code re-reads the
-                # register and exits the trace if it disagrees.
-                observed = regs[insn.operands[0]]
-                items.append(("callr", insn, observed))
-                callstack.append(a + insn.length)
-                if pushes:
-                    sp_delta -= 8
-                else:
-                    lr_dirty = True
-                a = observed
-            elif mn == "jmpr" and regs[insn.operands[0]] < msize:
-                observed = regs[insn.operands[0]]
-                items.append(("jmpr", insn, observed))
-                a = observed
-            elif mn == "ret" and (expected := self._predict_return(
-                        callstack, sp_delta, sp_known,
-                        lr_dirty)) is not None:
-                # Speculate the return lands at the matching call's
-                # continuation (or, for a trace entered at a callee,
-                # at the return address the stack/link register holds
-                # now); the generated code pops the real return
-                # address and exits the trace if it disagrees.
-                items.append(("ret", insn, expected))
-                if pushes:
-                    sp_delta += 8
-                a = expected
-            elif mn in _TRANSFERS:
-                items.append(("end", insn, None))
-                reason = f"transfer:{mn}"
-                break
+                kind = ("cond" if npc == insn.addr + insn.length
+                        else "condtaken")
             else:
-                if mn == "push":
-                    sp_delta -= 8
-                elif mn == "pop":
-                    sp_delta += 8
-                if mn != "push" and insn.operands \
-                        and isinstance(insn.operands[0], int):
-                    # operands[0] is the destination for every
-                    # register-writing straight-line insn (for stores
-                    # it is a source — flagging those too merely costs
-                    # a speculation opportunity).
-                    if insn.operands[0] == SP:
-                        sp_known = False
-                    if insn.operands[0] == LR:
-                        lr_dirty = True
-                items.append(("s", insn, None))
-                a += insn.length
-            if len(items) >= SUPERBLOCK_CAP:
-                break
+                kind = _ITEM_KINDS.get(mn, "s")
+            items.append((kind, insn, npc))
+        loop = reason == "loop"
+        addrs = tuple(insn.addr for insn, _ in trace)
         n = len(items)
-        fused, linemap, filename, alloc, nowb, source_lines = \
-            self._fuse(items, addrs)
-        block = (fused, n, region, tuple(addrs), linemap, filename,
-                 alloc, nowb)
-        self._blocks[addr] = block
+        fused, linemap, filename, alloc, nowb, source_lines, per_pass = \
+            self._fuse(items, addrs, loop)
+        self._blocks[addrs[0]] = (fused, n, self._region_of(addrs[0]),
+                                  addrs, linemap, filename, alloc, nowb,
+                                  per_pass)
+        self._compiled.pop(addrs[0], None)
         if telem is not None:
             telem.record_compile(
-                addr, n,
-                loop=items[-1][0] in ("condclose", "jmpclose"),
-                reason=reason if reason is not None else "cap",
+                addrs[0], n, loop=loop, reason=reason,
                 seconds=perf_counter() - t0,
                 source_lines=source_lines,
                 alloc_regs=len(alloc))
-        return block
 
-    def _predict_return(self, callstack, sp_delta, sp_known, lr_dirty):
-        """Where the next ``ret`` most plausibly lands, or ``None``.
-
-        A call followed earlier in the trace pins the answer (and is
-        popped off ``callstack`` here).  Otherwise — a trace entered at
-        a callee — the prediction reads the return-address slot the
-        machine holds *right now*: the stack slot at the statically
-        tracked SP displacement, or the link register if untouched.
-        Mispredictions are harmless: the generated guard compares
-        against the real popped address and exits the trace with it.
-        """
-        if callstack:
-            return callstack.pop()
-        if self.spec.call_pushes_return_address:
-            if not sp_known:
-                return None
-            slot = (self.regs[SP] + sp_delta) & _MASK
-            if slot + 8 > self.memory.size:
-                return None
-            p = int.from_bytes(self.memory.data[slot:slot + 8],
-                               "little")
-        else:
-            if lr_dirty:
-                return None
-            p = self.regs[LR]
-        return p if p < self.memory.size else None
-
-    def _fuse(self, items, addrs):
+    def _fuse(self, items, addrs, loop):
         """Generate the fused block function for a trace.
 
-        Every instruction is its :data:`_TEMPLATES` effect formatted
-        with its concrete operands; the fuser adds only what differs
-        from per-step retirement — side exits, speculation guards,
-        deferred costs, and one pc seal per exit.  The generated
-        function takes the remaining step budget and returns the number
-        of instructions it executed.  Two shapes:
+        ``items`` are :meth:`_build_block`'s ``(kind, insn, next pc)``
+        triples.  Every instruction is its :data:`_TEMPLATES` effect
+        formatted with its concrete operands; the fuser adds only what
+        differs from per-step retirement — side exits, guards on the
+        recorded indirect targets, and one pc seal per exit.  Every
+        exit sets ``e``/``c``/``b`` (instructions, cycles and taken
+        transfers of the current pass so far — constants, since the
+        path to each exit is fixed) and breaks to one epilogue that
+        charges them and writes registers back; no cost counter runs
+        on the recorded path.  The generated function takes the
+        remaining step budget and returns the number of instructions
+        it executed.  Two shapes:
 
-        * a *plain trace* runs each instruction at most once.
-          Conditional branches become side exits (taken path sets the
-          pc, accounts the branch, and returns its instruction count);
-          followed jmps inline their taken-branch accounting; the end
-          either retires a terminator (``jmpr``/``callr``/``ret`` not
-          speculated, ``trap``, ``syscall``) or seals ``s.pc`` once.
-        * a *loop trace* — closed by a branch or ``jmp`` back to the
-          trace's own start — wraps the same body in ``while True``,
-          deferring taken-branch accounting to frame-local counters
-          (``done`` instructions retired in finished passes, ``t``
-          taken branches), flushed at every exit.  Hot loops re-enter
-          the generated ``while`` without touching the dispatch loop
-          at all, which is where superblocks beat per-step execution
-          by a wide margin.  The closing branch stops iterating when
-          one more pass would reach the step budget.
+        * a *plain trace* makes one pass inside ``while True:``, so
+          each item runs at most once.  A conditional branch becomes
+          a side exit on the direction that was not recorded (the
+          exit sets the pc); followed jmps and calls are inlined; the
+          end either retires a kernel entry (``trap``, ``syscall``) or
+          seals ``s.pc`` once at the recorded next pc.
+        * a *loop trace* (``loop``: the recorded path returned to the
+          trace's own start) runs its passes in ``for j in
+          range(...)``, as many as fit the step budget, so the pass
+          number ``j`` gives the finished passes' instructions and
+          cycles.  Hot loops iterate inside the generated function
+          without touching the dispatch loop at all, which is where
+          superblocks beat per-step execution by a wide margin.
+
+        Concrete operands let the formatted effects shrink where the
+        template's general form is redundant: a zero displacement adds
+        nothing (a load or store then addresses memory by its base
+        register), and a sum or left shift of non-negative terms needs
+        its 64-bit mask only when the result overflows.
 
         Under an i-cache cost model, a tag check is emitted before
         every instruction whose cache line differs from the previous
@@ -880,7 +874,7 @@ class CPU:
         line are guaranteed hits, since nothing else runs in between.
 
         When an :class:`~repro.obs.engine.EngineTelemetry` is attached,
-        every speculation guard (``callr``/``jmpr``/``ret``) also gets
+        every guard (``callr``/``jmpr``/``ret``) also gets
         a hit counter (one list-index increment on the fall-through
         path, bound as ``gh{k}``) and a miss recorder (``gm{k}``, on
         the trace-exiting path) baked into the generated source.  Both
@@ -889,11 +883,12 @@ class CPU:
         instrumented blocks stay bit-identical in every observable.
 
         Returns ``(function, linemap, filename, alloc, nowb,
-        source_lines)``.
+        source_lines, per_pass)``.
         ``linemap`` maps generated line numbers to ``(index,
-        restore_pc)``: ``index`` is the number of instructions
-        completed *within the current pass* when that line raises
-        (total = frame-local ``done`` + ``index``), and ``restore_pc``
+        restore_pc, cycles, taken)``: ``index`` is the number of
+        instructions completed *within the current pass* when that line
+        raises (total = ``j`` full passes + ``index``), ``cycles`` and
+        ``taken`` what those instructions cost, and ``restore_pc``
         marks lines where the faulting instruction's pc must be
         re-established (kernel entries and post-branch bookkeeping
         manage ``s.pc`` themselves).  ``alloc`` lists the guest
@@ -902,9 +897,6 @@ class CPU:
         write the (stale) locals back over the register file.
         """
         costs = self.costs
-        tb_cost = costs.taken_branch
-        call_cost = costs.call
-        ret_cost = costs.ret
         fields = self._fields
         templates = _TEMPLATES[self.spec.call_pushes_return_address]
         names = [("s", self), ("r", self.regs),
@@ -918,190 +910,177 @@ class CPU:
             set_mask = len(tags) - 1
         telem = self.telemetry
         n = len(items)
-        last_kind = items[-1][0]
-        loop = last_kind in ("condclose", "jmpclose")
         start = addrs[0]
-        kinds = {kind for kind, _, _ in items}
-        # Deferred cost counters for loop traces: taken branches (t),
-        # calls (u), returns (w); flushed at every exit and on fault.
-        counters = []
-        if loop:
-            if kinds & {"cond", "jmp", "jmpr", "condclose",
-                        "jmpclose"}:
-                counters.append(("t", tb_cost))
-            if kinds & {"call", "callr"}:
-                counters.append(("u", call_cost))
-            if "ret" in kinds:
-                counters.append(("w", ret_cost))
-        flush_lines = []
-        if counters:
-            flush_lines.append(
-                "s.cycles += "
-                + " + ".join(f"{c} * {cost}" for c, cost in counters))
-            flush_lines.append(
-                "s.taken_branches += "
-                + " + ".join(c for c, _ in counters))
+        # What the instructions before each one in a pass cost, as
+        # (cycles, taken transfers): every transfer on the recorded
+        # path runs once per pass, so no counter is kept at run time.
+        transfer = {"condtaken": costs.taken_branch,
+                    "jmp": costs.taken_branch, "jmpr": costs.taken_branch,
+                    "call": costs.call, "callr": costs.call,
+                    "ret": costs.ret}
+        pre = [(0, 0)]
+        for kind, _, _ in items:
+            cycles, taken = pre[-1]
+            if kind in transfer:
+                cycles, taken = cycles + transfer[kind], taken + 1
+            pre.append((cycles + costs.insn, taken))
 
         body = []   # (source line, linemap entry or None)
-        used = set()    # guest registers referenced (as frame locals)
 
         def emit(indent, text, entry=None):
             body.append(("    " * indent + text, entry))
 
-        def emit_flush(depth, entry):
-            for text in flush_lines:
-                emit(depth, text, entry)
-
-        def emit_insn(depth, k, insn):
+        def emit_insn(k, insn):
             """The i-cache tag check (when due) and the effect of
             instruction ``k``; returns its retire lines."""
             if tags is not None:
                 line = addrs[k] >> line_bits
                 if k == 0 or line != addrs[k - 1] >> line_bits:
                     idx = line & set_mask
-                    emit(depth, f"if T[{idx}] != {line}: T[{idx}] = "
+                    emit(2, f"if T[{idx}] != {line}: T[{idx}] = "
                          f"{line}; s.cycles += {costs.icache_miss}; "
                          "s.icache_misses += 1", (k, True))
-            operands, _, effect, retire, registers = \
-                templates[insn.mnemonic]
+            operands, _, effect, retire = templates[insn.mnemonic]
             values = _operand_values(insn, operands)
             values.update(fields)
-            for reg in registers:
-                used.add(values[reg] if reg.__class__ is str else reg)
+            lines = []
             for text in effect:
-                text = text.format_map(values)
-                emit(depth, text, (k, not text.startswith("s.kernel.")))
+                text = _PLUS_ZERO.sub(r"\1", text.format_map(values))
+                lines.append(_NONNEG_WRAP.sub(
+                    r"\1 = m if (m := \2) <= \3 else m & \3", text))
+            address = _ADDRESS.match(lines[0]) if lines else None
+            if address and insn.mnemonic in _LOADS_STORES:
+                # A load or store through a register as is: address
+                # memory by the register itself.
+                lines = [re.sub(r"\ba\b", address.group(1), text)
+                         for text in lines[1:]]
+            for text in lines:
+                emit(2, text, (k, not text.startswith("s.kernel.")))
             return (text.format_map(values) for text in retire)
 
-        def emit_return(depth, k):
-            """Side exit after ``k`` instructions of this pass."""
-            if loop:
-                emit_flush(depth, (k, False))
-                emit(depth, f"return done + {k}", (k, False))
-            else:
-                emit(depth, f"return {k}")
+        def emit_exit(depth, k, cost):
+            """Leave the trace after ``k`` instructions of this pass
+            that cost ``(cycles, taken transfers)``."""
+            emit(depth, f"e = {k}; c = {cost[0]}; b = {cost[1]}")
+            emit(depth, "break")
 
-        def emit_exit(depth, k, kind, insn, extra):
-            """Speculation guard on the transfer target in ``p``."""
+        def branch_exit(k, taken):
+            """Side-exit after conditional branch ``k`` went the
+            direction that was not recorded."""
+            cycles, count = pre[k]
+            if taken:
+                cycles, count = cycles + costs.taken_branch, count + 1
+            emit_exit(3, k + 1, (cycles + costs.insn, count))
+
+        def emit_guard(k, kind, insn, extra):
+            """Guard on the recorded transfer target, ``p`` at run
+            time."""
             if telem is not None:
                 site = telem.guard_site(insn.addr, kind, extra)
                 names.append((f"gh{k}", site.counts))
                 names.append((f"gm{k}", site.record_miss))
-            emit(depth, f"if p != {extra}:", (k + 1, False))
-            emit(depth + 1, "s.pc = p", (k + 1, False))
+            emit(2, f"if p != {extra}:", (k + 1, False))
+            emit(3, "s.pc = p", (k + 1, False))
             if telem is not None:
-                emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-            emit_return(depth + 1, k + 1)
+                emit(3, f"gm{k}(p)", (k + 1, False))
+            emit_exit(3, k + 1, pre[k + 1])
             if telem is not None:
-                emit(depth, f"gh{k}[0] += 1", (k + 1, True))
+                emit(2, f"gh{k}[0] += 1", (k + 1, True))
 
-        def emit_cost(depth, counter, cost, entry):
-            if loop:
-                emit(depth, f"{counter} += 1", entry)
-            else:
-                emit(depth, f"s.cycles += {cost}", entry)
-                emit(depth, "s.taken_branches += 1", entry)
-
-        depth = 2 if loop else 1
-        if loop:
-            emit(1, "done = 0")
-            for c, _ in counters:
-                emit(1, f"{c} = 0")
-            emit(1, "while True:")
         for k, (kind, insn, extra) in enumerate(items):
-            retire = emit_insn(depth, k, insn)
+            retire = emit_insn(k, insn)
             if kind == "cond":
                 # The effect ends in the open ``if`` of the compare.
                 target = insn.addr + insn.operands[2]
-                emit(depth + 1, f"s.pc = {target}", (k + 1, False))
-                emit_cost(depth + 1, "t", tb_cost, (k + 1, False))
-                emit_return(depth + 1, k + 1)
-            elif kind == "jmp":
-                # Followed unconditional jmp: only its cost remains.
-                emit_cost(depth, "t", tb_cost, (k + 1, True))
-            elif kind in ("call", "callr"):
-                emit_cost(depth, "u", call_cost, (k + 1, True))
-                if kind == "callr":
-                    emit_exit(depth, k, kind, insn, extra)
-            elif kind == "jmpr":
-                emit_cost(depth, "t", tb_cost, (k + 1, False))
-                emit_exit(depth, k, kind, insn, extra)
-            elif kind == "ret":
-                emit_cost(depth, "w", ret_cost, (k + 1, False))
-                emit_exit(depth, k, kind, insn, extra)
+                emit(3, f"s.pc = {target}", (k + 1, False))
+                branch_exit(k, True)
+            elif kind == "condtaken":
+                # The recorded direction was taken: exit on fall-through.
+                emit(3, "pass")
+                emit(2, "else:")
+                emit(3, f"s.pc = {insn.addr + insn.length}",
+                     (k + 1, False))
+                branch_exit(k, False)
+            elif kind in ("callr", "jmpr", "ret"):
+                emit_guard(k, kind, insn, extra)
             elif kind == "end":
                 for text in retire:
-                    emit(1, text, (k + 1, False))
-                emit(1, f"return {n}")
-            elif kind == "condclose":
-                emit(3, "t += 1", (n, False))
-                emit(3, f"done += {n}", (n, False))
-                emit(3, f"if done + {n} < budget:", (0, False))
-                emit(4, "continue", (0, False))
-                emit(3, f"s.pc = {start}", (0, False))
-                emit_flush(3, (0, False))
-                emit(3, "return done", (0, False))
-                emit(2, f"s.pc = {insn.addr + insn.length}", (n, False))
-                emit(2, f"done += {n}", (n, False))
-                emit_flush(2, (0, False))
-                emit(2, "return done", (0, False))
-            elif kind == "jmpclose":
-                emit(2, "t += 1", (n, False))
-                emit(2, f"done += {n}", (n, False))
-                emit(2, f"if done + {n} < budget:", (0, False))
-                emit(3, "continue", (0, False))
-                emit(2, f"s.pc = {start}", (0, False))
-                emit_flush(2, (0, False))
-                emit(2, "return done", (0, False))
-        if last_kind not in ("condclose", "jmpclose", "end"):
-            # Trace cut mid-stream (cap, watch boundary, unfetchable
-            # next address): seal the pc of the not-taken continuation
-            # once for the whole pass.
-            kind, last_insn, extra = items[-1]
-            if kind in ("s", "cond"):
-                seal = last_insn.addr + last_insn.length
-            elif kind in ("jmp", "call"):
-                seal = last_insn.addr + last_insn.operands[0]
-            else:   # ret/callr/jmpr: the guard confirmed this target
-                seal = extra
-            emit(1, f"s.pc = {seal}", (n, False))
-            emit(1, f"return {n}")
-        # Register allocation: every guest register the generated code
+                    emit(2, text, (k + 1, False))
+        if loop:
+            # Back at the trace's start: the ``for`` runs every pass
+            # that fits the step budget, then seals the start pc.
+            if not body:
+                emit(2, "pass")     # a jump to itself
+            emit(1, "else:")
+            emit(2, f"s.pc = {start}", (0, False))
+            emit(2, "j += 1; e = c = b = 0")
+        else:
+            if kind != "end":
+                # Recording stopped mid-stream: seal the recorded next
+                # pc once for the whole pass.
+                emit(2, f"s.pc = {extra}", (n, False))
+            emit_exit(2, n, pre[n])
+        # Register allocation: a guest register the generated code
         # touches is a frame local (``v3`` for ``r[3]``), loaded once at
-        # entry, written back at every exit and around kernel entries
-        # (the kernel reads and writes the shared ``r`` list).
+        # entry and, if the block writes it, written back around kernel
+        # entries (the kernel reads and writes the shared ``r`` list)
+        # and once after the loop that every exit breaks out of.
         # Inside a loop trace the registers live in locals across
-        # iterations, which is the single biggest throughput lever.  At
+        # iterations, which is the single biggest throughput lever; a
+        # plain trace accesses a register it touches only once in ``r``
+        # directly, which is cheaper than a load plus a write-back.  At
         # any fault point the locals *are* the architectural register
         # state; :meth:`_fault_index` writes them back — except when
         # the fault came from inside the kernel (``nowb`` lines), where
         # the pre-flushed ``r`` list already carries the kernel's
         # partial effects and the locals are stale.
-        alloc = tuple(sorted(used))
+        refs = {}
+        for text, _ in body:
+            for i in _LOCAL.findall(text):
+                refs[i] = refs.get(i, 0) + 1
+        alloc = tuple(sorted(int(i) for i, count in refs.items()
+                             if loop or count > 1))
+        if len(alloc) < len(refs):
+            local = {str(i) for i in alloc}
+            body = [(_LOCAL.sub(lambda mo: mo.group(0)
+                                if mo.group(1) in local
+                                else f"r[{mo.group(1)}]", text), entry)
+                    for text, entry in body]
+        written = sorted({int(i) for text, _ in body
+                          for i in _WRITE.findall(text)})
+        load = "; ".join(f"v{i} = r[{i}]" for i in alloc)
+        store = "; ".join(f"r[{i}] = v{i}" for i in written)
+        out = [("    " + load, None)] if alloc else []
+        out.append((f"    for j in range((budget - 1) // {n}):" if loop
+                    else "    while True:", None))
         nowb = set()
-        if alloc:
-            load = "; ".join(f"v{i} = r[{i}]" for i in alloc)
-            store = "; ".join(f"r[{i}] = v{i}" for i in alloc)
-            head = 1 + len(counters) if loop else 0
-            out = list(body[:head])
-            out.append(("    " + load, None))
-            if loop:
-                out.append(body[head])      # the ``while True:`` line
-                head += 1
-            for text, entry in body[head:]:
-                stripped = text.lstrip()
-                indent = text[:len(text) - len(stripped)]
-                if stripped.startswith("s.kernel."):
+        for text, entry in body:
+            if entry is not None:
+                entry += pre[entry[0]]
+            if alloc and text.lstrip().startswith("s.kernel."):
+                indent = text[:len(text) - len(text.lstrip())]
+                if written:
                     out.append((indent + store, None))
-                    out.append((text, entry))
-                    nowb.add(len(out) + 1)  # final line number
-                    out.append((indent + load, None))
-                elif stripped.startswith("return"):
-                    out.append((indent + store, None))
-                    out.append((text, entry))
-                else:
-                    out.append((text, entry))
-            body = out
+                out.append((text, entry))
+                nowb.add(len(out) + 1)  # final line number
+                out.append((indent + load, None))
+            else:
+                out.append((text, entry))
+        # The one exit: charge the cycles, write registers back.
+        if loop:
+            cycles, count = pre[n]
+            out.append((f"    s.cycles += j * {cycles} + c", None))
+            out.append((f"    s.taken_branches += j * {count} + b", None))
+        else:
+            out.append(("    s.cycles += c", None))
+            out.append(("    s.taken_branches += b", None))
+        if written:
+            out.append(("    " + store, None))
+        out.append((f"    return j * {n} + e" if loop else "    return e",
+                    None))
+        body = out
+        used = set(_NAME.findall("\n".join(text for text, _ in body)))
+        names = [(nm, value) for nm, value in names if nm in used]
         header = ("def _sb(budget, "
                   + ", ".join(f"{nm}=_{nm}" for nm, _ in names) + "):")
         src = header + "\n" + "\n".join(
@@ -1115,34 +1094,31 @@ class CPU:
         namespace = {f"_{nm}": value for nm, value in names}
         exec(compile(src, filename, "exec"), namespace)
         return (namespace["_sb"], linemap, filename, alloc,
-                frozenset(nowb), len(body))
+                frozenset(nowb), len(body), pre[n])
 
     def _fault_index(self, block, exc):
         """How many instructions of ``block`` completed before ``exc``.
 
         Recovered from the traceback's line in the generated source
-        plus the generated frame's locals (loop blocks keep their
-        iteration progress in ``done``/``t``), so the happy path
-        carries no per-instruction bookkeeping at all.  Pending
-        taken-branch accounting is flushed here, and the faulting
+        plus the generated frame's locals (loop blocks keep their pass
+        number in ``j``), so the happy path carries no per-instruction
+        bookkeeping at all.  The cycles and taken transfers of the
+        completed instructions are charged here, and the faulting
         instruction's pc is re-established where the per-step tier
         would have it, matching that tier bit for bit.
         """
-        addrs, linemap, filename, alloc, nowb = block[3:]
+        n, addrs, linemap, filename, alloc, nowb, per_pass = \
+            block[1], *block[3:]
         tb = exc.__traceback__
         while tb is not None:
             frame = tb.tb_frame
             if frame.f_code.co_filename == filename:
-                idx, restore = linemap.get(tb.tb_lineno, (0, False))
+                idx, restore, cycles, taken = linemap.get(
+                    tb.tb_lineno, (0, False, 0, 0))
                 locs = frame.f_locals
-                t = locs.get("t", 0)
-                u = locs.get("u", 0)
-                w = locs.get("w", 0)
-                if t or u or w:
-                    self.cycles += (t * self.costs.taken_branch
-                                    + u * self.costs.call
-                                    + w * self.costs.ret)
-                    self.taken_branches += t + u + w
+                j = locs.get("j", 0)
+                self.cycles += j * per_pass[0] + cycles
+                self.taken_branches += j * per_pass[1] + taken
                 if alloc and tb.tb_lineno not in nowb:
                     # The frame locals are the architectural register
                     # state at the fault point (kernel-entry lines
@@ -1155,6 +1131,6 @@ class CPU:
                             regs[i] = locs[name]
                 if restore and idx < len(addrs):
                     self.pc = addrs[idx]
-                return locs.get("done", 0) + idx
+                return j * n + idx
             tb = tb.tb_next
         return 0

@@ -1,21 +1,28 @@
 """The engine observatory: superblock JIT telemetry.
 
-PR 8's superblock tier made the emulator fast; this module makes it
-*legible*.  An :class:`EngineTelemetry` attached to a
-:class:`repro.machine.Machine` is fed by the superblock tier at its
-three interesting moments:
+The superblock tier runs cold code per-step and fuses the paths that
+hot trace heads actually take; this module makes that *legible*.  An
+:class:`EngineTelemetry` attached to a :class:`repro.machine.Machine`
+is fed by the superblock tier at its interesting moments:
 
 * **fuse/compile time** — per-block compile wall seconds, trace shape
-  (length, loop closure, why the trace ended), and codegen-pass
-  accounting (registers promoted to frame locals, generated source
-  lines);
+  (length, loop closure, why recording stopped: the path returned to
+  its head (``loop``), reached a fused block (``block``), entered the
+  kernel (``kernel``), crossed a watch-region boundary
+  (``watch-boundary``) or hit the superblock cap (``cap``)), and
+  codegen-pass accounting (registers promoted to frame locals,
+  generated source lines);
 * **dispatch time** — per-block execution counts with exact
   instruction and cycle attribution (one entry/instructions/cycles
   triple per block start address), plus block-cache hit accounting;
-* **guard time** — per speculation site (``callr``/``jmpr``/``ret``
-  guards baked into generated blocks): hit/miss counts, the churn of
-  observed targets, and a bounded deopt-event log with the site pc and
-  reason.
+* **run end** — the instructions the per-step tier retired and the
+  cycles it charged (cold code and trace recording), so fused plus
+  cold instructions and cycles add up to every instruction and cycle
+  of the runs;
+* **guard time** — per guard site (``callr``/``jmpr``/``ret`` guards
+  on the recorded targets, baked into generated blocks): hit/miss
+  counts, the churn of observed targets, and a bounded deopt-event log
+  with the site pc and reason.
 
 Attaching rebuilds the block cache with guard instrumentation baked
 into the generated source (pure side effects on pre-bound counter
@@ -135,6 +142,10 @@ class EngineTelemetry:
                  top_blocks=DEFAULT_TOP):
         #: block start pc -> [entries, instructions, cycles]
         self.block_stats = {}
+        #: instructions retired and cycles charged by the per-step tier
+        #: (cold code and trace recording)
+        self.cold_instructions = 0
+        self.cold_cycles = 0
         self.top_blocks = top_blocks
 
         # -- compile-time accounting
@@ -285,6 +296,8 @@ class EngineTelemetry:
                 "dispatches": self.dispatches,
                 "instructions": self.block_instructions,
                 "cycles": sum(s[2] for s in self.block_stats.values()),
+                "cold_instructions": self.cold_instructions,
+                "cold_cycles": self.cold_cycles,
             },
             "hot_blocks": self.hot_blocks(top),
             "trace_shape": {
@@ -356,6 +369,13 @@ def render_engine_report(source, top=None):
         f"{b['dispatches']} dispatches, "
         f"{b['instructions']:,} instructions, {b['cycles']:,} cycles"
     )
+
+    total = b["instructions"] + b["cold_instructions"]
+    if total:
+        lines.append(
+            f"cold tier         : {b['cold_instructions']:,} "
+            f"instructions, {b['cold_cycles']:,} cycles per-step "
+            f"({b['cold_instructions'] / total:.1%} of executed)")
 
     shape = r["trace_shape"]
     lens = shape["lengths"]

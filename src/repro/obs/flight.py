@@ -23,14 +23,16 @@ records:
   with percentiles in :func:`render_flight_report`.
 
 Recording comes in two granularities.  The default, ``"block"``,
-*rides the superblock tier*: the CPU calls :meth:`record_superblock`
-once per fused-block dispatch, which rings the next block entry and
-recovers **exact** trampoline-hit counts from the dispatch's executed
-prefix (a block of per-pass length ``n`` returning ``done``
-instructions executed trace index ``i`` exactly ``done // n + (1 if i
-< done % n else 0)`` times).  Hit counts and cycle totals are
-bit-exact; only the *ordering* inside the ring/chain is coarsened to
-one entry per dispatch.  ``granularity="step"`` keeps the original
+*rides the superblock tier*: cold code, which that tier runs per-step,
+records every control transfer and trampoline hit as it happens, and
+the CPU calls :meth:`record_superblock` once per fused-block dispatch,
+which rings the next block entry and recovers **exact**
+trampoline-hit counts from the dispatch's executed prefix (a block of
+per-pass length ``n`` returning ``done`` instructions executed trace
+index ``i`` exactly ``done // n + (1 if i < done % n else 0)``
+times).  Hit counts and cycle totals are bit-exact; only the
+*ordering* inside the ring/chain is coarsened to one entry per
+dispatch of fused code.  ``granularity="step"`` keeps the original
 per-transfer stream by demoting the run to the per-step tier — no
 longer silently: the demotion is counted on the CPU, mirrored to the
 machine's metrics as ``engine.demoted``, and traced as an
@@ -133,7 +135,9 @@ class FlightRecorder:
         the layout of every image already loaded.
 
         At the default ``"block"`` granularity the superblock tier
-        keeps running and feeds :meth:`record_superblock` per dispatch.
+        keeps running: its cold code feeds :meth:`record_block` and
+        :meth:`tramp_hit` per transfer and site, its fused blocks
+        :meth:`record_superblock` per dispatch.
         ``"step"`` granularity demotes ``CPU.run`` to the per-step
         tier — block events must then be observed at every control
         transfer — and says so: the demotion is counted by cause on

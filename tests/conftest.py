@@ -120,6 +120,15 @@ def assert_same_behaviour(program, binary, runtime_lib=None):
     return result
 
 
+@pytest.fixture
+def fuse_on_first_entry(monkeypatch):
+    """Fuse a trace head's path on its first entry instead of its
+    ``HOT_THRESHOLD``-th, so short test programs reach the fused tier
+    (their second pass is recorded, their third dispatched)."""
+    from repro.machine import cpu
+    monkeypatch.setattr(cpu, "HOT_THRESHOLD", 1)
+
+
 @pytest.fixture(params=ARCHES)
 def arch(request):
     return request.param

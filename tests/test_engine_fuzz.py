@@ -6,7 +6,8 @@ observable must agree: each ``RunResult`` field, the register file, a
 memory window (data area, stack top, the last bytes of memory), and on
 a fault its type, message, pc, ``icount`` and ``cycles``.
 
-The generator covers loops (backward conditional branches and jmps),
+The generator covers loops (backward conditional branches and jmps,
+and counted loops whose back edge is taken and then falls through),
 calls and returns, speculated ``jmpr``/``callr`` targets that change
 mid-run, out-of-range loads and stores, step limits that cut a loop
 midway, watch regions, i-cache models on and off, ``ldpc`` targets out
@@ -17,6 +18,11 @@ Programs are drawn through two primitives, ``pick(options)`` and
 ``num(lo, hi)``, so the same generator runs under Hypothesis (the fuzz
 test) and under a seeded :class:`random.Random` (the scenario-coverage
 check, which also asserts tier agreement on its cases).
+
+The programs are short, so the superblock tier runs with
+``HOT_THRESHOLD`` lowered to 1 and 2: trace heads fuse on their first
+or second entry, mid-run, and faults and step limits land in cold
+code, while recording a trace, and inside fused blocks.
 """
 
 import dataclasses
@@ -28,8 +34,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.binfmt import Binary, make_alloc_section
 from repro.isa import Instruction as I, Mem, get_arch
 from repro.isa.insn import PCREL_DISP_INDEX
-from repro.isa.registers import R0, R2, R8, R9, R10, SP
+from repro.isa.registers import R0, R2, R8, R9, R10, R11, R12, SP
 from repro.machine import CostModel, machine_for
+from repro.machine import cpu as cpu_module
 from repro.util.errors import EncodingError, ReproError
 
 from tests.conftest import ARCHES
@@ -48,6 +55,9 @@ GP = tuple(range(R0, R8))
 PTRS = (R8, R9)
 #: Indirect-transfer target register (set by ``leapc``/prologue only).
 TGT = R10
+#: Counted-loop counter and the zero it is compared against (set by
+#: the prologue and the ``count`` shape only).
+CNT, ZERO = R11, R12
 
 POINTERS = (DATA, DATA + 0x31, MSIZE - 4, MSIZE - 8, 1 << 40,
             (1 << 64) - 8)
@@ -64,7 +74,8 @@ COST_MODELS = (
 )
 #: Instruction shapes, repeated to weight the draw.
 SHAPES = ("alu", "alu", "alu", "alu", "imm", "imm", "imm", "load",
-          "load", "store", "store", "cond", "cond", "cond", "jmp", "call",
+          "load", "store", "store", "cond", "cond", "cond", "count", "jmp",
+          "call",
           "ret", "ind", "leapc", "ldpc", "print", "stack", "stack", "nop",
           "hazard")
 #: Shapes that usually end a run early, drawn only via "hazard".
@@ -186,6 +197,8 @@ def generate(pick, num, arch):
     for reg in GP[:4]:
         prologue += set_reg(spec, reg, pick((0, 1, 7, -1, -8, 1 << 63,
                                              (1 << 63) - 1, 0x1234)))
+    prologue += set_reg(spec, CNT, pick((2, 3, 6)))
+    prologue += set_reg(spec, ZERO, 0)
     count = num(1, 24)
     base = len(prologue) + 1          # +1: the leapc below
 
@@ -229,6 +242,13 @@ def generate(pick, num, arch):
             if dest.slot <= here:
                 tags.add("loop")
             body.append(I(pick(CONDS), pick(GP), pick(GP), dest))
+        elif shape == "count":
+            # Back to an earlier slot while the counter stays positive,
+            # then fall through: a branch that is taken for a few passes
+            # and then not.
+            body.append(I("addi", CNT, CNT, -1))
+            body.append(I("bgt", CNT, ZERO, Target(num(base, here))))
+            tags.add("counted-loop")
         elif shape == "jmp":
             m = "jmp.s" if spec.supports("jmp.s") and num(0, 1) else "jmp"
             dest = target()
@@ -343,18 +363,23 @@ def observe(case, engine, binary=None):
         counters=dict(machine.kernel.counters),
         data=bytes(data[DATA - 64:DATA + 128]),
         stack=bytes(data[MSIZE - 512:MSIZE]),
+        blocks=len(cpu._blocks),
     )
     return out
 
 
-def divergence(case):
+def divergence(case, hot=1):
     """Names of the observables on which the two tiers disagree for
-    ``case`` (empty when they agree), plus the step tier's view."""
+    ``case`` (empty when they agree) with trace heads fused on their
+    ``hot``-th entry, plus each tier's view."""
     binary = case.binary()
     step = observe(case, "step", binary)
-    fused = observe(case, "superblock", binary)
-    diff = sorted(key for key in step if step[key] != fused[key])
-    return diff, step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpu_module, "HOT_THRESHOLD", hot)
+        fused = observe(case, "superblock", binary)
+    diff = sorted(key for key in step
+                  if key != "blocks" and step[key] != fused[key])
+    return diff, step, fused
 
 
 def _outcome_tags(obs):
@@ -383,8 +408,9 @@ def cases(draw, arch):
 @given(data=st.data())
 def test_tiers_agree(arch, data):
     case = data.draw(cases(arch))
-    diff, _ = divergence(case)
-    assert diff == [], diff
+    for hot in (1, 2):
+        diff, _, _ = divergence(case, hot)
+        assert diff == [], (hot, diff)
 
 
 @pytest.mark.parametrize("arch", ARCHES)
@@ -396,18 +422,21 @@ def test_generator_covers_every_scenario(arch):
     seen = set()
     for _ in range(150):
         case = generate(rng.choice, rng.randint, arch)
-        diff, step = divergence(case)
+        diff, step, fused = divergence(case)
         assert diff == [], (diff, case)
         seen |= case.tags | _outcome_tags(step)
+        if fused["blocks"]:
+            seen.add("fused")
         if step["transitions"]:
             seen.add("transitions")
         if step["icache_misses"]:
             seen.add("icache-misses")
-    expected = {"loop", "indirect", "ldpc-out-of-range", "bad-register",
-                "icache", "icache-misses", "watch", "transitions",
+    expected = {"loop", "counted-loop", "indirect", "ldpc-out-of-range",
+                "bad-register", "icache", "icache-misses", "watch",
+                "transitions",
                 "exit", "step-limit", "IllegalInstructionFault",
                 "UnmappedMemoryFault", "load", "store",
-                "pc-relative load", "unhandled trap"}
+                "pc-relative load", "unhandled trap", "fused"}
     if arch == "x86":
         expected.add("mid-insn")
         # Stack-pointer faults (push/pop and call/ret return
@@ -426,13 +455,18 @@ def test_compare_reports_a_fused_tier_defect(monkeypatch):
     a register divergence on a fixed example."""
     from repro.machine.cpu import CPU
 
+    # The loop's first pass runs cold, its second is recorded, and the
+    # fused loop faults once R8 walks below 0.
     case = Case("x86", [
-        I("movi", R0, 7),
-        I("movi", R8, 1 << 40),
-        I("ld64", R2, Mem(R8, 0)),     # faults: unmapped
+        I("movi", R8, 16),
+        I("inc", R0),
+        I("ld64", R2, Mem(R8, 0)),     # faults: unmapped at R8 = -8
+        I("addi", R8, R8, -8),
+        I("jmp", Target(1)),
         I("syscall", 0),
     ], CostModel.default(), 1000, None, frozenset())
-    assert divergence(case)[0] == []
+    diff, _, fused = divergence(case)
+    assert diff == [] and fused["blocks"] == 1
 
     fault_index = CPU._fault_index
 
@@ -443,5 +477,5 @@ def test_compare_reports_a_fused_tier_defect(monkeypatch):
         return done
 
     monkeypatch.setattr(CPU, "_fault_index", no_writeback)
-    diff, _ = divergence(case)
+    diff, _, _ = divergence(case)
     assert diff == ["regs"]

@@ -4,8 +4,10 @@ import pytest
 
 from repro.binfmt import Binary, make_alloc_section
 from repro.isa import Instruction as I, Mem, get_arch
+from repro.isa.insn import COND_BRANCH_MNEMONICS
 from repro.isa.registers import LR, R0, R1, R2, R3, SP, TOC
 from repro.machine import CostModel, Machine, machine_for, run_binary
+from repro.obs import EngineTelemetry
 from repro.util.errors import (
     IllegalInstructionFault,
     MachineFault,
@@ -440,6 +442,8 @@ OPCODE_ROWS = [param for rows in [
                             "push at 0xfffffffffffffffc")),
     op_row("pop", I("pop", R1), {SP: D}, {D: BYTES},
            out_regs={R1: 0x8887868584838281, SP: D + 8}),
+    op_row("pop-into-sp-keeps-the-increment", I("pop", SP), {SP: D},
+           {D: BYTES}, out_regs={SP: D + 8}),
     op_row("pop-runs-off-memory", I("pop", R1), {SP: MEM - 4}, pc=T,
            cycles=0, fault=(UnmappedMemoryFault, "pop at 0x3ffffc")),
     # control flow (taken branches cost one cycle, calls/returns two)
@@ -500,9 +504,12 @@ OPCODE_ROWS = [param for rows in [
 ] for param in rows]
 
 
-def _run_one_opcode(arch, engine, insn, regs, mem):
+def _run_one_opcode(arch, engine, insn, regs, mem, recorded=None):
     """Run ``insn`` at :data:`T` until it lands on a ``trap``; returns
-    ``(machine, register file before, fault)``."""
+    ``(machine, register file before, fault)``.  With a ``recorded``
+    next pc, the instruction is first fused into a one-instruction
+    block at :data:`T` as if that path had been recorded, so the run
+    dispatches it."""
     spec = get_arch(arch)
     trap = spec.encode(I("trap").at(0))
     text = bytearray(trap * (0x80 // len(trap)))
@@ -514,7 +521,8 @@ def _run_one_opcode(arch, engine, insn, regs, mem):
     binary.add_section(make_alloc_section(
         ".text", T - 0x20, trap * (0x20 // len(trap)) + bytes(text),
         exec_=True))
-    machine = machine_for(binary, engine=engine)
+    telemetry = EngineTelemetry() if recorded is not None else None
+    machine = machine_for(binary, engine=engine, telemetry=telemetry)
     assert machine.memory.size == MEM
     machine.load(binary)
     machine.prepare_run(entry=T)
@@ -522,6 +530,11 @@ def _run_one_opcode(arch, engine, insn, regs, mem):
         machine.memory.write_bytes(addr, payload)
     for reg, value in regs.items():
         machine.cpu.regs[reg] = value
+    if recorded is not None:
+        cpu = machine.cpu
+        cpu._build_block([(cpu._decode(T), recorded)],
+                         "kernel" if insn.mnemonic in ("trap", "syscall")
+                         else "cap")
     before = list(machine.cpu.regs)
     try:
         machine.cpu.run(T)
@@ -530,32 +543,55 @@ def _run_one_opcode(arch, engine, insn, regs, mem):
     raise AssertionError("the row's instruction never reached a trap")
 
 
+def _recorded_paths(arch, insn, pc):
+    """Next pcs to fuse ``insn`` along: the one the row takes and, for
+    a conditional branch or a guarded transfer, one it does not take
+    (the block then side-exits)."""
+    paths = [pc]
+    if insn.mnemonic in COND_BRANCH_MNEMONICS:
+        taken = T + insn.operands[2]
+        paths.append(T + get_arch(arch).insn_length(insn) if pc == taken
+                     else taken)
+    elif insn.mnemonic in ("callr", "jmpr", "ret"):
+        paths.append(pc + 0x10)
+    return paths
+
+
 @pytest.mark.parametrize("engine", ["step", "superblock"])
 @pytest.mark.parametrize(
     "arch, insn, regs, mem, out_regs, out_mem, pc, cycles, fault, output",
     OPCODE_ROWS)
 def test_opcode_semantics(arch, engine, insn, regs, mem, out_regs,
                           out_mem, pc, cycles, fault, output):
-    machine, expected_regs, exc = _run_one_opcode(arch, engine, insn,
-                                                  regs, mem)
-    cpu = machine.cpu
     if pc == NEXT:
         pc = T + get_arch(arch).insn_length(insn)
-    for reg, value in out_regs.items():
-        expected_regs[reg] = value
-    assert cpu.regs == expected_regs
-    for addr, payload in out_mem.items():
-        assert machine.memory.read_bytes(addr, len(payload)) == payload
-    assert cpu.pc == pc
-    assert cpu.cycles == cycles
-    assert machine.kernel.output == output
-    if fault is None:
-        assert str(exc) == f"unhandled trap at {pc:#x}"
-        assert cpu.icount == 1
-    else:
-        kind, message = fault
-        assert (type(exc), str(exc), exc.pc) == (kind, message, T)
-        assert cpu.icount == 0
+    # The superblock tier runs the row's instruction fused: once along
+    # the path the row takes and, for branches and guarded transfers,
+    # once along a path it does not take.
+    for recorded in ([None] if engine == "step"
+                     else _recorded_paths(arch, insn, pc)):
+        machine, expected_regs, exc = _run_one_opcode(
+            arch, engine, insn, regs, mem, recorded)
+        cpu = machine.cpu
+        for reg, value in out_regs.items():
+            expected_regs[reg] = value
+        assert cpu.regs == expected_regs
+        for addr, payload in out_mem.items():
+            assert machine.memory.read_bytes(addr, len(payload)) \
+                == payload
+        assert cpu.pc == pc
+        assert cpu.cycles == cycles
+        assert machine.kernel.output == output
+        if fault is None:
+            assert str(exc) == f"unhandled trap at {pc:#x}"
+            assert cpu.icount == 1
+        else:
+            kind, message = fault
+            assert (type(exc), str(exc), exc.pc) == (kind, message, T)
+            assert cpu.icount == 0
+        if recorded is not None:
+            assert list(cpu._blocks) == [T]
+            assert cpu.telemetry.block_stats[T][0] == 1
 
 
 def test_opcode_table_covers_every_mnemonic():
@@ -565,8 +601,8 @@ def test_opcode_table_covers_every_mnemonic():
 
 
 class TestCodeGeneration:
-    def test_compile_once_per_opcode_and_once_per_block(self,
-                                                        monkeypatch):
+    def test_compile_once_per_opcode_and_once_per_block(
+            self, monkeypatch, fuse_on_first_entry):
         # The per-step tier compiles each opcode's template once and
         # instantiates a function per instruction from that code object;
         # the superblock tier compiles once per fused block.  Neither
@@ -595,10 +631,13 @@ class TestCodeGeneration:
         assert len(cpu._compiled) > 10 * len(filenames)
 
         filenames.clear()
-        machine = machine_for(binary, engine="superblock")
+        telemetry = EngineTelemetry()
+        machine = machine_for(binary, engine="superblock",
+                              telemetry=telemetry)
         machine.load(binary)
         machine.run()
+        # Cold code reuses the opcode code objects compiled above.
         assert filenames
         assert all(name.startswith("<superblock") for name in filenames)
         assert len(filenames) == len(machine.cpu._blocks)
-        assert not machine.cpu._compiled
+        assert telemetry.dispatches > len(filenames)
