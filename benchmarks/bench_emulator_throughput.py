@@ -20,8 +20,10 @@ Every measurement asserts byte-identical ``RunResult`` fields
 between the tiers: the speedup is only meaningful because accounting
 is exact.
 
-Each kernel is measured twice and the best round per tier counts.  One
-more telemetry-attached run per kernel must stay byte-identical to the
+Each kernel runs once untimed on each tier, so both tiers are timed
+with ``CPU.run`` already specialized by CPython; it is then measured
+twice and the best round per tier counts.  One more
+telemetry-attached run per kernel must stay byte-identical to the
 detached rounds.  Run with ``--json BENCH_emulator.json`` to persist
 the per-kernel records.
 
@@ -141,6 +143,12 @@ def _experiment():
     for group, workloads in (("loop", _loop_kernels()),
                              ("mix", _spec_mixes())):
         for name, binary in workloads:
+            # One untimed run per tier first: CPython specializes
+            # ``CPU.run`` only after it has been called a few times, so
+            # without this the tier timed first runs generic bytecode
+            # and the ratio depends on run order.
+            _timed_run(binary, "step")
+            _timed_run(binary, "superblock")
             # Two rounds of genuine repeat measurements.
             rounds = []
             for _ in range(2):

@@ -25,8 +25,6 @@ from repro.analysis.failures import (
     FIG2_REPORT,
     FIG2_UNDERAPPROX,
     FailurePlan,
-    WorkerCrash,
-    WorkerFaultInjector,
     audit_jump_tables,
     classify_failure,
     corrupt_cache_entries,
@@ -68,8 +66,6 @@ __all__ = [
     "audit_jump_tables",
     "plan_chaos",
     "corrupt_cache_entries",
-    "WorkerCrash",
-    "WorkerFaultInjector",
     "FIG2_CATEGORIES",
     "FIG2_REPORT",
     "FIG2_OVERAPPROX",

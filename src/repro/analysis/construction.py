@@ -25,11 +25,10 @@ Construction is decomposed into per-function work units.
 point: a pure function of the binary image, the function identity and the
 construction options.  :func:`build_cfg` orchestrates it over waves of a
 discovery worklist (call targets found inside one wave seed the next),
-optionally consulting a content-addressed artifact cache before building
-and running independent constructions through a pluggable executor (see
-:mod:`repro.core.pipeline`).  Cached, parallel and serial runs produce
-identical CFGs: results are merged in deterministic worklist order, and
-cache hits are fresh unpickled copies.
+optionally consulting a content-addressed artifact cache (see
+:mod:`repro.core.pipeline`) before building.  Cached and fresh runs
+produce identical CFGs: results are merged in deterministic worklist
+order, and cache hits are fresh unpickled copies.
 """
 
 import time
@@ -98,13 +97,9 @@ def build_function_cfg(binary, name, entry, range_end=None,
     return fcfg, tuple(sorted(discovered_calls)), len(builder.insn_at)
 
 
-def _construct_work(task):
-    """Executor task: build one function's CFG, timed.
-
-    Module-level (not a closure) so a process pool can pickle it; the
-    result travels back as plain picklable objects.
-    """
-    binary, name, entry, range_end, pad_handlers, options = task
+def _construct_work(binary, name, entry, range_end, pad_handlers,
+                    options):
+    """Build one function's CFG, timed: ``(result, seconds)``."""
     t0 = time.perf_counter()
     result = build_function_cfg(binary, name, entry, range_end,
                                 pad_handlers, options)
@@ -123,7 +118,7 @@ def initial_seeds(binary):
 
 
 def build_cfg(binary, options=None, tracer=None, metrics=None,
-              cache=None, executor=None):
+              cache=None):
     """Build the whole-binary CFG by orchestrating per-function units.
 
     ``tracer``/``metrics`` (see :mod:`repro.obs`) record per-function
@@ -135,15 +130,12 @@ def build_cfg(binary, options=None, tracer=None, metrics=None,
     already-bound :class:`repro.core.pipeline.AnalysisCacheView`):
     per-function constructions are looked up by content digest before
     being built, so a second run over an unchanged binary performs zero
-    constructions.  ``executor`` (see
-    :func:`repro.core.pipeline.make_executor`) runs the independent
-    constructions of each discovery wave concurrently; the worklist
-    barrier between waves is the only serial cross-function state.
+    constructions.  The worklist barrier between discovery waves is the
+    only cross-function state.
     """
     from repro.core.cache import MISS
     from repro.core.pipeline import (
         AnalysisCacheView,
-        SerialExecutor,
         analysis_cache_view,
         record_completed_span,
         work_item_for,
@@ -155,8 +147,6 @@ def build_cfg(binary, options=None, tracer=None, metrics=None,
     if cache is not None and not isinstance(cache, AnalysisCacheView):
         cache = analysis_cache_view(cache, binary, binary.arch_name,
                                     options, metrics)
-    if executor is None:
-        executor = SerialExecutor()
     cfg = BinaryCFG(binary)
 
     seeds = initial_seeds(binary)
@@ -177,7 +167,7 @@ def build_cfg(binary, options=None, tracer=None, metrics=None,
                 pads_by_owner.get(entry, ()),
             ))
 
-        # Consult the cache first; only misses go to the executor.
+        # Consult the cache first; only misses are constructed.
         hits = {}
         keys = {}
         misses = []
@@ -192,12 +182,10 @@ def build_cfg(binary, options=None, tracer=None, metrics=None,
             else:
                 hits[item.entry] = value
                 item.seconds["cfg"] = seconds
-        computed = executor.map(_construct_work, [
-            (binary, item.name, item.entry, item.range_end,
-             item.pad_handlers, options)
-            for item in misses
-        ])
-        for item, (result, seconds) in zip(misses, computed):
+        for item in misses:
+            result, seconds = _construct_work(
+                binary, item.name, item.entry, item.range_end,
+                item.pad_handlers, options)
             metrics.inc("cfg.constructions")
             item.cached["cfg"] = False
             item.seconds["cfg"] = seconds
@@ -205,7 +193,7 @@ def build_cfg(binary, options=None, tracer=None, metrics=None,
             if cache is not None:
                 cache.store("cfg", keys[item.entry], result, seconds)
 
-        # Merge in wave order — deterministic whatever executor ran.
+        # Merge in wave order — deterministic whatever the cache served.
         for item in items:
             fcfg, discovered_calls, insn_count = hits[item.entry]
             item.cfg = fcfg

@@ -20,17 +20,12 @@ an under-approximated table before it becomes wrong instrumentation.
 
 A :class:`FailurePlan` is also the unit of chaos the harness injects
 (``repro chaos``, ``evaluate_tool(faults=...)``): besides the three
-analysis perturbations it can crash executor workers
-(:class:`WorkerFaultInjector`), break the worker pool, and corrupt
-artifact-cache entries (:func:`corrupt_cache_entries`) — the full
-"everything that can go wrong at scale" menu, with the invariant under
-test being the paper's: the rewritten binary still behaves identically
-and only coverage is lost.
+analysis perturbations it can corrupt artifact-cache entries
+(:func:`corrupt_cache_entries`), with the invariant under test being
+the paper's: the rewritten binary still behaves identically and only
+coverage is lost.
 """
 
-import threading
-
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import BRANCH, BasicBlock
@@ -71,7 +66,7 @@ def classify_failure(reason):
 @dataclass
 class FailurePlan:
     """What to break: analysis faults per function name, plus the
-    execution-substrate faults of the chaos harness."""
+    chaos harness's artifact-cache corruption."""
 
     #: functions whose analysis should report failure
     report: set = field(default_factory=set)
@@ -81,12 +76,6 @@ class FailurePlan:
     #: functions in which one real jump-table edge is hidden
     #: (under-approximation)
     underapproximate: set = field(default_factory=set)
-    #: number of executor work items that crash (once each) before
-    #: succeeding on retry
-    worker_crashes: int = 0
-    #: number of parallel batches whose pool "breaks"
-    #: (``BrokenProcessPool``) and must fall back to serial execution
-    pool_breaks: int = 0
     #: number of artifact-cache entries to corrupt before rewriting
     corrupt_cache: int = 0
 
@@ -94,14 +83,6 @@ class FailurePlan:
     def injects_analysis_faults(self):
         return bool(self.report or self.overapproximate
                     or self.underapproximate)
-
-    def injector(self):
-        """A :class:`WorkerFaultInjector` for the plan's substrate
-        faults, or None when it has none."""
-        if not self.worker_crashes and not self.pool_breaks:
-            return None
-        return WorkerFaultInjector(crashes=self.worker_crashes,
-                                   pool_breaks=self.pool_breaks)
 
 
 def inject_failures(cfg, plan):
@@ -223,54 +204,6 @@ def audit_jump_tables(binary, fcfg):
     return findings
 
 
-# -- substrate fault injection (chaos harness) ------------------------------
-
-
-class WorkerCrash(RuntimeError):
-    """An injected worker crash (chaos harness): transient by design —
-    the executor's bounded serial retry succeeds, because executors
-    consult the injector only on a task's first attempt (and each raise
-    consumes one crash budget)."""
-
-
-class WorkerFaultInjector:
-    """Thread-safe budgets of executor faults to inject.
-
-    Executors (see :mod:`repro.core.pipeline`) consult this before
-    running work items: ``maybe_crash`` raises :class:`WorkerCrash` while
-    crash budget remains (one task each), ``maybe_break_pool`` raises
-    ``BrokenProcessPool`` while pool-break budget remains (one parallel
-    batch each).  Budgets are consumed by the *raise*, so the executor's
-    retry path observes a healthy worker — exactly the transient-fault
-    model the fault tolerance is built for.
-    """
-
-    def __init__(self, crashes=0, pool_breaks=0):
-        self._crashes = crashes
-        self._pool_breaks = pool_breaks
-        self._lock = threading.Lock()
-        self.crashes_fired = 0
-        self.pool_breaks_fired = 0
-
-    def maybe_crash(self):
-        with self._lock:
-            if self._crashes <= 0:
-                return
-            self._crashes -= 1
-            self.crashes_fired += 1
-        raise WorkerCrash("injected worker crash")
-
-    def maybe_break_pool(self):
-        with self._lock:
-            if self._pool_breaks <= 0:
-                return
-            self._pool_breaks -= 1
-            self.pool_breaks_fired += 1
-        raise BrokenProcessPool(
-            "injected pool breakage (chaos harness)"
-        )
-
-
 def corrupt_cache_entries(cache, count):
     """Corrupt up to ``count`` entries of an ArtifactCache in place.
 
@@ -302,7 +235,7 @@ def corrupt_cache_entries(cache, count):
 
 
 def plan_chaos(cfg, report=0, overapproximate=0, underapproximate=0,
-               worker_crashes=0, pool_breaks=0, corrupt_cache=0,
+               corrupt_cache=0,
                protect=("_entry", "_start", "main")):
     """Build a deterministic :class:`FailurePlan` against a real CFG.
 
@@ -313,9 +246,7 @@ def plan_chaos(cfg, report=0, overapproximate=0, underapproximate=0,
     functions so the program still reaches its exit.  The same binary
     always yields the same plan — chaos runs are reproducible.
     """
-    plan = FailurePlan(worker_crashes=worker_crashes,
-                       pool_breaks=pool_breaks,
-                       corrupt_cache=corrupt_cache)
+    plan = FailurePlan(corrupt_cache=corrupt_cache)
     taken = set()
 
     def eligible(check):

@@ -36,9 +36,8 @@ per-function entry point (a pure function of the function's CFG plus
 the whole-binary inputs it closes over — the entry set, text range and
 known data slots, all themselves determined by the binary image), and
 :func:`analyze_function_pointers` orchestrates it with optional
-content-addressed caching and a pluggable executor, merging partial
-results in address order so every execution strategy yields the same
-verdict.
+content-addressed caching, merging partial results in address order so
+cached and fresh scans yield the same verdict.
 """
 
 import time
@@ -174,10 +173,9 @@ def scan_function_pointers(binary, spec, fcfg, entries, text_lo, text_hi,
     return partial
 
 
-def _funcptr_work(task):
-    """Executor task: scan one function, timed (module-level so a
-    process pool can pickle it)."""
-    binary, spec, fcfg, entries, text_lo, text_hi, known_slots = task
+def _funcptr_work(binary, spec, fcfg, entries, text_lo, text_hi,
+                  known_slots):
+    """Scan one function, timed: ``(FunctionPtrScan, seconds)``."""
     t0 = time.perf_counter()
     partial = scan_function_pointers(binary, spec, fcfg, entries,
                                      text_lo, text_hi, known_slots)
@@ -185,23 +183,18 @@ def _funcptr_work(task):
 
 
 def analyze_function_pointers(binary, cfg, spec, cache=None,
-                              executor=None, tracer=None, metrics=None):
+                              tracer=None, metrics=None):
     """Whole-binary function-pointer analysis; returns FuncPtrAnalysis.
 
     The whole-binary data-slot scan and each function's code scan are
     separately cacheable artifacts (``cache`` is an
     :class:`repro.core.cache.ArtifactCache` or a bound
-    :class:`repro.core.pipeline.AnalysisCacheView`); per-function scans
-    run through ``executor`` when given.  Partial results merge in
-    address order, so the outcome is independent of executor and cache
+    :class:`repro.core.pipeline.AnalysisCacheView`).  Partial results
+    merge in address order, so the outcome is independent of cache
     state.
     """
     from repro.core.cache import MISS
-    from repro.core.pipeline import (
-        AnalysisCacheView,
-        SerialExecutor,
-        analysis_cache_view,
-    )
+    from repro.core.pipeline import AnalysisCacheView, analysis_cache_view
     from repro.obs import NULL_METRICS, NULL_TRACER
 
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -209,8 +202,6 @@ def analyze_function_pointers(binary, cfg, spec, cache=None,
     if cache is not None and not isinstance(cache, AnalysisCacheView):
         cache = analysis_cache_view(cache, binary, binary.arch_name,
                                     None, metrics)
-    if executor is None:
-        executor = SerialExecutor()
 
     entries = _function_entries(binary, cfg)
     text_lo, text_hi = binary.metadata.get(
@@ -234,7 +225,7 @@ def analyze_function_pointers(binary, cfg, spec, cache=None,
         _scan_data_slots(binary, entries, text_lo, text_hi, result)
 
     _scan_code(binary, cfg, spec, entries, text_lo, text_hi, result,
-               cache=cache, executor=executor, tracer=tracer)
+               cache=cache, tracer=tracer)
 
     # Conflicting deltas through one slot make redirection ambiguous.
     # The reason implicates the slot's *target* function: its entry may
@@ -311,19 +302,14 @@ def _scan_data_slots(binary, entries, text_lo, text_hi, result):
 
 
 def _scan_code(binary, cfg, spec, entries, text_lo, text_hi, result,
-               cache=None, executor=None, tracer=None):
-    """Per-function code scans, cached and executor-driven, merged in
-    address order into ``result``."""
+               cache=None, tracer=None):
+    """Per-function code scans, cached, merged in address order into
+    ``result``."""
     from repro.core.cache import MISS
-    from repro.core.pipeline import (
-        SerialExecutor,
-        record_completed_span,
-    )
+    from repro.core.pipeline import record_completed_span
     from repro.obs import NULL_TRACER
 
     tracer = tracer if tracer is not None else NULL_TRACER
-    if executor is None:
-        executor = SerialExecutor()
 
     known_slots = frozenset(d.slot for d in result.data_defs)
     functions = [f for f in cfg.sorted_functions() if f.ok]
@@ -343,17 +329,14 @@ def _scan_code(binary, cfg, spec, entries, text_lo, text_hi, result,
                 continue
         pending.append(fcfg)
 
-    tasks = [
-        (binary, spec, fcfg, entries, text_lo, text_hi, known_slots)
-        for fcfg in pending
-    ]
-    for fcfg, (partial, seconds) in zip(
-            pending, executor.map(_funcptr_work, tasks)):
+    for fcfg in pending:
+        partial, seconds = _funcptr_work(binary, spec, fcfg, entries,
+                                         text_lo, text_hi, known_slots)
         partials[fcfg.entry] = (partial, seconds, False)
         if cache is not None:
             cache.store("funcptr-fn", keys[fcfg.entry], partial, seconds)
 
-    # Deterministic merge: address order, whatever the executor did.
+    # Merge in address order, whichever scans the cache served.
     for fcfg in functions:
         partial, seconds, cached = partials[fcfg.entry]
         result.code_defs.extend(partial.code_defs)

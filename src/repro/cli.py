@@ -7,11 +7,11 @@ Examples::
         --mode func-ptr --scorch -o sgcc.rw
     python -m repro rewrite --workload 602.sgcc_s --mode jt \\
         --profile --trace sgcc-trace.json
-    python -m repro rewrite --workload 602.sgcc_s --jobs 4 \\
+    python -m repro rewrite --workload 602.sgcc_s \\
         --cache-dir .repro-cache -o sgcc.rw
-    python -m repro batch 619.lbm_s 602.sgcc_s --jobs 4 --repeat 2
+    python -m repro batch 619.lbm_s 602.sgcc_s --repeat 2
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
-        --underapprox 1 --worker-crashes 2 --jobs 4
+        --underapprox 1 --corrupt-cache 1
     python -m repro rewrite --workload 602.sgcc_s --record --atlas
     python -m repro record list
     python -m repro record show latest --json
@@ -20,7 +20,7 @@ Examples::
     python -m repro run sgcc.rw
     python -m repro engine report sgcc.rw --top 5
     python -m repro layout sgcc.rw
-    python -m repro table3 --arch x86
+    python -m repro table 3 --arch x86
     python -m repro experiment docker
 """
 
@@ -123,8 +123,6 @@ def _make_cache(args):
 
 
 def _add_pipeline_args(parser):
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run per-function analyses on N threads")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="persist analysis artifacts under DIR "
                              "(shared across invocations)")
@@ -188,7 +186,7 @@ def cmd_rewrite(args):
             instrumentation=instrumentation,
             scorch_original=args.scorch,
             tracer=tracer, metrics=metrics,
-            cache=cache, jobs=args.jobs,
+            cache=cache,
             degrade=not args.no_degrade,
             record_sink=record_sink, workload=args.workload,
             atlas=args.atlas,
@@ -214,8 +212,7 @@ def cmd_rewrite(args):
     if cache is not None and metrics is not None:
         counters = metrics.counter_values()
         print(f"cache         : {counters.get('cache.hits', 0)} hits, "
-              f"{counters.get('cache.misses', 0)} misses "
-              f"(jobs={args.jobs})")
+              f"{counters.get('cache.misses', 0)} misses")
     if report.failed_functions:
         print(f"skipped       : " + ", ".join(
             name for name, _ in report.failed_functions))
@@ -260,8 +257,7 @@ def cmd_batch(args):
 
     The batch is where the incremental pipeline pays off: every workload
     after the first (and every ``--repeat`` round) reuses cached
-    per-function artifacts, and ``--jobs N`` spreads the remaining
-    analyses over a pool.
+    per-function artifacts.
 
     Unless ``--no-records``, every rewrite (failed ones included)
     appends a :class:`~repro.obs.RewriteRecord` to the ledger at
@@ -303,7 +299,6 @@ def cmd_batch(args):
                 rewritten, report, _ = rewrite_binary(
                     binary, RewriteMode.parse(args.mode),
                     tracer=tracer, metrics=metrics, cache=cache,
-                    jobs=args.jobs,
                     record_sink=record_sink, workload=name,
                 )
             except ReproError as exc:
@@ -346,10 +341,10 @@ def cmd_chaos(args):
 
     Builds a deterministic :func:`repro.analysis.plan_chaos` fault plan
     against the workload's CFG — analysis faults of each requested
-    Figure-2 category, worker crashes, pool breaks, cache corruption —
-    then runs the full evaluation pipeline under it.  Success means the
-    rewritten binary still matched the oracle; coverage (and nothing
-    else) is allowed to drop.
+    Figure-2 category and cache corruption — then runs the full
+    evaluation pipeline under it.  Success means the rewritten binary
+    still matched the oracle; coverage (and nothing else) is allowed to
+    drop.
     """
     from repro.analysis import build_cfg, plan_chaos
     from repro.eval import baseline_run, evaluate_tool
@@ -361,21 +356,17 @@ def cmd_chaos(args):
         report=args.report,
         overapproximate=args.overapprox,
         underapproximate=args.underapprox,
-        worker_crashes=args.worker_crashes,
-        pool_breaks=args.pool_breaks,
         corrupt_cache=args.corrupt_cache,
     )
     cache = _make_cache(args)
-    metrics = Metrics()
     if plan.corrupt_cache and cache is not None:
         # Warm the cache with one clean rewrite so corruption has
         # entries to bite; the chaos run must then recover from them.
         evaluate_tool(args.mode, binary, oracle, base_cycles,
-                      benchmark=args.workload, cache=cache,
-                      jobs=args.jobs)
+                      benchmark=args.workload, cache=cache)
     run = evaluate_tool(args.mode, binary, oracle, base_cycles,
-                        benchmark=args.workload, metrics=metrics,
-                        cache=cache, jobs=args.jobs, faults=plan)
+                        benchmark=args.workload, cache=cache,
+                        faults=plan)
 
     injected = [f"{label}:{name}" for label, names in
                 (("report", plan.report),
@@ -383,9 +374,7 @@ def cmd_chaos(args):
                  ("under-approx", plan.underapproximate))
                 for name in sorted(names)]
     print(f"plan      : " + (", ".join(injected) or "no analysis faults")
-          + f"; {plan.worker_crashes} worker crash(es), "
-            f"{plan.pool_breaks} pool break(s), "
-            f"{plan.corrupt_cache} corrupt cache entr"
+          + f"; {plan.corrupt_cache} corrupt cache entr"
             f"{'y' if plan.corrupt_cache == 1 else 'ies'}")
     print(f"outcome   : "
           + ("survived (output identical to oracle)" if run.passed
@@ -396,13 +385,9 @@ def cmd_chaos(args):
     for line in render_degradation(run.degradation,
                                    show_reason=False)[1:]:
         print(line)
-    counters = metrics.counter_values()
-    substrate = (f"crashes={counters.get('worker.crashes', 0)} "
-                 f"retries={counters.get('worker.retries', 0)} "
-                 f"pool_breaks={counters.get('worker.pool_breaks', 0)}")
     if cache is not None:
-        substrate += f" cache_corrupt={cache.stats().get('corrupt', 0)}"
-    print(f"substrate : {substrate}")
+        print(f"substrate : cache_corrupt="
+              f"{cache.stats().get('corrupt', 0)}")
     return 0 if run.passed else EXIT_REWRITE_ERROR
 
 
@@ -658,7 +643,7 @@ def build_parser():
     p = sub.add_parser(
         "batch",
         help="rewrite several workloads through one shared artifact "
-             "cache (optionally in parallel)",
+             "cache",
     )
     p.add_argument("workloads", nargs="+", metavar="WORKLOAD")
     p.add_argument("--arch", default="x86")
@@ -680,8 +665,8 @@ def build_parser():
 
     p = sub.add_parser(
         "chaos",
-        help="inject faults (analysis, workers, pool, cache) into one "
-             "rewrite and verify graceful degradation",
+        help="inject faults (analysis, cache) into one rewrite and "
+             "verify graceful degradation",
     )
     p.add_argument("--workload", required=True)
     p.add_argument("--arch", default="x86")
@@ -693,10 +678,6 @@ def build_parser():
                    help="N functions given a spurious incoming edge")
     p.add_argument("--underapprox", type=int, default=0, metavar="N",
                    help="N functions with one jump-table edge hidden")
-    p.add_argument("--worker-crashes", type=int, default=0, metavar="N",
-                   help="N executor work items crash once each")
-    p.add_argument("--pool-breaks", type=int, default=0, metavar="N",
-                   help="N parallel batches lose their worker pool")
     p.add_argument("--corrupt-cache", type=int, default=0, metavar="N",
                    help="truncate N artifact-cache entries (cache is "
                         "warmed by a clean rewrite first)")

@@ -20,10 +20,7 @@ from repro.core.modes import (
 from repro.core.pipeline import (
     AnalysisCacheView,
     FunctionWorkItem,
-    PoolExecutor,
-    SerialExecutor,
     analysis_cache_view,
-    make_executor,
 )
 from repro.core.placement import (
     PlacementFragment,
@@ -68,9 +65,6 @@ __all__ = [
     "AnalysisCacheView",
     "analysis_cache_view",
     "FunctionWorkItem",
-    "SerialExecutor",
-    "PoolExecutor",
-    "make_executor",
     "place_trampolines",
     "place_in_function",
     "PlacementResult",

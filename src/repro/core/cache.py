@@ -135,9 +135,8 @@ def function_bytes_digest(binary, entry, range_end):
 class ArtifactCache:
     """Bounded LRU of pickled artifacts, optionally backed by a directory.
 
-    Thread-safe: the per-function analyses may be executed by a thread
-    pool, and one cache instance is shared across every binary of a
-    ``repro batch`` run.
+    Thread-safe: one cache instance is shared across every binary of a
+    ``repro batch`` run, and callers may share it between threads.
     """
 
     def __init__(self, max_entries=4096, directory=None):

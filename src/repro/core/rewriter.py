@@ -47,7 +47,7 @@ from repro.core.modes import (
     RewriteMode,
     mode_rewrites_jump_tables,
 )
-from repro.core.pipeline import analysis_cache_view, make_executor
+from repro.core.pipeline import analysis_cache_view
 from repro.core.placement import padding_ranges, place_trampolines
 from repro.core.relocate import Relocator
 from repro.core.runtime_lib import RuntimeLibrary, pack_addr_map
@@ -150,10 +150,8 @@ class IncrementalRewriter:
                  construction_options=None, scorch_original=False,
                  call_emulation=False, cfg_hook=None,
                  function_order="address", block_order="address",
-                 tracer=None, metrics=None, cache=None, executor=None,
-                 jobs=1, executor_kind="thread", degrade=True,
-                 worker_faults=None, record_sink=None, workload=None,
-                 atlas=False):
+                 tracer=None, metrics=None, cache=None, degrade=True,
+                 record_sink=None, workload=None, atlas=False):
         self.mode = (RewriteMode.parse(mode) if isinstance(mode, str)
                      else mode)
         self.instrumentation = instrumentation or EmptyInstrumentation()
@@ -165,11 +163,6 @@ class IncrementalRewriter:
         #: artifact cache (:class:`repro.core.cache.ArtifactCache`) the
         #: per-function analyses consult; None disables caching
         self.cache = cache
-        #: executor for per-function analyses; when None one is created
-        #: per rewrite from ``jobs``/``executor_kind`` and closed after
-        self.executor = executor
-        self.jobs = jobs
-        self.executor_kind = executor_kind
         #: emission order for the BOLT-comparison experiments (Section
         #: 8.3): "address" or "reverse"
         self.function_order = function_order
@@ -186,9 +179,6 @@ class IncrementalRewriter:
         #: hard :class:`RewriteError` (the Figure-2 experiment needs the
         #: raw failure consequences observable)
         self.degrade = degrade
-        #: :class:`repro.analysis.failures.WorkerFaultInjector` consulted
-        #: by executors this rewriter creates (chaos harness); None = off
-        self.worker_faults = worker_faults
         #: record sink: a :class:`repro.obs.RecordLedger` (or any
         #: callable) receiving one :class:`repro.obs.RewriteRecord` per
         #: rewrite — failed rewrites included; None disables records
@@ -245,8 +235,6 @@ class IncrementalRewriter:
         relevant knob as it actually applied to this rewrite."""
         return {
             "mode": str(self.mode),
-            "jobs": self.jobs,
-            "executor": self.executor_kind,
             "cache": self.cache is not None,
             "degrade": self.degrade,
             "scorch_original": self.scorch_original,
@@ -275,10 +263,9 @@ class IncrementalRewriter:
     def _rewrite_traced(self, binary, tr, metrics, atlas):
         spec = get_arch(binary.arch_name)
 
-        # The pipeline substrate for this rewrite: one cache view whose
-        # prefix pins everything invariant across its artifacts (image,
-        # arch, construction options), and one executor for per-function
-        # analyses.  Downstream artifacts (funcptr, placement) depend on
+        # One cache view for this rewrite, whose prefix pins everything
+        # invariant across its artifacts (image, arch, construction
+        # options).  Downstream artifacts (funcptr, placement) depend on
         # the CFG as *constructed*, so an arbitrary cfg_hook mutation
         # disables their caching; CFG artifacts themselves stay valid
         # because the hook applies after construction.
@@ -290,30 +277,14 @@ class IncrementalRewriter:
             )
         downstream_cache = (pipeline_cache if self.cfg_hook is None
                             else None)
-        executor = self.executor
-        own_executor = executor is None
-        if own_executor:
-            executor = make_executor(self.jobs, self.executor_kind,
-                                     metrics=metrics,
-                                     fault=self.worker_faults)
-        try:
-            return self._rewrite_staged(
-                binary, tr, metrics, spec, pipeline_cache,
-                downstream_cache, executor, atlas,
-            )
-        finally:
-            if own_executor:
-                executor.close()
 
-    def _rewrite_staged(self, binary, tr, metrics, spec, pipeline_cache,
-                        downstream_cache, executor, atlas):
         # The atlas builder (None unless requested) rides along the
         # stages, accounting data each stage already computed — it
         # never re-analyzes anything.
         with tr.span("cfg-construction"):
             cfg = build_cfg(binary, self.construction_options,
                             tracer=tr, metrics=metrics,
-                            cache=pipeline_cache, executor=executor)
+                            cache=pipeline_cache)
             if self.cfg_hook is not None:
                 cfg = self.cfg_hook(cfg) or cfg
             self._pre_checks(binary, cfg)
@@ -335,7 +306,7 @@ class IncrementalRewriter:
         with tr.span("funcptr-analysis"):
             funcptrs = analyze_function_pointers(
                 binary, cfg, spec, cache=downstream_cache,
-                executor=executor, tracer=tr, metrics=metrics,
+                tracer=tr, metrics=metrics,
             )
             tr.count("data_defs", len(funcptrs.data_defs))
             tr.count("code_defs", len(funcptrs.code_defs))
@@ -836,11 +807,10 @@ def _subtract_ranges(start, end, keep_sorted):
 
 
 def rewrite_binary(binary, mode=RewriteMode.JT, instrumentation=None,
-                   tracer=None, metrics=None, cache=None, executor=None,
-                   jobs=1, executor_kind="thread", **kwargs):
+                   tracer=None, metrics=None, cache=None, **kwargs):
     """One-call convenience: returns (rewritten, report, runtime_lib).
 
-    Observability sinks and pipeline substrate are explicit (rather than
+    Observability sinks and the artifact cache are explicit (rather than
     swallowed by ``**kwargs``) so call sites get signature help and typos
     fail loudly; remaining keywords forward to
     :class:`IncrementalRewriter`.
@@ -848,8 +818,6 @@ def rewrite_binary(binary, mode=RewriteMode.JT, instrumentation=None,
     rewriter = IncrementalRewriter(mode=mode,
                                    instrumentation=instrumentation,
                                    tracer=tracer, metrics=metrics,
-                                   cache=cache, executor=executor,
-                                   jobs=jobs, executor_kind=executor_kind,
-                                   **kwargs)
+                                   cache=cache, **kwargs)
     rewritten, report = rewriter.rewrite(binary)
     return rewritten, report, rewriter.runtime_library(rewritten)

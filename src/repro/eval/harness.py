@@ -130,7 +130,7 @@ def _discard_record(record):
 
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                   instrumentation=None, tracer=None, metrics=None,
-                  flight=None, telemetry=None, cache=None, jobs=None,
+                  flight=None, telemetry=None, cache=None,
                   faults=None, record_sink=None, atlas=False,
                   **tool_kwargs):
     """Run one tool on one binary; returns a :class:`ToolRun`.
@@ -152,19 +152,17 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     comes back on :attr:`ToolRun.telemetry`.
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
-    across many evaluations) and ``jobs`` feed the incremental pipeline;
-    the run's own hit/miss/time-saved deltas come back on the ToolRun,
-    read off its record.
+    across many evaluations) feeds the incremental pipeline; the run's
+    own hit/miss/time-saved deltas come back on the ToolRun, read off
+    its record.
 
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
-    the rewriter's ``cfg_hook`` (chained after any existing hook), its
-    worker-crash/pool-break budgets become a
-    :class:`~repro.analysis.failures.WorkerFaultInjector` on the
-    rewriter, and its ``corrupt_cache`` count truncates that many
-    entries of ``cache`` before the rewrite.  The run itself is judged
-    exactly as without faults — the invariant under test is that the
-    output binary still matches the oracle and only coverage drops.
+    the rewriter's ``cfg_hook`` (chained after any existing hook), and
+    its ``corrupt_cache`` count truncates that many entries of ``cache``
+    before the rewrite.  The run itself is judged exactly as without
+    faults — the invariant under test is that the output binary still
+    matches the oracle and only coverage drops.
 
     ``record_sink`` (a :class:`repro.obs.RecordLedger` or callable)
     persists the rewrite's :class:`repro.obs.RewriteRecord`; even
@@ -187,8 +185,6 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         rewriter.metrics = metrics
         if cache is not None:
             rewriter.cache = cache
-        if jobs is not None:
-            rewriter.jobs = jobs
         if hasattr(rewriter, "record_sink"):
             # Not every baseline is an IncrementalRewriter; only wire
             # records into tools that emit them.
@@ -264,9 +260,6 @@ def _apply_faults(rewriter, faults, cache):
             return inject_failures(cfg, faults)
 
         rewriter.cfg_hook = hook
-    injector = faults.injector()
-    if injector is not None:
-        rewriter.worker_faults = injector
     if faults.corrupt_cache and cache is not None:
         corrupt_cache_entries(cache, faults.corrupt_cache)
 

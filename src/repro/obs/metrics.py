@@ -162,50 +162,6 @@ class Metrics:
             out["histograms"] = histograms
         return out
 
-    # -- cross-registry merge ------------------------------------------------
-
-    def deltas(self):
-        """A plain-data snapshot for merging into another registry.
-
-        The travel format of pool-worker accounting
-        (:mod:`repro.core.pipeline`): a worker records into a fresh
-        registry, ships ``deltas()`` back over the process boundary,
-        and the parent folds it in with :meth:`merge_deltas` — so
-        counters survive ``--jobs N`` process pools instead of dying
-        with the worker.  Counter and gauge values are exact;
-        histogram observations are replayed from the bounded
-        reservoir, so a registry with more than ``RESERVOIR``
-        observations per histogram merges a truncated (but
-        representative) sample.
-        """
-        out = {}
-        counters = {name: c.value for name, c in self._counters.items()
-                    if c.value}
-        if counters:
-            out["counters"] = counters
-        gauges = {name: g.value for name, g in self._gauges.items()
-                  if g.value is not None}
-        if gauges:
-            out["gauges"] = gauges
-        observations = {name: list(h.samples)
-                        for name, h in self._histograms.items()
-                        if h.samples}
-        if observations:
-            out["observations"] = observations
-        return out
-
-    def merge_deltas(self, deltas):
-        """Fold a :meth:`deltas` snapshot into this registry."""
-        if not deltas:
-            return
-        for name, value in deltas.get("counters", {}).items():
-            self.inc(name, value)
-        for name, value in deltas.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        for name, values in deltas.get("observations", {}).items():
-            for value in values:
-                self.observe(name, value)
-
 
 class _NullInstrument:
     __slots__ = ()
@@ -262,12 +218,6 @@ class NullMetrics:
 
     def as_dict(self):
         return {"counters": {}}
-
-    def deltas(self):
-        return {}
-
-    def merge_deltas(self, deltas):
-        pass
 
 
 NULL_METRICS = NullMetrics()

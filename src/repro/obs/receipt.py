@@ -6,7 +6,7 @@ how much of it got rewritten?":
 
 * input/output content digests and the resolved option set;
 * the environment fingerprint, per-stage wall and memory cost, and
-  cache and worker-fleet accounting;
+  cache accounting;
 * the degradation ladder's verdict and the outcome (with a typed error
   when the rewrite failed);
 * the report's trampoline and trap counts;
@@ -26,7 +26,7 @@ Records are schema-versioned and content-addressed: ``record_id`` is the
 SHA-256 of the canonical JSON body, so a tampered or miscopied record no
 longer verifies.  Two rewrites of the same input with the same options
 are identical *modulo timings*: :meth:`RewriteRecord.comparable_dict`
-strips the wall-clock, memory, cache and worker fields (the only
+strips the wall-clock, memory and cache fields (the only
 legitimate cold-vs-warm difference) and the machine's fingerprint, and
 :func:`diff_records` compares those.  A coverage regression — a function losing cfg bytes, falling
 down the ladder, or disappearing — is flagged so ``repro record diff``
@@ -267,20 +267,6 @@ def _cache_section(delta):
     return section
 
 
-def _worker_section(delta):
-    """The record's worker-fleet accounting, parsed out of
-    ``worker.*`` — accurate under ``--jobs N`` because pool workers
-    ship their deltas home (:func:`repro.core.pipeline.run_accounted`)."""
-    counters = delta.get("counters", {})
-    section = {name[len("worker."):]: value
-               for name, value in counters.items()
-               if name.startswith("worker.")}
-    seconds = delta.get("sums", {}).get("worker.task_seconds")
-    if seconds is not None:
-        section["task_seconds"] = seconds
-    return section
-
-
 def _stage_section(span):
     """Per-stage wall + memory off the rewrite span's children."""
     stages = {}
@@ -495,11 +481,11 @@ def _rollup(rows, text_range):
 # -- the record --------------------------------------------------------------
 
 #: Body fields that vary between two runs of the same rewrite (wall
-#: clock, memory, cache warmth, worker scheduling) or name the machine
+#: clock, memory, cache warmth) or name the machine
 #: rather than the rewrite; :meth:`RewriteRecord.comparable_dict` drops
 #: them.
 _RUN_FIELDS = ("unix_time", "total_seconds", "stages", "mem_peak",
-               "cache", "workers", "fingerprint")
+               "cache", "fingerprint")
 
 
 class RewriteRecord:
@@ -508,13 +494,13 @@ class RewriteRecord:
     __slots__ = ("workload", "arch", "mode", "input_digest",
                  "output_digest", "options", "fingerprint",
                  "total_seconds", "stages", "mem_peak", "cache",
-                 "workers", "trampolines", "traps", "degradation",
+                 "trampolines", "traps", "degradation",
                  "outcome", "error", "functions", "rollup", "unix_time")
 
     def __init__(self, workload, arch, mode, input_digest,
                  output_digest=None, options=None, fingerprint=None,
                  total_seconds=0.0, stages=None, mem_peak=None,
-                 cache=None, workers=None, trampolines=None, traps=0,
+                 cache=None, trampolines=None, traps=0,
                  degradation=None, outcome="ok", error=None,
                  functions=None, rollup=None, unix_time=None):
         self.workload = workload
@@ -523,7 +509,7 @@ class RewriteRecord:
         self.input_digest = input_digest
         #: None when the rewrite failed before producing output
         self.output_digest = output_digest
-        #: the resolved option set (mode/jobs/cache/degrade/...)
+        #: the resolved option set (mode/cache/degrade/...)
         self.options = dict(options or {})
         self.fingerprint = fingerprint or session_fingerprint()
         self.total_seconds = total_seconds
@@ -531,7 +517,6 @@ class RewriteRecord:
         self.stages = dict(stages or {})
         self.mem_peak = mem_peak
         self.cache = dict(cache or {})
-        self.workers = dict(workers or {})
         #: the report's trampoline counts by kind and installed traps
         self.trampolines = dict(trampolines or {})
         self.traps = traps
@@ -584,7 +569,6 @@ class RewriteRecord:
             stages=_stage_section(span),
             mem_peak=getattr(span, "mem_peak", None),
             cache=_cache_section(delta),
-            workers=_worker_section(delta),
             trampolines=getattr(report, "trampolines", None),
             traps=getattr(report, "traps", 0),
             degradation=degradation,
@@ -613,7 +597,6 @@ class RewriteRecord:
             "total_seconds": self.total_seconds,
             "stages": dict(self.stages),
             "cache": dict(self.cache),
-            "workers": dict(self.workers),
             "trampolines": dict(self.trampolines),
             "traps": self.traps,
             "outcome": self.outcome,
@@ -648,7 +631,7 @@ class RewriteRecord:
 
     def comparable_dict(self):
         """The body with every run-dependent field stripped: wall-clock,
-        memory, cache and worker accounting, the fingerprint, and in the
+        memory and cache accounting, the fingerprint, and in the
         atlas section per-row ``analysis_seconds`` and cache
         ``provenance`` (a warm rewrite hits where a cold one missed)
         plus the rollup's ``analysis_seconds``.  Two rewrites of the
@@ -702,7 +685,6 @@ class RewriteRecord:
                 stages=dict(data.get("stages", {})),
                 mem_peak=data.get("mem_peak"),
                 cache=dict(data.get("cache", {})),
-                workers=dict(data.get("workers", {})),
                 trampolines=dict(data.get("trampolines", {})),
                 traps=data.get("traps", 0),
                 degradation=data.get("degradation"),
@@ -834,8 +816,6 @@ def fleet_summary(records, unix_time=None):
             "hits": sum(r.cache.get("hits", 0) for r in records),
             "misses": sum(r.cache.get("misses", 0) for r in records),
         },
-        "worker_tasks": sum(r.workers.get("tasks", 0)
-                            for r in records),
         "unix_time": time.time() if unix_time is None else unix_time,
     }
 
@@ -1033,13 +1013,6 @@ def render_record(record, limit=0):
             f"{c.get('misses', 0)} miss(es), "
             f"{c.get('stores', 0)} store(s), "
             f"saved {c.get('saved_seconds', 0) * 1e3:.1f}ms")
-    if r.workers:
-        w = dict(r.workers)
-        seconds = w.pop("task_seconds", None)
-        parts = " ".join(f"{k}={w[k]}" for k in sorted(w))
-        if seconds is not None:
-            parts += f" task_seconds={seconds * 1e3:.1f}ms"
-        lines.append(f"  workers:   {parts}")
     if r.trampolines or r.traps:
         lines.append("  tramps:    " + " ".join(
             f"{k}={v}" for k, v in sorted(r.trampolines.items()) if v)

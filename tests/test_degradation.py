@@ -1,10 +1,9 @@
-"""Graceful degradation: the mode ladder, fault-tolerant executors,
-corrupt-cache recovery, and the chaos harness.
+"""Graceful degradation: the mode ladder, corrupt-cache recovery, and
+the chaos harness.
 
 The invariant under test throughout is the paper's (Section 4.3,
-Figure 2): a per-function analysis failure — or a substrate fault
+Figure 2): a per-function analysis failure — or a corrupt cache entry
 injected by the chaos harness — lowers coverage, never correctness.
-Degraded runs stay byte-identical to clean ones.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.analysis import (
     FIG2_REPORT,
     FIG2_UNDERAPPROX,
     FailurePlan,
-    WorkerFaultInjector,
     build_cfg,
     classify_failure,
     corrupt_cache_entries,
@@ -25,8 +23,6 @@ from repro.core import (
     DegradationReport,
     MODE_SKIP,
     RewriteMode,
-    make_executor,
-    rewrite_binary,
 )
 from repro.core.cache import MISS
 from repro.core.modes import (
@@ -156,88 +152,6 @@ class TestCorruptCache:
         assert not os.path.exists(path)
 
 
-def _square(x):
-    return x * x
-
-
-class TestExecutorFaults:
-    def test_serial_retry_succeeds(self):
-        metrics = Metrics()
-        fault = WorkerFaultInjector(crashes=2)
-        ex = make_executor(jobs=1, metrics=metrics, fault=fault)
-        assert ex.map(_square, [1, 2, 3]) == [1, 4, 9]
-        counters = metrics.counter_values()
-        assert counters["worker.crashes"] == 2
-        assert counters["worker.retries"] == 2
-        assert fault.crashes_fired == 2
-
-    def test_retry_budget_is_bounded(self):
-        metrics = Metrics()
-        ex = make_executor(jobs=1, metrics=metrics)
-
-        def always_broken(_x):
-            raise ValueError("deterministic task bug")
-
-        with pytest.raises(ValueError):
-            ex.map(always_broken, [1])
-        # initial attempt + the full retry budget, then it propagates
-        assert metrics.counter_values()["worker.crashes"] == 3
-
-    def test_pool_task_crash_retried_serially(self):
-        metrics = Metrics()
-        fault = WorkerFaultInjector(crashes=1)
-        ex = make_executor(jobs=4, kind="thread", metrics=metrics,
-                           fault=fault)
-        try:
-            assert ex.map(_square, list(range(8))) == [
-                x * x for x in range(8)]
-        finally:
-            ex.close()
-        counters = metrics.counter_values()
-        assert counters["worker.crashes"] == 1
-        assert counters["worker.pool.retries"] == 1
-
-    def test_pool_break_downgrades_batch_to_serial(self):
-        metrics = Metrics()
-        fault = WorkerFaultInjector(pool_breaks=1)
-        ex = make_executor(jobs=4, kind="thread", metrics=metrics,
-                           fault=fault)
-        try:
-            assert ex.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert ex.broken
-            # later batches keep working (serially)
-            assert ex.map(_square, [4, 5]) == [16, 25]
-        finally:
-            ex.close()
-        counters = metrics.counter_values()
-        assert counters["worker.pool_breaks"] == 1
-        assert fault.pool_breaks_fired == 1
-
-
-class TestFaultTolerantRewrite:
-    def test_crashed_workers_do_not_change_output_bytes(self):
-        """The acceptance criterion: a rewrite whose pool workers crash
-        (and whose pool breaks) under --jobs 4 produces exactly the
-        bytes of an undisturbed serial rewrite."""
-        program, binary = workload("602.sgcc_s", "x86")
-        clean, clean_report, _ = rewrite_binary(
-            binary, RewriteMode.JT, scorch_original=True, jobs=1)
-        metrics = Metrics()
-        fault = WorkerFaultInjector(crashes=3, pool_breaks=1)
-        chaotic, chaotic_report, _ = rewrite_binary(
-            binary, RewriteMode.JT, scorch_original=True, jobs=4,
-            executor_kind="thread", metrics=metrics,
-            worker_faults=fault)
-        assert chaotic.to_bytes() == clean.to_bytes()
-        assert chaotic_report.coverage == clean_report.coverage
-        counters = metrics.counter_values()
-        assert fault.crashes_fired + fault.pool_breaks_fired > 0
-        assert (counters.get("worker.crashes", 0)
-                == fault.crashes_fired)
-        assert (counters.get("worker.pool_breaks", 0)
-                == fault.pool_breaks_fired)
-
-
 class TestChaosHarness:
     def _setup(self, name="602.sgcc_s"):
         program, binary = workload(name, "x86")
@@ -289,38 +203,32 @@ class TestChaosHarness:
         binary, oracle, cycles = self._setup()
         metrics = Metrics()
         cache = ArtifactCache()
-        # Warm the cache with a clean run, then corrupt it and crash
-        # workers during the chaotic one.
+        # Warm the cache with a clean run, then corrupt it before the
+        # chaotic one.
         warm = evaluate_tool("jt", binary, oracle, cycles,
-                             metrics=metrics, cache=cache, jobs=4)
+                             metrics=metrics, cache=cache)
         assert warm.passed
-        plan = FailurePlan(worker_crashes=2, pool_breaks=1,
-                           corrupt_cache=2)
+        plan = FailurePlan(corrupt_cache=2)
         run = evaluate_tool("jt", binary, oracle, cycles,
-                            metrics=metrics, cache=cache, jobs=4,
-                            faults=plan)
+                            metrics=metrics, cache=cache, faults=plan)
         assert run.passed
         assert cache.stats()["corrupt"] >= 1
-        counters = metrics.counter_values()
-        assert counters.get("worker.crashes", 0) >= 1
 
     def test_full_menu_against_go_like_binary(self):
         """Everything at once on the imprecise-funcptr workload: the
-        ladder, the audit, worker faults and cache corruption all
-        compose, and the binary still behaves identically."""
+        ladder, the audit and cache corruption all compose, and the
+        binary still behaves identically."""
         from repro.toolchain.workloads import docker_like
         binary = docker_like("x86")[1]
         oracle, cycles = baseline_run(binary)
         cache = ArtifactCache()
         metrics = Metrics()
         warm = evaluate_tool("func-ptr", binary, oracle, cycles,
-                             metrics=metrics, cache=cache, jobs=2)
+                             metrics=metrics, cache=cache)
         assert warm.passed and warm.degraded_functions >= 1
-        plan = plan_chaos(build_cfg(binary), report=1,
-                          worker_crashes=1, corrupt_cache=1)
+        plan = plan_chaos(build_cfg(binary), report=1, corrupt_cache=1)
         run = evaluate_tool("func-ptr", binary, oracle, cycles,
-                            metrics=metrics, cache=cache, jobs=2,
-                            faults=plan)
+                            metrics=metrics, cache=cache, faults=plan)
         assert run.passed
         assert run.coverage < 1.0
         assert run.degraded_functions >= warm.degraded_functions

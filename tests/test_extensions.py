@@ -196,8 +196,7 @@ class TestCli:
     def test_chaos_smoke(self, capsys):
         from repro.cli import main
         rc = main(["chaos", "--workload", "602.sgcc_s", "--report", "1",
-                   "--underapprox", "1", "--worker-crashes", "1",
-                   "--jobs", "4"])
+                   "--underapprox", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "survived" in out

@@ -1,13 +1,10 @@
 """The incremental pipeline: content-addressed artifact cache,
-per-function work units, and parallel batch rewriting.
+per-function work units, and batch rewriting.
 
-Covers the two acceptance properties of the subsystem:
-
-* a warm-cache rewrite performs **zero** CFG constructions (proven via
-  the ``cfg.constructions`` / ``cache.*`` metrics) and its output is
-  byte-identical to the cold-cache serial rewrite;
-* ``jobs=4`` produces byte-for-byte the same ``.instr``/``.ra_map``
-  sections as ``jobs=1``.
+Covers the subsystem's acceptance property: a warm-cache rewrite
+performs **zero** CFG constructions (proven via the
+``cfg.constructions`` / ``cache.*`` metrics) and its output is
+byte-identical to the cold-cache rewrite.
 """
 
 import pickle
@@ -17,9 +14,6 @@ import pytest
 from repro.core import (
     ArtifactCache,
     IncrementalRewriter,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
     stable_digest,
 )
 from repro.core.cache import ARTIFACT_VERSIONS, MISS
@@ -33,17 +27,10 @@ def binary():
     return compiled(small_program("c"), "x86")
 
 
-def _section(out, name):
-    for sec in out.sections:
-        if sec.name == name:
-            return bytes(sec.data)
-    return None
-
-
-def _rewrite(binary, cache=None, jobs=1, executor=None, mode="jt"):
+def _rewrite(binary, cache=None, mode="jt"):
     metrics = Metrics()
-    rewriter = IncrementalRewriter(mode=mode, cache=cache, jobs=jobs,
-                                   executor=executor, metrics=metrics)
+    rewriter = IncrementalRewriter(mode=mode, cache=cache,
+                                   metrics=metrics)
     out, report = rewriter.rewrite(binary)
     return out, report, metrics
 
@@ -134,26 +121,6 @@ class TestArtifactCache:
         assert cache.get("cfg", key)[1] == "v"
 
 
-class TestExecutors:
-    def test_serial_for_one_job(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(0), SerialExecutor)
-        assert isinstance(make_executor(None), SerialExecutor)
-
-    def test_pool_preserves_submission_order(self):
-        ex = make_executor(4, "thread")
-        try:
-            assert isinstance(ex, PoolExecutor)
-            assert ex.map(lambda x: x * x, range(10)) == \
-                [x * x for x in range(10)]
-        finally:
-            ex.close()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor(2, "fibers")
-
-
 class TestWarmCacheRewrite:
     def test_second_rewrite_runs_zero_constructions(self, binary):
         cache = ArtifactCache()
@@ -207,113 +174,6 @@ class TestWarmCacheRewrite:
         assert (result.exit_code, result.output) == (code, output)
 
 
-class TestParallelDeterminism:
-    def test_jobs4_matches_jobs1_byte_for_byte(self, binary):
-        out_serial, _, _ = _rewrite(binary, jobs=1)
-        out_parallel, _, _ = _rewrite(binary, jobs=4)
-        assert _section(out_serial, ".instr") == \
-            _section(out_parallel, ".instr")
-        assert _section(out_serial, ".ra_map") == \
-            _section(out_parallel, ".ra_map")
-        assert out_serial.to_bytes() == out_parallel.to_bytes()
-
-    def test_same_binary_twice_both_executors_identical(self, binary):
-        """Determinism regression: every (run, executor) combination
-        yields the same .instr/.ra_map bytes."""
-        images = []
-        for _ in range(2):
-            for jobs in (1, 4):
-                out, _, _ = _rewrite(binary, jobs=jobs)
-                images.append((_section(out, ".instr"),
-                               _section(out, ".ra_map")))
-        assert len({img for img in images}) == 1
-
-    def test_parallel_with_warm_cache_identical(self, binary):
-        cache = ArtifactCache()
-        out_cold, _, _ = _rewrite(binary, cache=cache, jobs=4)
-        out_warm, _, _ = _rewrite(binary, cache=cache, jobs=4)
-        assert out_cold.to_bytes() == out_warm.to_bytes()
-
-    def test_explicit_executor_is_not_closed(self, binary):
-        ex = make_executor(2, "thread")
-        try:
-            out1, _, _ = _rewrite(binary, executor=ex)
-            out2, _, _ = _rewrite(binary, executor=ex)   # still usable
-            assert out1.to_bytes() == out2.to_bytes()
-        finally:
-            ex.close()
-
-
-class TestWorkerAccounting:
-    """Fleet-accurate accounting: workers run each task under a fresh
-    registry and ship its deltas back for merge
-    (:func:`repro.core.pipeline.run_accounted`), so ``worker.*`` and
-    ``cache.*`` totals never depend on which executor ran the work —
-    the property rewrite records stand on."""
-
-    def test_jobs2_counters_match_serial(self, binary):
-        _, _, serial = _rewrite(binary, cache=ArtifactCache(), jobs=1)
-        _, _, pooled = _rewrite(binary, cache=ArtifactCache(), jobs=2)
-        assert serial.counter_values("cache.") == \
-            pooled.counter_values("cache.")
-        assert serial.counter_values("worker.") == \
-            pooled.counter_values("worker.")
-        assert pooled.counter_values("worker.")["worker.tasks"] > 0
-
-    def test_process_pool_counters_match_serial(self, binary):
-        # The tasks execute in worker *processes*: their accounting
-        # must come back over the result pipe, and nothing may crash
-        # (the old bound-method submission could not even pickle).
-        _, _, serial = _rewrite(binary, jobs=1)
-        metrics = Metrics()
-        rewriter = IncrementalRewriter(mode="jt", jobs=2,
-                                       executor_kind="process",
-                                       metrics=metrics)
-        out, _ = rewriter.rewrite(binary)
-        out_serial, _, _ = _rewrite(binary, jobs=1)
-        assert out.to_bytes() == out_serial.to_bytes()
-        assert metrics.counter_values("worker.") == \
-            serial.counter_values("worker.")
-        assert metrics.counter_values("worker.").get(
-            "worker.crashes", 0) == 0
-
-    def test_worker_metrics_outside_task_is_null(self):
-        from repro.core.pipeline import worker_metrics
-        from repro.obs import NULL_METRICS
-        assert worker_metrics() is NULL_METRICS
-
-    def test_run_accounted_ships_task_recordings(self):
-        from repro.core.pipeline import run_accounted, worker_metrics
-
-        def task(x):
-            worker_metrics().inc("custom.ticks", x)
-            return x * 2
-
-        value, deltas = run_accounted(task, 3)
-        assert value == 6
-        assert deltas["counters"]["worker.tasks"] == 1
-        assert deltas["counters"]["custom.ticks"] == 3
-        assert deltas["observations"]["worker.task_seconds"]
-        # The per-task registry is gone once the task finished.
-        from repro.core.pipeline import worker_metrics as wm
-        from repro.obs import NULL_METRICS as null
-        assert wm() is null
-
-    def test_merge_deltas_roundtrip(self):
-        src = Metrics()
-        src.inc("a.count", 3)
-        src.set_gauge("a.gauge", 7)
-        src.observe("a.hist", 1.5)
-        src.observe("a.hist", 2.5)
-        dst = Metrics()
-        dst.inc("a.count", 1)
-        dst.merge_deltas(src.deltas())
-        assert dst.counter_values()["a.count"] == 4
-        assert dst.gauge("a.gauge").value == 7
-        hist = dst.histogram("a.hist")
-        assert hist.count == 2 and hist.total == 4.0
-
-
 class TestWorkItems:
     def test_work_items_carry_artifacts_and_provenance(self, binary):
         cache = ArtifactCache()
@@ -345,9 +205,9 @@ class TestHarnessCacheAccounting:
         cache = ArtifactCache()
         metrics = Metrics()
         r1 = evaluate_tool("jt", binary, oracle, cycles, metrics=metrics,
-                           cache=cache, jobs=2)
+                           cache=cache)
         r2 = evaluate_tool("jt", binary, oracle, cycles, metrics=metrics,
-                           cache=cache, jobs=2)
+                           cache=cache)
         assert r1.passed and r2.passed
         assert r1.cache_hits == 0 and r1.cache_misses > 0
         assert r2.cache_misses == 0
@@ -373,10 +233,10 @@ class TestCliPipeline:
         assert main(["rewrite", "--workload", "no_such_workload"]) == \
             EXIT_LOAD_ERROR
 
-    def test_rewrite_with_jobs_and_cache_dir(self, tmp_path, capsys):
+    def test_rewrite_with_cache_dir(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "rw.bin"
-        rc = main(["rewrite", "--workload", "619.lbm_s", "--jobs", "2",
+        rc = main(["rewrite", "--workload", "619.lbm_s",
                    "--cache-dir", str(tmp_path / "cache"),
                    "-o", str(out)])
         assert rc == 0
@@ -387,7 +247,7 @@ class TestCliPipeline:
                                          monkeypatch):
         from repro.cli import main
         monkeypatch.chdir(tmp_path)   # the default record ledger
-        rc = main(["batch", "619.lbm_s", "--repeat", "2", "--jobs", "2"])
+        rc = main(["batch", "619.lbm_s", "--repeat", "2"])
         assert rc == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.startswith("619.lbm_s")]

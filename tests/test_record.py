@@ -2,7 +2,7 @@
 
 Covers the acceptance properties of the subsystem:
 
-* every rewrite (serial, pooled, cached — and failed) emits one
+* every rewrite (fresh, cached — and failed) emits one
   schema-versioned, content-addressed record whose accounting matches
   the run, and records of the same input agree on the output digest;
 * on request a successful rewrite's record carries the atlas section —
@@ -144,12 +144,13 @@ class TestRecordEmission:
         assert record.arch == "x86" and record.mode == "jt"
         assert record.input_digest != record.output_digest
         assert record.options["mode"] == "jt"
-        assert record.options["jobs"] == 1
+        assert "jobs" not in record.options
+        assert "executor" not in record.options
         # Per-stage wall times come off the trace span tree.
         assert "cfg-construction" in record.stages
         assert record.stages["cfg-construction"]["seconds"] >= 0
-        # Worker accounting comes off the merged metric deltas.
-        assert record.workers["tasks"] > 0
+        # No worker-fleet section: analyses run in the orchestrator.
+        assert "workers" not in record.to_dict()
         # The report's trampoline/trap shape rides along.
         assert record.trampolines == report.trampolines
         assert record.traps == report.traps
@@ -222,31 +223,17 @@ class TestRecordEmission:
             record.mode = "tampered"
         assert not record.verify(rid)
 
-    def test_serial_pool_and_cached_runs_agree_on_output(self, binary):
+    def test_serial_and_cached_runs_agree_on_output(self, binary):
         records = []
         cache = ArtifactCache()
-        for kwargs in ({"jobs": 1}, {"jobs": 2}, {"cache": cache},
-                       {"cache": cache}):
+        for kwargs in ({}, {"cache": cache}, {"cache": cache}):
             _rewrite(binary, records.append, metrics=Metrics(), **kwargs)
         digests = {r.output_digest for r in records}
         assert len(digests) == 1
         # ...and the warm run's record shows the cache paying off.
-        cold, warm = records[2], records[3]
+        cold, warm = records[1], records[2]
         assert cold.cache["misses"] > 0 and cold.cache["hits"] == 0
         assert warm.cache["hits"] > 0 and warm.cache["misses"] == 0
-
-    @pytest.mark.parametrize("executor_kind", ["thread", "process"])
-    def test_jobs2_record_counters_match_serial(self, binary,
-                                                executor_kind):
-        serial = _record(binary, cache=ArtifactCache(), jobs=1)
-        pooled = _record(binary, cache=ArtifactCache(), jobs=2,
-                         executor_kind=executor_kind)
-        assert serial.workers.keys() == pooled.workers.keys()
-        assert serial.workers["tasks"] == pooled.workers["tasks"]
-        assert serial.cache["hits"] == pooled.cache["hits"]
-        assert serial.cache["misses"] == pooled.cache["misses"]
-        assert serial.cache["stores"] == pooled.cache["stores"]
-        assert serial.cache.get("by_kind") == pooled.cache.get("by_kind")
 
     def test_failed_rewrite_still_emits_a_record(self):
         # SrbiRewriter inherits record support and refuses C++ binaries
@@ -503,6 +490,50 @@ class TestLedger:
         assert summary["records"] == [records[0].record_id]
         assert summary["outcomes"] == {"ok": 1}
 
+    def test_lines_with_worker_accounting_still_load(self, binary,
+                                                     tmp_path, capsys):
+        # Ledgers written while analyses could run on a worker pool
+        # carry a `workers` section, `jobs`/`executor` options and a
+        # fleet row with `worker_tasks`.  They load, render and count;
+        # the id is recomputed without `workers`, so it no longer
+        # matches the one stored on the line.
+        from repro.cli import main
+
+        old = _record(binary).to_dict()
+        old["options"].update(jobs=2, executor="thread")
+        old["workers"] = {"tasks": 26, "task_seconds": 0.0045}
+        old["record_id"] = "0" * 64
+        fleet = {"schema": FLEET_SCHEMA, "records": [old["record_id"]],
+                 "workloads": ["unit"], "outcomes": {"ok": 1},
+                 "total_seconds": old["total_seconds"],
+                 "cache": {"hits": 0, "misses": 0}, "worker_tasks": 26,
+                 "unix_time": old["unix_time"]}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(old) + "\n" + json.dumps(fleet) + "\n")
+
+        ledger = RecordLedger(str(path))
+        records = ledger.load()
+        assert len(records) == 1 and ledger.skipped == 0
+        assert len(ledger.summaries) == 1
+        record = records[0]
+        assert record.options["jobs"] == 2
+        assert record.record_id != old["record_id"]
+        assert "workers" not in record.to_dict()
+
+        assert main(["record", "list", "--ledger", str(path)]) == 0
+        listing = capsys.readouterr().out
+        assert "1 record(s), 1 fleet summary" in listing
+        assert record.short_id in listing
+        assert main(["record", "show", record.short_id,
+                     "--ledger", str(path)]) == 0
+        shown = capsys.readouterr().out
+        assert "jobs=2" in shown and "workers" not in shown
+
+        row = fleet_summary(records)
+        assert row["records"] == [record.record_id]
+        assert row["outcomes"] == {"ok": 1}
+        assert "worker_tasks" not in row
+
     @pytest.mark.parametrize("atlas", [False, True],
                              ids=["plain", "atlas"])
     def test_find_by_prefix_latest_and_ambiguity(self, binary, tmp_path,
@@ -737,8 +768,7 @@ class TestCli:
                                                    capsys):
         from repro.cli import main
 
-        assert main(["batch", "619.lbm_s", "--repeat", "2",
-                     "--jobs", "2"]) == 0
+        assert main(["batch", "619.lbm_s", "--repeat", "2"]) == 0
         capsys.readouterr()
         ledger = RecordLedger(str(tmp_path / "RECORDS.jsonl"))
         records = ledger.load()
