@@ -1,8 +1,8 @@
 """Incremental pipeline payoff: warm-cache rewrites must skip analysis.
 
 The artifact cache's value proposition is that a second rewrite of an
-unchanged binary performs zero CFG constructions and measurably less
-analysis work.  This bench rewrites a reference workload cold and then
+unchanged binary performs zero CFG constructions and pointer scans,
+served by one lookup per cached stage.  This bench rewrites a reference workload cold and then
 warm through one shared :class:`ArtifactCache`, asserts the warm run is
 construction-free, and registers both timings (plus the cache's own
 accounting and the cold rewrite's peak traced memory) as a
@@ -44,9 +44,11 @@ def test_warm_cache_rewrite(benchmark, print_section, runtime_records):
     warm_metrics = Metrics()
     _rewrite(binary, cache, warm_metrics)
 
-    # The acceptance property: a warm rewrite constructs nothing.
+    # The acceptance property: a warm rewrite constructs nothing, and
+    # makes exactly one lookup per cached stage (cfg, funcptr).
     assert warm_metrics.counter("cfg.constructions").value == 0
     assert warm_metrics.counter("cache.misses").value == 0
+    assert warm_metrics.counter("cache.hits").value == 2
 
     counters = cold_metrics.counter_values()
     record = {

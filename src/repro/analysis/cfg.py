@@ -188,16 +188,19 @@ class FunctionCFG:
 
 
 class BinaryCFG:
-    """Whole-binary CFG: all functions plus global lookup."""
+    """Whole-binary CFG: all functions plus global lookup.
 
-    def __init__(self, binary):
-        self.binary = binary
+    Holds no reference to the binary, so it pickles on its own (the
+    rewriter caches it whole as the ``cfg`` stage artifact).
+    """
+
+    def __init__(self):
         self.functions = {}   # entry addr -> FunctionCFG
         self.by_name = {}
-        #: entry addr -> FunctionWorkItem (see repro.core.pipeline);
-        #: populated by build_cfg, carries per-function artifacts and
-        #: their cache provenance through the pipeline stages
-        self.work_items = {}
+        #: entry addr -> instructions decoded by its construction
+        self.instructions = {}
+        #: entry addr -> its construction's wall seconds
+        self.seconds = {}
 
     def add(self, fcfg):
         self.functions[fcfg.entry] = fcfg

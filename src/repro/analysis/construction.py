@@ -20,15 +20,14 @@ Per-function failures are *contained*: a failed function is recorded with
 property that distinguishes incremental CFG patching from all-or-nothing
 IR lowering.
 
-Construction is decomposed into per-function work units.
 :func:`build_function_cfg` is the side-effect-free per-function entry
-point: a pure function of the binary image, the function identity and the
-construction options.  :func:`build_cfg` orchestrates it over waves of a
-discovery worklist (call targets found inside one wave seed the next),
-optionally consulting a content-addressed artifact cache (see
-:mod:`repro.core.pipeline`) before building.  Cached and fresh runs
-produce identical CFGs: results are merged in deterministic worklist
-order, and cache hits are fresh unpickled copies.
+point: a pure function of the binary image, the function identity and
+the construction options.  :func:`build_cfg` runs it over waves of a
+discovery worklist (call targets found inside one wave seed the next)
+in deterministic worklist order.  The result is a pure function of the
+image and the options, which is what lets the rewriter cache the whole
+stage (see :mod:`repro.core.cache`); :func:`record_cfg` replays the
+stage's counters and failure events from the CFG alone.
 """
 
 import time
@@ -81,10 +80,9 @@ def build_function_cfg(binary, name, entry, range_end=None,
 
     A pure function of the binary image, the function identity
     ``(name, entry, range_end, pad_handlers)`` and the construction
-    options: no shared state is read or written, so constructions for
-    different functions may run concurrently and their results may be
-    cached content-addressed.  Returns ``(fcfg, discovered_calls,
-    instruction_count)`` with the discovered call targets sorted.
+    options: no shared state is read or written.  Returns ``(fcfg,
+    discovered_calls, instruction_count)`` with the discovered call
+    targets sorted.
     """
     options = options or ConstructionOptions()
     spec = spec if spec is not None else get_arch(binary.arch_name)
@@ -95,15 +93,6 @@ def build_function_cfg(binary, name, entry, range_end=None,
     if name in RUNTIME_SUPPORT_FUNCS:
         fcfg.is_runtime_support = True
     return fcfg, tuple(sorted(discovered_calls)), len(builder.insn_at)
-
-
-def _construct_work(binary, name, entry, range_end, pad_handlers,
-                    options):
-    """Build one function's CFG, timed: ``(result, seconds)``."""
-    t0 = time.perf_counter()
-    result = build_function_cfg(binary, name, entry, range_end,
-                                pad_handlers, options)
-    return result, time.perf_counter() - t0
 
 
 def initial_seeds(binary):
@@ -117,118 +106,73 @@ def initial_seeds(binary):
     return seeds
 
 
-def build_cfg(binary, options=None, tracer=None, metrics=None,
-              cache=None):
+def build_cfg(binary, options=None, tracer=None, metrics=None):
     """Build the whole-binary CFG by orchestrating per-function units.
 
-    ``tracer``/``metrics`` (see :mod:`repro.obs`) record per-function
-    construction counters, a ``pipeline-analysis`` span per work unit,
-    and one ``analysis-failure`` event per contained failure, with its
-    Figure-2 category.
-
-    ``cache`` is an :class:`repro.core.cache.ArtifactCache` (or an
-    already-bound :class:`repro.core.pipeline.AnalysisCacheView`):
-    per-function constructions are looked up by content digest before
-    being built, so a second run over an unchanged binary performs zero
-    constructions.  The worklist barrier between discovery waves is the
-    only cross-function state.
+    Functions are built over waves of a discovery worklist (call
+    targets found in one wave seed the next), each under a
+    ``pipeline-analysis`` span and counted in ``cfg.constructions``
+    (``tracer``/``metrics``, see :mod:`repro.obs`).  Each function's
+    instruction count and construction seconds land on the returned
+    :class:`BinaryCFG`, from which :func:`record_cfg` derives the
+    stage's counters and failure events.
     """
-    from repro.core.cache import MISS
-    from repro.core.pipeline import (
-        AnalysisCacheView,
-        analysis_cache_view,
-        record_completed_span,
-        work_item_for,
-    )
-
     options = options or ConstructionOptions()
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_METRICS
-    if cache is not None and not isinstance(cache, AnalysisCacheView):
-        cache = analysis_cache_view(cache, binary, binary.arch_name,
-                                    options, metrics)
-    cfg = BinaryCFG(binary)
+    cfg = BinaryCFG()
 
     seeds = initial_seeds(binary)
     pads_by_owner = _landing_pads_by_owner(binary, seeds)
 
+    # Every entry enters ``pending`` once: ``seeds`` gates discovery.
     pending = sorted(seeds)
-    visited = set()
     while pending:
-        wave = [e for e in pending if e not in visited]
-        visited.update(wave)
-        pending = []
-
-        items = []
+        wave, pending = pending, []
         for entry in wave:
             name, range_end = seeds[entry]
-            items.append(work_item_for(
-                binary, name, entry, range_end,
-                pads_by_owner.get(entry, ()),
-            ))
-
-        # Consult the cache first; only misses are constructed.
-        hits = {}
-        keys = {}
-        misses = []
-        for item in items:
-            if cache is None:
-                misses.append(item)
-                continue
-            value, key, seconds = cache.fetch("cfg", item.key_parts())
-            keys[item.entry] = key
-            if value is MISS:
-                misses.append(item)
-            else:
-                hits[item.entry] = value
-                item.seconds["cfg"] = seconds
-        for item in misses:
-            result, seconds = _construct_work(
-                binary, item.name, item.entry, item.range_end,
-                item.pad_handlers, options)
+            with tracer.span("pipeline-analysis", function=name,
+                             artifact="cfg"):
+                t0 = time.perf_counter()
+                fcfg, discovered_calls, insn_count = build_function_cfg(
+                    binary, name, entry, range_end,
+                    pads_by_owner.get(entry, ()), options)
+                cfg.seconds[entry] = time.perf_counter() - t0
             metrics.inc("cfg.constructions")
-            item.cached["cfg"] = False
-            item.seconds["cfg"] = seconds
-            hits[item.entry] = result
-            if cache is not None:
-                cache.store("cfg", keys[item.entry], result, seconds)
-
-        # Merge in wave order — deterministic whatever the cache served.
-        for item in items:
-            fcfg, discovered_calls, insn_count = hits[item.entry]
-            item.cfg = fcfg
-            item.discovered_calls = discovered_calls
-            item.instructions = insn_count
-            item.cached.setdefault("cfg", True)
+            cfg.instructions[entry] = insn_count
             cfg.add(fcfg)
-            cfg.work_items[item.entry] = item
-            cached = item.cached["cfg"]
-            record_completed_span(
-                tracer, "pipeline-analysis",
-                0.0 if cached else item.seconds.get("cfg", 0.0),
-                function=item.name, artifact="cfg", cached=cached,
-                **({"seconds_saved": item.seconds["cfg"]} if cached
-                   else {}),
-            )
-            metrics.inc("cfg.functions")
-            if fcfg.failed is not None:
-                metrics.inc("cfg.functions_failed")
-                tracer.event(
-                    "analysis-failure",
-                    function=fcfg.name,
-                    reason=fcfg.failed,
-                    category=classify_failure(fcfg.failed),
-                )
-            else:
-                metrics.inc("cfg.blocks", len(fcfg.blocks))
-                metrics.inc("cfg.instructions", insn_count)
-                metrics.inc("cfg.jump_tables", len(fcfg.jump_tables))
             for target in discovered_calls:
                 if target not in seeds:
                     seeds[target] = (f"func_{target:x}", None)
                     pending.append(target)
-    tracer.count("functions", len(visited))
     return cfg
+
+
+def record_cfg(cfg, tracer=None, metrics=None):
+    """The construction stage's accounting, read off a built CFG.
+
+    Per-function ``cfg.*`` counters, one ``analysis-failure`` event per
+    contained failure (with its Figure-2 category) and the stage's
+    ``functions`` count, in construction order — the same whether
+    :func:`build_cfg` just ran or the CFG came from a cache.
+    """
+    tracer = tracer if tracer is not None else NULL_TRACER
+    metrics = metrics if metrics is not None else NULL_METRICS
+    for fcfg in cfg:
+        metrics.inc("cfg.functions")
+        if fcfg.failed is not None:
+            metrics.inc("cfg.functions_failed")
+            tracer.event(
+                "analysis-failure",
+                function=fcfg.name,
+                reason=fcfg.failed,
+                category=classify_failure(fcfg.failed),
+            )
+        else:
+            metrics.inc("cfg.blocks", len(fcfg.blocks))
+            metrics.inc("cfg.instructions", cfg.instructions[fcfg.entry])
+            metrics.inc("cfg.jump_tables", len(fcfg.jump_tables))
+    tracer.count("functions", len(cfg.functions))
 
 
 def _landing_pads_by_owner(binary, seeds):

@@ -30,14 +30,14 @@ binary):
 * pointer arithmetic with a non-constant amount;
 * the same slot written with conflicting deltas.
 
-Like CFG construction, the analysis decomposes into per-function work
-units: :func:`scan_function_pointers` is the side-effect-free
-per-function entry point (a pure function of the function's CFG plus
-the whole-binary inputs it closes over — the entry set, text range and
-known data slots, all themselves determined by the binary image), and
-:func:`analyze_function_pointers` orchestrates it with optional
-content-addressed caching, merging partial results in address order so
-cached and fresh scans yield the same verdict.
+:func:`scan_function_pointers` is the side-effect-free per-function
+code scan (a pure function of the function's CFG plus the whole-binary
+inputs it closes over — the entry set, text range and known data slots,
+all themselves determined by the binary image).
+:func:`analyze_function_pointers` runs the whole-binary data-slot scan,
+then each function's code scan, merging the partial results in address
+order; its :class:`FuncPtrAnalysis` is what the rewriter caches as one
+stage artifact.
 """
 
 import time
@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.symeval import Bin, BlockEval, Const, Input, Load
+from repro.obs import NULL_TRACER
 from repro.isa.insn import Mem
 from repro.isa.registers import SP
 
@@ -93,6 +94,8 @@ class FuncPtrAnalysis:
     #: ladder (func-ptr -> jt -> dir -> skip) instead of a whole-binary
     #: abort.
     imprecise_by_function: dict = field(default_factory=dict)
+    #: {function name: its code scan's wall seconds}
+    seconds: dict = field(default_factory=dict)
 
     def implicate(self, function_name, reason):
         self.imprecise_by_function.setdefault(function_name,
@@ -147,7 +150,7 @@ def classify_precision(reasons):
 
 @dataclass
 class FunctionPtrScan:
-    """Per-function partial result (the cacheable ``funcptr`` artifact)."""
+    """One function's code-scan result, merged into a FuncPtrAnalysis."""
 
     code_defs: list = field(default_factory=list)
     derived_defs: list = field(default_factory=list)
@@ -173,59 +176,34 @@ def scan_function_pointers(binary, spec, fcfg, entries, text_lo, text_hi,
     return partial
 
 
-def _funcptr_work(binary, spec, fcfg, entries, text_lo, text_hi,
-                  known_slots):
-    """Scan one function, timed: ``(FunctionPtrScan, seconds)``."""
-    t0 = time.perf_counter()
-    partial = scan_function_pointers(binary, spec, fcfg, entries,
-                                     text_lo, text_hi, known_slots)
-    return partial, time.perf_counter() - t0
-
-
-def analyze_function_pointers(binary, cfg, spec, cache=None,
-                              tracer=None, metrics=None):
+def analyze_function_pointers(binary, cfg, spec, tracer=None):
     """Whole-binary function-pointer analysis; returns FuncPtrAnalysis.
 
-    The whole-binary data-slot scan and each function's code scan are
-    separately cacheable artifacts (``cache`` is an
-    :class:`repro.core.cache.ArtifactCache` or a bound
-    :class:`repro.core.pipeline.AnalysisCacheView`).  Partial results
-    merge in address order, so the outcome is independent of cache
-    state.
+    The data-slot scan runs first (its slots feed the code scans); each
+    function's code scan then runs under a ``pipeline-analysis`` span
+    and merges in address order.
     """
-    from repro.core.cache import MISS
-    from repro.core.pipeline import AnalysisCacheView, analysis_cache_view
-    from repro.obs import NULL_METRICS, NULL_TRACER
-
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
-    if cache is not None and not isinstance(cache, AnalysisCacheView):
-        cache = analysis_cache_view(cache, binary, binary.arch_name,
-                                    None, metrics)
-
     entries = _function_entries(binary, cfg)
     text_lo, text_hi = binary.metadata.get(
         "text_range", _text_range(binary)
     )
+    tracer = tracer if tracer is not None else NULL_TRACER
     result = FuncPtrAnalysis(precise=True)
+    _scan_data_slots(binary, entries, text_lo, text_hi, result)
 
-    # Whole-binary data-slot scan: one artifact, serial by nature (it
-    # walks relocations and writable sections, not functions).
-    data_key = None
-    if cache is not None:
-        value, data_key, _seconds = cache.fetch("funcptr-data", ("data",))
-        if value is not MISS:
-            result.data_defs = value
-        else:
+    known_slots = frozenset(d.slot for d in result.data_defs)
+    for fcfg in cfg.ok_functions():
+        with tracer.span("pipeline-analysis", function=fcfg.name,
+                         artifact="funcptr"):
             t0 = time.perf_counter()
-            _scan_data_slots(binary, entries, text_lo, text_hi, result)
-            cache.store("funcptr-data", data_key, result.data_defs,
-                        time.perf_counter() - t0)
-    else:
-        _scan_data_slots(binary, entries, text_lo, text_hi, result)
-
-    _scan_code(binary, cfg, spec, entries, text_lo, text_hi, result,
-               cache=cache, tracer=tracer)
+            partial = scan_function_pointers(binary, spec, fcfg, entries,
+                                             text_lo, text_hi, known_slots)
+            result.seconds[fcfg.name] = time.perf_counter() - t0
+        result.code_defs.extend(partial.code_defs)
+        result.derived_defs.extend(partial.derived_defs)
+        result.reasons.extend(partial.reasons)
+        for reason in partial.reasons:
+            result.implicate(fcfg.name, reason)
 
     # Conflicting deltas through one slot make redirection ambiguous.
     # The reason implicates the slot's *target* function: its entry may
@@ -299,61 +277,6 @@ def _scan_data_slots(binary, entries, text_lo, text_hi, result):
                 result.data_defs.append(
                     DataSlotDef(addr, target, delta, None)
                 )
-
-
-def _scan_code(binary, cfg, spec, entries, text_lo, text_hi, result,
-               cache=None, tracer=None):
-    """Per-function code scans, cached, merged in address order into
-    ``result``."""
-    from repro.core.cache import MISS
-    from repro.core.pipeline import record_completed_span
-    from repro.obs import NULL_TRACER
-
-    tracer = tracer if tracer is not None else NULL_TRACER
-
-    known_slots = frozenset(d.slot for d in result.data_defs)
-    functions = [f for f in cfg.sorted_functions() if f.ok]
-
-    partials = {}
-    pending = []
-    keys = {}
-    for fcfg in functions:
-        if cache is not None:
-            item = cfg.work_items.get(fcfg.entry)
-            parts = (item.key_parts() if item is not None
-                     else (fcfg.name, fcfg.entry, fcfg.range_end))
-            value, key, seconds = cache.fetch("funcptr-fn", parts)
-            keys[fcfg.entry] = key
-            if value is not MISS:
-                partials[fcfg.entry] = (value, seconds, True)
-                continue
-        pending.append(fcfg)
-
-    for fcfg in pending:
-        partial, seconds = _funcptr_work(binary, spec, fcfg, entries,
-                                         text_lo, text_hi, known_slots)
-        partials[fcfg.entry] = (partial, seconds, False)
-        if cache is not None:
-            cache.store("funcptr-fn", keys[fcfg.entry], partial, seconds)
-
-    # Merge in address order, whichever scans the cache served.
-    for fcfg in functions:
-        partial, seconds, cached = partials[fcfg.entry]
-        result.code_defs.extend(partial.code_defs)
-        result.derived_defs.extend(partial.derived_defs)
-        result.reasons.extend(partial.reasons)
-        for reason in partial.reasons:
-            result.implicate(fcfg.name, reason)
-        item = cfg.work_items.get(fcfg.entry)
-        if item is not None:
-            item.funcptr = partial
-            item.cached["funcptr-fn"] = cached
-            item.seconds["funcptr-fn"] = seconds
-        record_completed_span(
-            tracer, "pipeline-analysis", 0.0 if cached else seconds,
-            function=fcfg.name, artifact="funcptr", cached=cached,
-            **({"seconds_saved": seconds} if cached else {}),
-        )
 
 
 def _scan_block(binary, spec, block, entries, text_lo, text_hi,

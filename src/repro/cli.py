@@ -85,6 +85,18 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+def _positive_int(text):
+    """argparse type: an integer >= 1 (anything else is a usage error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_workload(name, arch, pie=False):
     if name in _APP_WORKLOADS:
         if arch != "x86":
@@ -255,9 +267,9 @@ def cmd_rewrite(args):
 def cmd_batch(args):
     """Rewrite a list of workloads through one shared artifact cache.
 
-    The batch is where the incremental pipeline pays off: every workload
-    after the first (and every ``--repeat`` round) reuses cached
-    per-function artifacts.
+    Every ``--repeat`` round after the first is served the cfg and
+    funcptr stages of each binary from the cache (only a byte-identical
+    binary hits).
 
     Unless ``--no-records``, every rewrite (failed ones included)
     appends a :class:`~repro.obs.RewriteRecord` to the ledger at
@@ -650,7 +662,7 @@ def build_parser():
     p.add_argument("--pie", action="store_true")
     p.add_argument("--mode", default="jt",
                    choices=[m.value for m in RewriteMode])
-    p.add_argument("--repeat", type=int, default=1, metavar="N",
+    p.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                    help="rewrite the whole list N times (cache-reuse "
                         "rounds)")
     p.add_argument("--out-dir", metavar="DIR",
@@ -745,9 +757,9 @@ def build_parser():
     )
     p.add_argument("original")
     p.add_argument("rewritten")
-    p.add_argument("--ring", type=int, default=64,
+    p.add_argument("--ring", type=_positive_int, default=64,
                    help="per-side block-ring size (default 64)")
-    p.add_argument("--max-steps", type=int, default=5_000_000,
+    p.add_argument("--max-steps", type=_positive_int, default=5_000_000,
                    help="per-side dynamic instruction budget")
     p.add_argument("--json", metavar="FILE",
                    help="also write the forensics bundle as JSON")

@@ -17,16 +17,9 @@ from repro.core.modes import (
     RewriteMode,
     ladder_rung,
 )
-from repro.core.pipeline import (
-    AnalysisCacheView,
-    FunctionWorkItem,
-    analysis_cache_view,
-)
 from repro.core.placement import (
-    PlacementFragment,
     PlacementResult,
     Superblock,
-    place_in_function,
     place_trampolines,
 )
 from repro.core.relocate import Relocator
@@ -62,13 +55,8 @@ __all__ = [
     "ArtifactCache",
     "ARTIFACT_VERSIONS",
     "stable_digest",
-    "AnalysisCacheView",
-    "analysis_cache_view",
-    "FunctionWorkItem",
     "place_trampolines",
-    "place_in_function",
     "PlacementResult",
-    "PlacementFragment",
     "Superblock",
     "Relocator",
     "ScratchPool",

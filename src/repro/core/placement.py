@@ -16,6 +16,8 @@ The analysis also collects the three scratch-space pools of Section 7:
 import bisect
 from dataclasses import dataclass, field
 
+from repro.obs import NULL_TRACER
+
 
 @dataclass
 class Superblock:
@@ -31,15 +33,6 @@ class Superblock:
 
 
 @dataclass
-class PlacementFragment:
-    """One function's placement artifact (cacheable per work item)."""
-
-    cfl_blocks: frozenset = frozenset()
-    superblocks: list = field(default_factory=list)
-    scratch_ranges: list = field(default_factory=list)
-
-
-@dataclass
 class PlacementResult:
     """All trampoline sites plus the scratch pool."""
 
@@ -50,28 +43,9 @@ class PlacementResult:
     cfl_by_function: dict = field(default_factory=dict)
 
 
-def place_in_function(fcfg, cfl_blocks):
-    """Side-effect-free per-function placement: the CFL set, superblocks
-    and scratch ranges of one function as a :class:`PlacementFragment`."""
-    fragment = PlacementFragment(cfl_blocks=frozenset(cfl_blocks))
-    _place_in_function(fcfg, fragment.cfl_blocks, fragment)
-    return fragment
-
-
-def place_trampolines(cfg, cfl, relocated=None, cache=None, tracer=None):
-    """Run the placement analysis over every relocated function.
-
-    With ``cache`` (an :class:`repro.core.pipeline.AnalysisCacheView`
-    whose prefix already pins the mode-dependent inputs), each
-    function's fragment is fetched or computed-and-stored; fragments
-    merge in address order either way.
-    """
-    import time as _time
-
-    from repro.core.cache import MISS
-    from repro.core.pipeline import record_completed_span
-    from repro.obs import NULL_TRACER
-
+def place_trampolines(cfg, cfl, relocated=None, tracer=None):
+    """Run the placement analysis over every relocated function, in
+    address order, each function under a ``pipeline-analysis`` span."""
     tracer = tracer if tracer is not None else NULL_TRACER
     result = PlacementResult()
     relocated_set = cfl.relocated if relocated is None else relocated
@@ -80,39 +54,11 @@ def place_trampolines(cfg, cfl, relocated=None, cache=None, tracer=None):
             continue
         if fcfg.entry not in relocated_set:
             continue
-        item = cfg.work_items.get(fcfg.entry)
-        fragment = None
-        cached = False
-        seconds = 0.0
-        if cache is not None:
-            parts = ((item.key_parts() if item is not None
-                      else (fcfg.name, fcfg.entry, fcfg.range_end))
-                     + (cfl.entry_is_cfl(fcfg),
-                        str(cfl.effective_mode(fcfg)),
-                        tuple(sorted(cfl.extra_cfl_points.get(
-                            fcfg.name, ())))))
-            value, key, seconds = cache.fetch("placement", parts)
-            if value is not MISS:
-                fragment = value
-                cached = True
-        if fragment is None:
-            t0 = _time.perf_counter()
-            fragment = place_in_function(fcfg, cfl.cfl_blocks(fcfg))
-            seconds = _time.perf_counter() - t0
-            if cache is not None:
-                cache.store("placement", key, fragment, seconds)
-        result.cfl_by_function[fcfg.name] = set(fragment.cfl_blocks)
-        result.superblocks.extend(fragment.superblocks)
-        result.scratch_ranges.extend(fragment.scratch_ranges)
-        if item is not None:
-            item.placement = fragment
-            item.cached["placement"] = cached
-            item.seconds["placement"] = seconds
-        record_completed_span(
-            tracer, "pipeline-analysis", 0.0 if cached else seconds,
-            function=fcfg.name, artifact="placement", cached=cached,
-            **({"seconds_saved": seconds} if cached else {}),
-        )
+        with tracer.span("pipeline-analysis", function=fcfg.name,
+                         artifact="placement"):
+            cfl_blocks = frozenset(cfl.cfl_blocks(fcfg))
+            _place_in_function(fcfg, cfl_blocks, result)
+        result.cfl_by_function[fcfg.name] = set(cfl_blocks)
     result.scratch_ranges.sort()
     return result
 

@@ -33,11 +33,16 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from repro.analysis.construction import ConstructionOptions, build_cfg
+from repro.analysis.construction import (
+    ConstructionOptions,
+    build_cfg,
+    record_cfg,
+)
 from repro.analysis.failures import audit_jump_tables, classify_failure
 from repro.analysis.funcptr import analyze_function_pointers
 from repro.analysis.liveness import LivenessAnalysis
 from repro.binfmt.sections import Section
+from repro.core.cache import MISS, image_digest
 from repro.core.cfl import CflAnalysis
 from repro.core.instrumentation import EmptyInstrumentation
 from repro.core.layout import prepare_output
@@ -47,7 +52,6 @@ from repro.core.modes import (
     RewriteMode,
     mode_rewrites_jump_tables,
 )
-from repro.core.pipeline import analysis_cache_view
 from repro.core.placement import padding_ranges, place_trampolines
 from repro.core.relocate import Relocator
 from repro.core.runtime_lib import RuntimeLibrary, pack_addr_map
@@ -160,8 +164,8 @@ class IncrementalRewriter:
         #: observability sinks (:mod:`repro.obs`); no-ops by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: artifact cache (:class:`repro.core.cache.ArtifactCache`) the
-        #: per-function analyses consult; None disables caching
+        #: artifact cache (:class:`repro.core.cache.ArtifactCache`)
+        #: holding whole-stage analysis results; None disables caching
         self.cache = cache
         #: emission order for the BOLT-comparison experiments (Section
         #: 8.3): "address" or "reverse"
@@ -263,28 +267,25 @@ class IncrementalRewriter:
     def _rewrite_traced(self, binary, tr, metrics, atlas):
         spec = get_arch(binary.arch_name)
 
-        # One cache view for this rewrite, whose prefix pins everything
-        # invariant across its artifacts (image, arch, construction
-        # options).  Downstream artifacts (funcptr, placement) depend on
-        # the CFG as *constructed*, so an arbitrary cfg_hook mutation
-        # disables their caching; CFG artifacts themselves stay valid
-        # because the hook applies after construction.
-        pipeline_cache = None
+        # The key of this rewrite's cached stages: everything the cfg
+        # and funcptr stages read (image, arch, construction options).
+        # The funcptr stage reads the CFG *after* cfg_hook, so a hook
+        # keeps it out of the cache; the cfg artifact stays valid
+        # because the hook applies after it is stored.
+        stage_key = None
         if self.cache is not None:
-            pipeline_cache = analysis_cache_view(
-                self.cache, binary, binary.arch_name,
-                self.construction_options, metrics,
-            )
-        downstream_cache = (pipeline_cache if self.cfg_hook is None
-                            else None)
+            stage_key = (image_digest(binary), binary.arch_name,
+                         sorted(vars(self.construction_options).items()))
 
         # The atlas builder (None unless requested) rides along the
         # stages, accounting data each stage already computed — it
         # never re-analyzes anything.
         with tr.span("cfg-construction"):
-            cfg = build_cfg(binary, self.construction_options,
-                            tracer=tr, metrics=metrics,
-                            cache=pipeline_cache)
+            cfg = self._stage_artifact(
+                "cfg", stage_key,
+                lambda: build_cfg(binary, self.construction_options,
+                                  tracer=tr, metrics=metrics))
+            record_cfg(cfg, tr, metrics)
             if self.cfg_hook is not None:
                 cfg = self.cfg_hook(cfg) or cfg
             self._pre_checks(binary, cfg)
@@ -304,10 +305,10 @@ class IncrementalRewriter:
                                   binary.metadata.get("text_range"))
 
         with tr.span("funcptr-analysis"):
-            funcptrs = analyze_function_pointers(
-                binary, cfg, spec, cache=downstream_cache,
-                tracer=tr, metrics=metrics,
-            )
+            funcptrs = self._stage_artifact(
+                "funcptr", stage_key if self.cfg_hook is None else None,
+                lambda: analyze_function_pointers(binary, cfg, spec,
+                                                  tracer=tr))
             tr.count("data_defs", len(funcptrs.data_defs))
             tr.count("code_defs", len(funcptrs.code_defs))
             tr.count("derived_defs", len(funcptrs.derived_defs))
@@ -388,15 +389,6 @@ class IncrementalRewriter:
             )
 
         with tr.span("trampoline-placement"):
-            # Placement fragments depend on mode-level inputs the run
-            # prefix does not pin, so extend it before handing the view
-            # to the placement strategy.
-            self._placement_cache = None
-            if downstream_cache is not None:
-                self._placement_cache = downstream_cache.extend(
-                    (str(self.mode), bool(self.call_emulation),
-                     tuple(sorted(relocated_set)))
-                )
             placement = self._compute_placement(cfg, cfl)
             cfl_blocks = sum(len(v)
                              for v in placement.cfl_by_function.values())
@@ -529,9 +521,33 @@ class IncrementalRewriter:
         metrics.inc("rewrite.runs")
         metrics.set_gauge("rewrite.coverage", report.coverage)
         metrics.set_gauge("rewrite.size_increase", report.size_increase)
-        if atlas is not None:
-            atlas.observe_provenance(cfg.work_items)
         return out, report
+
+    def _stage_artifact(self, kind, key, compute):
+        """One analysis stage's result: the :attr:`cache` entry for
+        ``(kind, key)`` when there is one, else ``compute()``, timed and
+        stored.  ``key`` None (no cache, or a stage that may not be
+        cached) just computes.  Accounts ``cache.*`` and
+        ``cache.<kind>.*`` counters and, on a hit, the compute seconds
+        the hit saved."""
+        if key is None:
+            return compute()
+        metrics = self.metrics
+        full_key = self.cache.key(kind, key)
+        got = self.cache.get(kind, full_key)
+        if got is not MISS:
+            seconds, value = got
+            metrics.inc("cache.hits")
+            metrics.inc(f"cache.{kind}.hits")
+            metrics.observe("cache.seconds_saved", seconds)
+            return value
+        metrics.inc("cache.misses")
+        metrics.inc(f"cache.{kind}.misses")
+        t0 = time.perf_counter()
+        value = compute()
+        self.cache.put(kind, full_key, value, time.perf_counter() - t0)
+        metrics.inc("cache.stores")
+        return value
 
     def runtime_library(self, rewritten):
         """The runtime library to LD_PRELOAD with the rewritten binary."""
@@ -545,11 +561,7 @@ class IncrementalRewriter:
     def _compute_placement(self, cfg, cfl):
         """Trampoline placement strategy (Section 4.2); the default is
         CFL-blocks-only with superblock extension."""
-        return place_trampolines(
-            cfg, cfl,
-            cache=getattr(self, "_placement_cache", None),
-            tracer=self.tracer,
-        )
+        return place_trampolines(cfg, cfl, tracer=self.tracer)
 
     def _relocator_kwargs(self):
         """Extra keyword arguments for the Relocator."""

@@ -13,8 +13,8 @@ how much of it got rewritten?":
 * optionally (``atlas``) an analysis-quality section: one row per
   function (CFG shape, byte coverage split into cfg/padding/unreached,
   indirect-target set size with a precision class, the ladder's
-  verdict, trampoline count/bytes by kind, relocated blocks, per-stage
-  cache provenance, analysis wall time) plus whole-binary rollups.
+  verdict, trampoline count/bytes by kind, relocated blocks, analysis
+  wall time) plus whole-binary rollups.
   Figure 2's mode distribution and Table 2's space overhead are
   reproducible from this section alone.
 
@@ -301,8 +301,10 @@ class AtlasBuilder:
 
     def observe_cfg(self, cfg, mode, text_range=None):
         """cfg-construction: one row per non-runtime-support function —
-        CFG shape (blocks/edges), body extent, cfg byte coverage, and
-        the jump-table-resolved indirect target set."""
+        CFG shape (blocks/edges), body extent, cfg byte coverage, the
+        jump-table-resolved indirect target set, and the construction's
+        wall seconds (``cfg.seconds``, as first computed when the CFG
+        came from a cache)."""
         self.mode = str(mode)
         self._text_range = list(text_range) if text_range else None
         for fcfg in cfg.sorted_functions():
@@ -330,8 +332,7 @@ class AtlasBuilder:
                 "trampolines": {},
                 "trampoline_bytes": 0,
                 "relocated_blocks": 0,
-                "provenance": {},
-                "analysis_seconds": 0.0,
+                "analysis_seconds": cfg.seconds.get(fcfg.entry, 0.0),
             }
             self._rows[fcfg.name] = row
             self._by_entry[fcfg.entry] = row
@@ -340,9 +341,10 @@ class AtlasBuilder:
         self._entries = sorted(self._by_entry)
 
     def observe_funcptrs(self, funcptrs):
-        """funcptr-analysis: per-function precision class plus the
-        pointer definitions that target each function's entry (they
-        join the jump-table targets in the indirect-target count)."""
+        """funcptr-analysis: per-function precision class, the pointer
+        definitions that target each function's entry (they join the
+        jump-table targets in the indirect-target count), and the code
+        scan's wall seconds (added to ``analysis_seconds``)."""
         targeting = {}
         for attr in ("data_defs", "code_defs"):
             for d in getattr(funcptrs, attr, ()) or ():
@@ -352,6 +354,8 @@ class AtlasBuilder:
             row["precision"] = funcptrs.precision_class(row["function"])
             row["indirect_targets"] += len(
                 targeting.get(row["entry"], ()))
+            row["analysis_seconds"] += funcptrs.seconds.get(
+                row["function"], 0.0)
 
     def observe_plan(self, degradation, candidate_entries):
         """degradation-planning: the ladder's verdict per function.
@@ -408,19 +412,6 @@ class AtlasBuilder:
             kind["count"] += 1
             kind["bytes"] += nbytes
             row["trampoline_bytes"] += nbytes
-
-    def observe_provenance(self, work_items):
-        """emit-layout: per-stage cache hit/miss provenance and analysis
-        wall time off the pipeline's work items."""
-        for entry, item in work_items.items():
-            row = self._by_entry.get(entry)
-            if row is None:
-                continue
-            row["provenance"] = {
-                kind: "hit" if hit else "miss"
-                for kind, hit in sorted(item.cached.items())
-            }
-            row["analysis_seconds"] = sum(item.seconds.values())
 
     def _row_at(self, addr):
         """The row owning ``addr``: the nearest function entry at or
@@ -632,10 +623,10 @@ class RewriteRecord:
     def comparable_dict(self):
         """The body with every run-dependent field stripped: wall-clock,
         memory and cache accounting, the fingerprint, and in the
-        atlas section per-row ``analysis_seconds`` and cache
-        ``provenance`` (a warm rewrite hits where a cold one missed)
-        plus the rollup's ``analysis_seconds``.  Two rewrites of the
-        same input under the same options must agree on this."""
+        atlas section per-row and rollup ``analysis_seconds`` (plus the
+        per-row ``provenance`` that older ledger lines carry).  Two
+        rewrites of the same input under the same options must agree
+        on this."""
         body = self.body_dict()
         for key in _RUN_FIELDS:
             body.pop(key, None)

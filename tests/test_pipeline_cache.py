@@ -1,5 +1,5 @@
 """The incremental pipeline: content-addressed artifact cache,
-per-function work units, and batch rewriting.
+whole-stage artifacts (cfg, funcptr), and batch rewriting.
 
 Covers the subsystem's acceptance property: a warm-cache rewrite
 performs **zero** CFG constructions (proven via the
@@ -149,11 +149,14 @@ class TestWarmCacheRewrite:
         _rewrite(binary, cache=cache, mode="jt")
         _, _, metrics = _rewrite(binary, cache=cache, mode="dir")
         counters = metrics.counter_values()
-        # CFG and funcptr artifacts are mode-independent: all hits.
-        assert counters.get("cache.cfg.misses", 0) == 0
-        assert counters.get("cache.funcptr-fn.misses", 0) == 0
-        # Placement keys pin the mode: a dir rewrite recomputes them.
-        assert counters.get("cache.placement.misses", 0) > 0
+        # CFG and funcptr artifacts are mode-independent: both hit.
+        assert counters.get("cache.cfg.hits") == 1
+        assert counters.get("cache.funcptr.hits") == 1
+        assert counters.get("cache.misses", 0) == 0
+        # Placement is always recomputed: it has no artifact kind.
+        assert not any(name.startswith("cache.placement")
+                       for name in counters)
+        assert "placement" not in ARTIFACT_VERSIONS
 
     def test_disk_cache_warms_a_fresh_process(self, binary, tmp_path):
         _rewrite(binary, cache=ArtifactCache(directory=tmp_path))
@@ -174,28 +177,53 @@ class TestWarmCacheRewrite:
         assert (result.exit_code, result.output) == (code, output)
 
 
-class TestWorkItems:
-    def test_work_items_carry_artifacts_and_provenance(self, binary):
+class TestStageArtifacts:
+    @pytest.mark.parametrize("mode", ["dir", "jt", "func-ptr"])
+    def test_warm_rewrite_hits_each_stage_once(self, binary, mode):
         cache = ArtifactCache()
-        metrics = Metrics()
-        rewriter = IncrementalRewriter(mode="jt", cache=cache,
-                                       metrics=metrics)
-        rewriter.rewrite(binary)
+        _, _, cold = _rewrite(binary, cache=cache, mode=mode)
+        _, _, warm = _rewrite(binary, cache=cache, mode=mode)
+        assert {k: v for k, v in cold.counter_values().items()
+                if k.startswith("cache.")} == \
+            {"cache.misses": 2, "cache.stores": 2,
+             "cache.cfg.misses": 1, "cache.funcptr.misses": 1}
+        assert {k: v for k, v in warm.counter_values().items()
+                if k.startswith("cache.")} == \
+            {"cache.hits": 2, "cache.cfg.hits": 1,
+             "cache.funcptr.hits": 1}
+        assert warm.counter("cfg.constructions").value == 0
+        assert len(cache) == 2
 
-        from repro.analysis import build_cfg
-        cfg = build_cfg(binary, cache=cache, metrics=Metrics())
-        assert cfg.work_items, "work items should be populated"
-        for entry, item in cfg.work_items.items():
-            assert item.cfg is not None
-            assert item.entry == entry
-            assert item.cached["cfg"] is True   # second pass: all hits
+    def test_cfg_hook_keeps_funcptr_out_of_the_cache(self, binary):
+        cache = ArtifactCache()
+        for _ in range(2):
+            metrics = Metrics()
+            IncrementalRewriter(mode="jt", cache=cache, metrics=metrics,
+                                cfg_hook=lambda cfg: cfg).rewrite(binary)
+        counters = metrics.counter_values()
+        assert counters.get("cache.cfg.hits") == 1
+        assert not any(name.startswith("cache.funcptr")
+                       for name in counters)
+        assert len(cache) == 1
 
-    def test_work_item_artifacts_are_picklable(self, binary):
-        from repro.analysis import build_cfg
+    def test_stage_artifacts_survive_pickle_round_trip(self, binary):
+        from repro.analysis import analyze_function_pointers, build_cfg
+        from repro.isa import get_arch
         cfg = build_cfg(binary)
-        for item in cfg.work_items.values():
-            pickle.loads(pickle.dumps(
-                (item.cfg, item.discovered_calls, item.instructions)))
+        funcptrs = analyze_function_pointers(binary, cfg,
+                                             get_arch(binary.arch_name))
+        cfg2 = pickle.loads(pickle.dumps(cfg))
+        assert list(cfg2.functions) == list(cfg.functions)
+        assert cfg2.instructions == cfg.instructions
+        assert cfg2.seconds == cfg.seconds
+        for entry, fcfg in cfg.functions.items():
+            copy = cfg2.functions[entry]
+            assert cfg2.by_name[fcfg.name] is copy
+            assert (copy.name, copy.failed, sorted(copy.blocks)) == \
+                (fcfg.name, fcfg.failed, sorted(fcfg.blocks))
+            assert [b.succs for b in copy.sorted_blocks()] == \
+                [b.succs for b in fcfg.sorted_blocks()]
+        assert pickle.loads(pickle.dumps(funcptrs)) == funcptrs
 
 
 class TestHarnessCacheAccounting:
