@@ -29,9 +29,9 @@ the per-kernel records.
 
 ``test_disabled_telemetry_guard_overhead`` is the standing guard for
 the ``is None`` discipline: with telemetry detached the superblock
-dispatch loop pays two boolean tests per *block dispatch*, which must
-project to <2% of a loop-kernel run — and the >=5x throughput floor
-must hold unchanged.
+dispatch loop pays one ``is not None`` test per *block dispatch*,
+which must project to <2% of a loop-kernel run — and the >=5x
+throughput floor must hold unchanged.
 """
 
 import dataclasses
@@ -211,11 +211,10 @@ TELEMETRY_BUDGET = 0.02
 
 
 def _observe_cost_per_dispatch(iterations=500_000, repeats=5):
-    """Marginal seconds for the detached-telemetry dispatch check: two
-    ``is not None`` tests (telemetry, flight) plus the derived boolean
-    test — a guarded loop minus an empty loop, best-of-N."""
-    telem = None
-    flight = None
+    """Marginal seconds for the detached-telemetry dispatch check: one
+    ``is not None`` test — a guarded loop minus an empty loop,
+    best-of-N."""
+    collector = None
     laps = range(iterations)
     best = None
     for _ in range(repeats):
@@ -225,8 +224,7 @@ def _observe_cost_per_dispatch(iterations=500_000, repeats=5):
         base = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in laps:
-            observe = telem is not None or flight is not None
-            if observe:
+            if collector is not None:
                 raise AssertionError
         delta = (time.perf_counter() - t0) - base
         best = delta if best is None else min(best, delta)

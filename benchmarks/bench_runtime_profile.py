@@ -1,27 +1,28 @@
 """Runtime profile: where the cycles go, per tool, plus the
-disabled-recorder tax.
+detached-collector tax.
 
 Two benches.  The first runs the reference workload under every runtime-
-relevant tool with a :class:`FlightRecorder` attached and registers one
-machine-readable record per tool (cycles, instructions, trampoline hit
-totals) through the ``runtime_records`` fixture — every record is
-stamped with schema + environment fingerprint by the shared conftest
-helper; run with ``--json BENCH_runtime.json`` to persist them.  The
-second quantifies the flight hook's cost when *disabled*: the CPU hot loop pays one ``is not None``
-test per step, and projecting that measured per-step cost against an
-un-instrumented run's wall time must stay under 2%.
+relevant tool with an :class:`EngineTelemetry` collector attached and
+registers one machine-readable record per tool (cycles, instructions,
+trampoline hit totals) through the ``runtime_records`` fixture — every
+record is stamped with schema + environment fingerprint by the shared
+conftest helper; run with ``--json BENCH_runtime.json`` to persist
+them.  The second quantifies the collector's cost when *detached*: the
+CPU's per-step loop pays one ``is not None`` test per cold step, and
+projecting that measured per-step cost against an un-instrumented
+run's wall time must stay under 2%.
 """
 
 import time
 
 from repro.eval.harness import baseline_run, evaluate_tool
 from repro.machine import run_binary
-from repro.obs import FlightRecorder
+from repro.obs import EngineTelemetry
 from repro.toolchain.workloads import build_workload, spec_workload
 
 REFERENCE = ("602.sgcc_s", "x86")
 TOOLS = ("jt", "dir", "dyn-translation", "insn-patching")
-BUDGET = 0.02  # the disabled flight hook may add at most 2% to a run
+BUDGET = 0.02  # the detached collector may add at most 2% to a run
 
 
 def test_runtime_profile(benchmark, print_section, runtime_records):
@@ -32,9 +33,9 @@ def test_runtime_profile(benchmark, print_section, runtime_records):
     def experiment():
         rows = []
         for tool in TOOLS:
-            recorder = FlightRecorder()
+            recorder = EngineTelemetry()
             run = evaluate_tool(tool, binary, oracle, base_cycles,
-                                benchmark=name, flight=recorder)
+                                benchmark=name, telemetry=recorder)
             hits = sum(recorder.tramp_hits.values())
             rows.append({
                 "tool": tool,
@@ -76,10 +77,11 @@ def test_runtime_profile(benchmark, print_section, runtime_records):
 
 
 def _guard_cost_per_step(iterations=500_000, repeats=5):
-    """Marginal seconds per disabled-recorder check: a guarded loop
-    minus an empty loop, best-of-N (the hot loop pays exactly one
-    ``is not None`` test per step when recording is off)."""
-    flight = None
+    """Marginal seconds per detached-collector check: a guarded loop
+    minus an empty loop, best-of-N (the per-step loop pays exactly one
+    ``is not None`` test per cold step when no collector is
+    attached)."""
+    collector = None
     laps = range(iterations)
     best = None
     for _ in range(repeats):
@@ -89,14 +91,14 @@ def _guard_cost_per_step(iterations=500_000, repeats=5):
         base = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in laps:
-            if flight is not None:
+            if collector is not None:
                 raise AssertionError
         delta = (time.perf_counter() - t0) - base
         best = delta if best is None else min(best, delta)
     return max(0.0, best) / iterations
 
 
-def test_disabled_flight_overhead(benchmark, print_section,
+def test_disabled_collector_overhead(benchmark, print_section,
                                   runtime_records):
     name, arch = REFERENCE
     _, binary = build_workload(spec_workload(name, arch), arch)
@@ -111,7 +113,7 @@ def test_disabled_flight_overhead(benchmark, print_section,
     per_step = _guard_cost_per_step()
     projected = per_step * icount / best
     assert projected < BUDGET, (
-        f"disabled flight hook projects to {projected:.2%} of a "
+        f"detached collector check projects to {projected:.2%} of a "
         f"reference run (budget {BUDGET:.0%})"
     )
     record = {
@@ -121,10 +123,10 @@ def test_disabled_flight_overhead(benchmark, print_section,
         "projected_overhead": projected,
     }
     benchmark.extra_info.update(record)
-    runtime_records({"bench": "flight_guard_overhead",
+    runtime_records({"bench": "collector_guard_overhead",
                      "benchmark": name, "arch": arch, **record})
     print_section(
-        "Disabled flight-recorder overhead on a reference run",
+        "Detached runtime-collector overhead on a reference run",
         f"reference        : {name} / {arch}\n"
         f"guard cost/step  : {per_step * 1e9:.1f} ns\n"
         f"run time         : {best * 1e3:.2f} ms "

@@ -17,8 +17,7 @@ Examples::
     python -m repro record show latest --json
     python -m repro record top latest --by unreached
     python -m repro record diff 7191d390 a3f2c1b0
-    python -m repro run sgcc.rw
-    python -m repro engine report sgcc.rw --top 5
+    python -m repro run sgcc.rw --telemetry sgcc-run.json
     python -m repro layout sgcc.rw
     python -m repro table 3 --arch x86
     python -m repro experiment docker
@@ -41,14 +40,12 @@ from repro.binfmt import Binary
 from repro.machine import run_binary
 from repro.obs import (
     EngineTelemetry,
-    FlightRecorder,
     Metrics,
     RecordLedger,
     Tracer,
     fleet_summary,
     render_degradation,
     render_engine_report,
-    render_flight_report,
     render_profile,
 )
 from repro.obs.receipt import DEFAULT_LEDGER, TOP_ORDERINGS
@@ -128,7 +125,7 @@ def _read_binary(path):
 
 
 def _make_cache(args):
-    """The artifact cache a rewrite/batch command asked for (or None)."""
+    """The artifact cache a command asked for (or None)."""
     if getattr(args, "no_cache", False):
         return None
     return ArtifactCache(directory=getattr(args, "cache_dir", None))
@@ -187,8 +184,10 @@ def cmd_rewrite(args):
     observing = args.profile or args.trace or record_path
     tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
         else None
-    metrics = Metrics() if (observing or not args.no_cache) else None
-    cache = _make_cache(args)
+    # One process rewrites once, so an in-memory cache could never be
+    # read back: only a --cache-dir cache is worth its lookups.
+    cache = _make_cache(args) if args.cache_dir else None
+    metrics = Metrics() if (observing or cache is not None) else None
     record_sink = records = None
     if record_path:
         record_sink, records = _ledger_sink(record_path)
@@ -476,46 +475,27 @@ def cmd_record(args):
 
 
 def cmd_run(args):
+    """Run a binary; program output goes to stdout.  ``--telemetry
+    FILE`` attaches the run-time collector, prints its engine report
+    (hot blocks, guard sites, trampoline hits, RA translations, the
+    last blocks) to stderr and writes the ``EngineReport/v2`` document
+    to FILE."""
     binary = _read_binary(args.binary)
     runtime = None
     if "rewrite" in binary.metadata:
         runtime = RuntimeLibrary.from_binary(binary)
-    flight = (FlightRecorder(granularity=args.flight_granularity)
-              if args.flight_record else None)
-    result = run_binary(binary, runtime_lib=runtime, flight=flight,
-                        engine=args.engine)
+    telemetry = EngineTelemetry() if args.telemetry else None
+    result = run_binary(binary, runtime_lib=runtime, engine=args.engine,
+                        telemetry=telemetry)
     for value in result.output:
         print(value)
     print(f"[exit {result.exit_code}, {result.icount:,} instructions, "
           f"{result.cycles:,} cycles]", file=sys.stderr)
-    if flight is not None:
-        with open(args.flight_record, "w") as f:
-            f.write(flight.to_json(indent=2))
-        print(render_flight_report(flight), file=sys.stderr)
-        print(f"[flight record written to {args.flight_record}]",
-              file=sys.stderr)
-    return 0
-
-
-def cmd_engine(args):
-    """The engine observatory: run a binary with JIT telemetry attached
-    and print the ``EngineReport/v1`` — hot blocks ranked by attributed
-    cycles, guard sites ranked by misses, the compile-vs-execute time
-    split, and block-cache lifecycle counters."""
-    binary = _read_binary(args.binary)
-    runtime = None
-    if "rewrite" in binary.metadata:
-        runtime = RuntimeLibrary.from_binary(binary)
-    telemetry = EngineTelemetry()
-    result = run_binary(binary, runtime_lib=runtime,
-                        engine=args.engine, telemetry=telemetry)
-    print(f"[exit {result.exit_code}, {result.icount:,} instructions, "
-          f"{result.cycles:,} cycles]", file=sys.stderr)
-    print(render_engine_report(telemetry, top=args.top))
-    if args.json:
-        with open(args.json, "w") as f:
+    if telemetry is not None:
+        with open(args.telemetry, "w") as f:
             f.write(telemetry.to_json(indent=2))
-        print(f"[engine report written to {args.json}]",
+        print(render_engine_report(telemetry), file=sys.stderr)
+        print(f"[engine report written to {args.telemetry}]",
               file=sys.stderr)
     return 0
 
@@ -718,37 +698,16 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a (possibly rewritten) binary")
     p.add_argument("binary")
-    p.add_argument("--flight-record", metavar="FILE",
-                   help="record the execution (block ring, trampoline "
-                        "hits, RA translations) and write JSON to FILE")
-    p.add_argument("--flight-granularity", choices=["block", "step"],
-                   default="block",
-                   help="flight-record granularity: block rides the "
-                        "fused tier (default); step demotes to the "
-                        "per-step tier for per-transfer events")
+    p.add_argument("--telemetry", metavar="FILE",
+                   help="observe the run: print the engine report to "
+                        "stderr and write the EngineReport/v2 JSON to "
+                        "FILE")
     p.add_argument("--engine", choices=["superblock", "step"],
                    default="superblock",
                    help="execution tier: fused superblocks (default) "
                         "or the per-step loop; accounting is "
                         "identical, only speed differs")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser(
-        "engine",
-        help="engine observatory: run with JIT telemetry and print "
-             "the EngineReport (hot blocks, guard sites, time split)",
-    )
-    p.add_argument("action", choices=["report"])
-    p.add_argument("binary")
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="hot blocks / guard sites to rank (default 10)")
-    p.add_argument("--engine", choices=["superblock", "step"],
-                   default="superblock",
-                   help="execution tier to observe (default superblock)")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the EngineReport/v1 document to "
-                        "FILE")
-    p.set_defaults(func=cmd_engine)
 
     p = sub.add_parser(
         "diff-run",

@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.core.runtime_lib import RuntimeLibrary, unpack_addr_map
 from repro.machine.machine import machine_for
-from repro.obs.flight import FlightRecorder
+from repro.obs.engine import EngineTelemetry
 from repro.util.errors import MachineFault, ReproError, UnwindError
 
 #: Per-side dynamic-instruction budget for one differential run.
@@ -118,7 +118,8 @@ class _Side:
         if runtime_lib is not None:
             self.machine.install_runtime(runtime_lib, self.image)
         self.machine.prepare_run(self.image)
-        self.recorder = FlightRecorder(ring_size=ring)
+        # Unattached: a block ring plus a region lookup, fed by hand.
+        self.recorder = EngineTelemetry(ring_size=ring)
         self.recorder.observe_image(self.image)
         self.budget = step_budget
         #: loaded pc -> original-space sync address
@@ -142,7 +143,6 @@ class _Side:
             if tramps and cpu.pc in tramps:
                 site = cpu.pc
                 self.chain.append((site,) + tramps[site])
-                recorder.tramp_hit(site)
             try:
                 cpu.step()
             except (MachineFault, UnwindError) as exc:

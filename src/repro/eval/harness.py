@@ -67,11 +67,8 @@ class ToolRun:
     #: the :class:`repro.obs.Tracer` that observed this run (None when
     #: tracing was not requested)
     trace: object = field(default=None, repr=False)
-    #: the :class:`repro.obs.FlightRecorder` that observed this run
-    #: (None when flight recording was not requested)
-    flight: object = field(default=None, repr=False)
     #: the :class:`repro.obs.EngineTelemetry` that observed this run's
-    #: superblock JIT (None when engine telemetry was not requested)
+    #: execution (None when telemetry was not requested)
     telemetry: object = field(default=None, repr=False)
     #: the rewrite's :class:`repro.obs.RewriteRecord` (None for tools
     #: without record support)
@@ -130,7 +127,7 @@ def _discard_record(record):
 
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                   instrumentation=None, tracer=None, metrics=None,
-                  flight=None, telemetry=None, cache=None,
+                  telemetry=None, cache=None,
                   faults=None, record_sink=None, atlas=False,
                   **tool_kwargs):
     """Run one tool on one binary; returns a :class:`ToolRun`.
@@ -143,13 +140,11 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     returned :attr:`ToolRun.trace`; failures are recorded as
     ``harness-error`` trace events with the exception type.  A
     ``Tracer(memory=True)`` additionally surfaces the rewrite's peak
-    traced memory on :attr:`ToolRun.mem_peak`.  Pass a
-    :class:`repro.obs.FlightRecorder` as ``flight`` to record the
-    emulated execution (block ring, trampoline hits, RA translations);
-    it comes back on :attr:`ToolRun.flight`.  Pass an
+    traced memory on :attr:`ToolRun.mem_peak`.  Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
-    superblock JIT (hot blocks, guard outcomes, compile time); it
-    comes back on :attr:`ToolRun.telemetry`.
+    emulated execution (hot blocks, guard outcomes, compile time,
+    block ring, trampoline hits, RA translations); it comes back on
+    :attr:`ToolRun.telemetry`.
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
     across many evaluations) feeds the incremental pipeline; the run's
@@ -199,15 +194,14 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         runtime = runtime_for(tool, rewriter, rewritten)
         result = run_binary(rewritten, runtime_lib=runtime,
                             tracer=tracer, metrics=metrics,
-                            flight=flight, telemetry=telemetry)
+                            telemetry=telemetry)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error=error)
         metrics.inc("harness.errors")
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
-                       error=error, trace=attach, flight=flight,
-                       telemetry=telemetry,
+                       error=error, trace=attach, telemetry=telemetry,
                        record=getattr(rewriter, "last_record", None))
     record = getattr(rewriter, "last_record", None)
     accounting = _record_accounting(record)
@@ -217,7 +211,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         metrics.inc("harness.wrong_output")
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
                        error="wrong output", report=report, trace=attach,
-                       flight=flight, telemetry=telemetry,
+                       telemetry=telemetry,
                        record=record, **accounting)
     return ToolRun(
         tool=tool,
@@ -237,7 +231,6 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         degradation=getattr(report, "degradation", None),
         report=report,
         trace=attach,
-        flight=flight,
         telemetry=telemetry,
         record=record,
         **accounting,

@@ -20,9 +20,7 @@ are generated from that one table:
   keyed by address; repeated execution (loops) runs it without
   re-decoding.  :meth:`CPU.step` (lockstep/differential use) always
   runs here; :meth:`CPU.run` runs cold code and trace recording here,
-  and everything when ``engine="step"`` is selected or a
-  *step-granularity* :class:`~repro.obs.flight.FlightRecorder` is
-  attached (per-transfer block events demand per-step execution).
+  and everything when ``engine="step"`` is selected.
 * **superblock tier** — the default for :meth:`CPU.run`.  Code runs
   per-step (*cold*) until a trace head — the target of a backward
   transfer, a pc where a fused block exits, or a pc where the kernel
@@ -40,22 +38,21 @@ are generated from that one table:
   times is never compiled.
 
 Demotions away from the fused tier are never silent: a manual
-:meth:`CPU.step` on a superblock CPU and a step-granularity recorder
-attach each count a cause in :attr:`CPU.demotions` (mirrored to the
-machine's metrics as ``engine.demoted`` and traced as an
-``engine-demoted`` event).  The default block-granularity
-:class:`~repro.obs.flight.FlightRecorder` *rides* the fused tier — one
-ring entry per block dispatch with exact trampoline-hit recovery, one
-per control transfer in cold code — and
-an attached :class:`~repro.obs.engine.EngineTelemetry` observes
-fuse/compile/dispatch/guard activity without demoting.  Block-cache
-invalidations are likewise counted by cause in
-:attr:`CPU.invalidations` (``invalidate_code``, ``watch-region``,
-``recorder-attach``, ``telemetry-attach``/``-detach``).  The ``is
-None`` discipline keeps the detached observer tax to one boolean test
-per block dispatch (budgeted under 2% by the throughput bench).
+:meth:`CPU.step` on a superblock CPU counts a ``manual-step`` cause in
+:attr:`CPU.demotions` (mirrored to the machine's metrics as
+``engine.demoted`` and traced as an ``engine-demoted`` event).  An
+attached :class:`~repro.obs.engine.EngineTelemetry` rides the fused
+tier: it observes fuse/compile/guard activity, one record per block
+dispatch (with exact trampoline-hit recovery) and one per control
+transfer and trampoline site in cold code.  Block-cache
+invalidations are counted by cause in :attr:`CPU.invalidations`
+(``invalidate_code``, ``watch-region``,
+``telemetry-attach``/``-detach``).  The ``is None`` discipline keeps
+the detached collector's tax to one test per block dispatch and per
+cold step (budgeted under 2% by the throughput and runtime-profile
+benches).
 
-Accounting stays *exact* across tiers (and with observers attached):
+Accounting stays *exact* across tiers (and with the collector attached):
 cycle costs follow
 :class:`repro.machine.costs.CostModel` (including :attr:`CostModel.insn`
 per executed instruction), i-cache misses are modeled per line actually
@@ -378,9 +375,7 @@ class CPU:
         self.costs = costs or CostModel.default()
         self.step_limit = step_limit
         #: Execution engine for :meth:`run`: ``"superblock"`` (default)
-        #: or ``"step"`` (always per-instruction).  A step-granularity
-        #: FlightRecorder forces the per-step tier regardless of this
-        #: setting — counted in :attr:`demotions`, never silent.
+        #: or ``"step"`` (always per-instruction).
         self.engine = engine
 
         self.regs = [0] * NUM_REGS
@@ -395,11 +390,9 @@ class CPU:
         self.icache_misses = 0
         self.transitions = 0
 
-        #: Optional :class:`repro.obs.flight.FlightRecorder`; None keeps
-        #: the hot loop at a single identity test per step.
-        self.flight = None
         #: Optional :class:`repro.obs.engine.EngineTelemetry`; None
-        #: keeps the dispatch loop at one boolean test per block.
+        #: keeps the run loop at one identity test per block dispatch
+        #: and per cold step.
         self.telemetry = None
         #: Demotions away from the fused tier, by cause (always
         #: counted, telemetry attached or not).
@@ -476,8 +469,8 @@ class CPU:
         previous collector's) guard instrumentation, so the block cache
         is dropped — counted as a ``telemetry-attach``/``-detach``
         invalidation — and rebuilt lazily with the right counters baked
-        in.  Pre-attach demotion/invalidation tallies are folded into
-        the collector so nothing is lost.
+        in.  The collector reports this CPU's own demotion and
+        invalidation tallies.
         """
         if telemetry is self.telemetry:
             return
@@ -488,16 +481,14 @@ class CPU:
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.engine = self.engine
-            telemetry.seed(self.demotions, self.invalidations)
+            telemetry.demotions = self.demotions
+            telemetry.invalidations = self.invalidations
 
     def _demote(self, cause):
         """Count one demotion away from the fused tier, by cause, and
-        signal it (telemetry mirror plus the machine's ``on_demote``
-        metrics/event hook)."""
+        signal it through the machine's ``on_demote`` metrics/event
+        hook."""
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
-        t = self.telemetry
-        if t is not None:
-            t.record_demotion(cause)
         cb = self.on_demote
         if cb is not None:
             cb(cause)
@@ -507,15 +498,12 @@ class CPU:
         self._blocks.clear()
         self.invalidations[cause] = \
             self.invalidations.get(cause, 0) + 1
-        t = self.telemetry
-        if t is not None:
-            t.record_invalidation(cause)
 
     def step(self):
         """Execute exactly one instruction (lockstep/differential use).
 
         Always runs the per-step tier and skips the run loop's
-        icache/watch/flight accounting; callers own whatever bookkeeping
+        icache/watch/telemetry accounting; callers own whatever bookkeeping
         they need.  On a superblock CPU the first manual step counts a
         ``manual-step`` demotion (once per CPU), so fused-tier escapes
         are visible in the engine observatory.
@@ -537,15 +525,14 @@ class CPU:
         """Execute until an exit syscall; returns the exit code.
 
         One per-step loop body runs cold code, records traces, and
-        serves ``engine="step"`` and step-granularity flight recording
-        (which never fuse).  On the superblock engine, a pc reached as
-        a *trace head* — the target of a backward transfer, a pc where
-        a fused block exits, a pc where the kernel resumes after
-        ``trap``/``syscall`` — gains one unit of heat; its
-        :data:`HOT_THRESHOLD`-th entry records the path executed next
-        and fuses it (:meth:`_build_block`).  Any pc with a fused block
-        dispatches it (block-granularity recorders and engine
-        telemetry ride the fused tier), except that a block which could
+        serves ``engine="step"`` (which never fuses).  On the
+        superblock engine, a pc reached as a *trace head* — the target
+        of a backward transfer, a pc where a fused block exits, a pc
+        where the kernel resumes after ``trap``/``syscall`` — gains one
+        unit of heat; its :data:`HOT_THRESHOLD`-th entry records the
+        path executed next and fuses it (:meth:`_build_block`).  Any pc
+        with a fused block dispatches it (an attached collector rides
+        the fused tier), except that a block which could
         reach the step limit runs per-step instead, so the limit fault
         lands on the exact instruction.  A fault while recording
         propagates as per-step and builds nothing.  ``icount`` is
@@ -570,25 +557,21 @@ class CPU:
         if watch:
             (a_lo, a_hi), (b_lo, b_hi) = watch
             prev_region = -1
-        flight = self.flight
-        if flight is not None:
-            fsites = flight.tramp_sites
-            flight.record_block(self.pc, self.cycles)
-        fusing = self.engine == "superblock" and (
-            flight is None or flight.granularity == "block")
+        collector = self.telemetry
+        if collector is not None:
+            tsites = collector.tramp_sites
+            collector.record_block(self.pc, self.cycles)
+        fusing = self.engine == "superblock"
         blocks = self._blocks
         heat = self._heat
         kernel_pcs = self._kernel_pcs
         hot = HOT_THRESHOLD
-        telem = self.telemetry
-        observe = telem is not None or flight is not None
-        tstats = telem.block_stats if telem is not None else None
         trace = None    # the path being recorded: [(insn, next pc)]
         head = False    # whether the pc was reached as a trace head
         self.running = True
         steps = 0
         # Instructions and cycles of fused blocks, counted for the
-        # telemetry (the per-step tier has the rest).
+        # collector (the per-step tier has the rest).
         fused = fused_cycles = 0
         cycles_at_entry = self.cycles
         try:
@@ -608,8 +591,7 @@ class CPU:
                                 if prev_region != -1:
                                     self.transitions += 1
                                 prev_region = region
-                        if observe:
-                            c0 = self.cycles
+                        c0 = self.cycles
                         done = 0
                         try:
                             # Fused blocks take the remaining step budget
@@ -622,19 +604,13 @@ class CPU:
                             raise
                         finally:
                             steps += done
-                            if observe:
-                                if tstats is not None:
-                                    st = tstats.get(pc)
-                                    if st is None:
-                                        st = tstats[pc] = [0, 0, 0]
-                                    st[0] += 1
-                                    st[1] += done
-                                    st[2] += self.cycles - c0
-                                    fused += done
-                                    fused_cycles += self.cycles - c0
-                                if flight is not None:
-                                    flight.record_superblock(
-                                        b, self.pc, done, self.cycles)
+                            if collector is not None:
+                                spent = self.cycles - c0
+                                fused += done
+                                fused_cycles += spent
+                                collector.record_dispatch(
+                                    pc, b, done, spent, self.pc,
+                                    self.cycles)
                         head = True
                         continue
                     else:
@@ -649,8 +625,8 @@ class CPU:
                         if entries >= hot:
                             trace = []
                 # Per-step tier: cold code, trace recording,
-                # engine="step", step-granularity flight recording and
-                # the final strides of a run approaching its step limit.
+                # engine="step" and the final strides of a run
+                # approaching its step limit.
                 if tags is not None:
                     line = pc >> line_bits
                     idx = line & mask
@@ -672,12 +648,12 @@ class CPU:
                 fn()
                 steps += 1
                 self.cycles += insn_cost
-                if flight is not None:
-                    if pc in fsites:
-                        flight.tramp_hit(pc)
+                if collector is not None:
+                    if pc in tsites:
+                        collector.tramp_hit(pc)
                     npc = self.pc
                     if npc != pc + decoded[pc].length:
-                        flight.record_block(npc, self.cycles)
+                        collector.record_block(npc, self.cycles)
                 if steps >= limit:
                     raise MachineFault(
                         f"step limit of {limit} exceeded "
@@ -699,10 +675,10 @@ class CPU:
             # Committed even when a fault propagates, so failed runs
             # report exactly the instructions that completed.
             self.icount += steps
-            if telem is not None:
-                telem.cold_instructions += steps - fused
-                telem.cold_cycles += (self.cycles - cycles_at_entry
-                                      - fused_cycles)
+            if collector is not None:
+                collector.cold_instructions += steps - fused
+                collector.cold_cycles += (self.cycles - cycles_at_entry
+                                          - fused_cycles)
         return self.exit_code
 
     def _trace_end(self, trace, npc):

@@ -31,8 +31,6 @@ class Kernel:
         self.runtime_lib = None
         self.unwinder = Unwinder(self)
         self.last_traceback = None
-        #: Optional :class:`repro.obs.flight.FlightRecorder`.
-        self.flight = None
         self.counters = {
             "traps": 0,
             "ra_translations": 0,
@@ -72,11 +70,10 @@ class Kernel:
             return pc
         cpu.cycles += self.costs.ra_translate
         self.counters["ra_translations"] += 1
-        new = lib.translate(pc)
-        fl = self.flight
-        if fl is not None:
-            fl.ra_event("cxx-unwind", pc, new, hit=lib.has_mapping(pc))
-        return new
+        t = cpu.telemetry
+        if t is not None:
+            t.ra_event("cxx-unwind", pc, hit=lib.has_mapping(pc))
+        return lib.translate(pc)
 
     def translate_go_pc(self, pc, cpu):
         """RA translation in Go's ``findfunc``/``pcvalue`` entry hooks."""
@@ -85,11 +82,10 @@ class Kernel:
             return pc
         cpu.cycles += self.costs.ra_translate
         self.counters["ra_translations"] += 1
-        new = lib.translate(pc)
-        fl = self.flight
-        if fl is not None:
-            fl.ra_event("go", pc, new, hit=lib.has_mapping(pc))
-        return new
+        t = cpu.telemetry
+        if t is not None:
+            t.ra_event("go", pc, hit=lib.has_mapping(pc))
+        return lib.translate(pc)
 
     # -- syscalls ----------------------------------------------------------------
 

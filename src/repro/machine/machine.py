@@ -42,8 +42,7 @@ class Machine:
 
     def __init__(self, arch, costs=None, mem_size=None,
                  step_limit=DEFAULT_STEP_LIMIT, tracer=None,
-                 metrics=None, flight=None, engine="superblock",
-                 telemetry=None):
+                 metrics=None, engine="superblock", telemetry=None):
         self.spec = get_arch(arch) if isinstance(arch, str) else arch
         self.costs = costs or CostModel.default()
         #: observability sinks (:mod:`repro.obs`); no-ops by default
@@ -55,13 +54,9 @@ class Machine:
                        step_limit, engine=engine)
         self.cpu.on_demote = self._on_demote
         self.images = []
-        #: optional :class:`repro.obs.FlightRecorder`; None = not recording
-        self.flight = None
-        #: optional :class:`repro.obs.EngineTelemetry`; None = no JIT
-        #: telemetry
+        #: optional :class:`repro.obs.EngineTelemetry`; None = not
+        #: observing
         self.telemetry = None
-        if flight is not None:
-            flight.attach(self)
         if telemetry is not None:
             telemetry.attach(self)
 
@@ -76,8 +71,8 @@ class Machine:
         self.kernel.add_image(image)
         self.images.append(image)
         self.cpu.invalidate_code()
-        if self.flight is not None:
-            self.flight.observe_image(image)
+        if self.telemetry is not None:
+            self.telemetry.observe_image(image)
         return image
 
     def install_runtime(self, runtime_lib, image=None):
@@ -169,7 +164,7 @@ class Machine:
 
 def machine_for(binary, costs=None, step_limit=DEFAULT_STEP_LIMIT,
                 stack_headroom=1 << 20, tracer=None, metrics=None,
-                flight=None, engine="superblock", telemetry=None):
+                engine="superblock", telemetry=None):
     """A machine sized to fit ``binary`` plus stack headroom."""
     alloc = binary.alloc_sections()
     top = max((s.end for s in alloc), default=0)
@@ -178,17 +173,17 @@ def machine_for(binary, costs=None, step_limit=DEFAULT_STEP_LIMIT,
     size = max(size, 4 << 20)
     return Machine(binary.arch_name, costs=costs, mem_size=size,
                    step_limit=step_limit, tracer=tracer, metrics=metrics,
-                   flight=flight, engine=engine, telemetry=telemetry)
+                   engine=engine, telemetry=telemetry)
 
 
 def run_binary(binary, runtime_lib=None, costs=None, bias=None,
                step_limit=DEFAULT_STEP_LIMIT, watch_bounce=None,
-               tracer=None, metrics=None, flight=None,
-               engine="superblock", telemetry=None):
+               tracer=None, metrics=None, engine="superblock",
+               telemetry=None):
     """Load and run a binary on a fresh machine; returns a RunResult."""
     machine = machine_for(binary, costs=costs, step_limit=step_limit,
-                          tracer=tracer, metrics=metrics, flight=flight,
-                          engine=engine, telemetry=telemetry)
+                          tracer=tracer, metrics=metrics, engine=engine,
+                          telemetry=telemetry)
     image = machine.load(binary, bias)
     if runtime_lib is not None:
         machine.install_runtime(runtime_lib, image)

@@ -31,7 +31,7 @@ from repro.util.errors import UnwindError
 class Unwinder:
     """DWARF-style frame walker over the emulated stack."""
 
-    #: Engine tag surfaced in flight-recorder unwind events.
+    #: Engine tag surfaced in the collector's unwind events.
     engine = "dwarf"
 
     def __init__(self, kernel):
@@ -50,9 +50,9 @@ class Unwinder:
         try:
             return self._throw(cpu, payload)
         finally:
-            fl = self.kernel.flight
-            if fl is not None:
-                fl.unwind_event(
+            t = cpu.telemetry
+            if t is not None:
+                t.unwind_event(
                     "throw", self.engine,
                     self.kernel.counters["unwound_frames"] - before,
                 )
@@ -113,9 +113,9 @@ class Unwinder:
         try:
             return self._traceback(cpu)
         finally:
-            fl = self.kernel.flight
-            if fl is not None:
-                fl.unwind_event(
+            t = cpu.telemetry
+            if t is not None:
+                t.unwind_event(
                     "traceback", self.engine,
                     self.kernel.counters["unwound_frames"] - before,
                 )

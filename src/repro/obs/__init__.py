@@ -1,4 +1,5 @@
-"""Observability: pipeline tracing, metrics, and failure forensics.
+"""Observability: pipeline tracing, metrics, run-time telemetry and
+failure forensics.
 
 The substrate every benchmark and robustness experiment measures itself
 against: nested wall-clock spans over the rewriting pipeline's stages,
@@ -17,10 +18,12 @@ and on request a per-function coverage atlas), stamped with an
 Performance across commits is not tracked here: the seeded end-to-end
 benchmark (``bench/run.py``) compares commits.
 
-:mod:`repro.obs.engine` is the engine observatory: the
-:class:`EngineTelemetry` collector the superblock JIT feeds at
-fuse/compile/dispatch/guard time, read out as a schema-versioned
-``EngineReport/v1`` via :func:`render_engine_report`.
+:mod:`repro.obs.engine` is the one run-time instrument: the
+:class:`EngineTelemetry` collector the emulator feeds at
+fuse/compile/dispatch/guard time, at every control transfer and
+trampoline site of cold code, and from the kernel's RA-translation and
+unwind hooks, read out as a schema-versioned ``EngineReport/v2`` via
+:func:`render_engine_report`.
 """
 
 from repro.obs.degrade import render_degradation
@@ -30,7 +33,6 @@ from repro.obs.engine import (
     GuardSite,
     render_engine_report,
 )
-from repro.obs.flight import FlightRecorder, render_flight_report
 from repro.obs.receipt import (
     AtlasBuilder,
     EnvFingerprint,
@@ -78,8 +80,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "FlightRecorder",
-    "render_flight_report",
     "EngineTelemetry",
     "GuardSite",
     "ENGINE_REPORT_SCHEMA",

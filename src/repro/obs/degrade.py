@@ -3,8 +3,8 @@
 The ladder (``func-ptr -> jt -> dir -> skip``,
 :mod:`repro.core.modes`) records every per-function downgrade in a
 ``DegradationReport``; this renders one for terminal output the same
-way :func:`repro.obs.flight.render_flight_report` renders a flight
-recording.  Duck-typed on purpose — anything with ``entries`` and
+way :func:`repro.obs.engine.render_engine_report` renders a run's
+telemetry.  Duck-typed on purpose — anything with ``entries`` and
 ``by_final_mode()`` renders — so the obs layer keeps no import edge
 into ``repro.core``.
 """

@@ -88,17 +88,18 @@ class TestHarness:
         assert s["ra_translations_total"] == 5
 
     def test_evaluate_tool_runtime_profile_fields(self):
-        from repro.obs import FlightRecorder
+        from repro.obs import EngineTelemetry
         program, binary = workload("605.mcf_s", "x86")
         oracle, cycles = baseline_run(binary)
-        recorder = FlightRecorder()
+        recorder = EngineTelemetry()
         run = evaluate_tool("jt", binary, oracle, cycles, benchmark="m",
-                            flight=recorder)
+                            telemetry=recorder)
         assert run.passed
-        assert run.flight is recorder
+        assert run.telemetry is recorder
         assert run.instructions > 0
         assert run.cycles > 0
-        assert recorder.blocks > 0
+        assert recorder.block_instructions + recorder.cold_instructions \
+            == run.instructions
         assert sum(recorder.tramp_hits.values()) > 0
 
 

@@ -1,6 +1,6 @@
 """The engine observatory: superblock JIT telemetry, demotion and
-invalidation accounting, the ``EngineReport/v1`` surface, and the
-``repro engine report`` CLI.
+invalidation accounting, trampoline/RA/unwind parity across engines,
+the ``EngineReport/v2`` surface, and ``repro run --telemetry``.
 
 Everything here holds the tentpole invariant from the superblock tier:
 telemetry is a pure observer — attaching it must never change a single
@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import IncrementalRewriter, RewriteMode
+from repro.core import RewriteMode, rewrite_binary
 from repro.isa import Instruction as I
 from repro.isa.registers import R0
 from repro.machine import machine_for, run_binary
@@ -20,14 +20,17 @@ from repro.machine.cpu import ENGINES
 from repro.obs import (
     ENGINE_REPORT_SCHEMA,
     EngineTelemetry,
-    FlightRecorder,
+    Histogram,
     Metrics,
     Tracer,
     render_engine_report,
 )
+from repro.obs.engine import _distribution
+from repro.toolchain.workloads import docker_like
 
-from tests.conftest import compiled, small_program, workload
+from tests.conftest import compiled, workload
 from tests.test_machine import assemble
+from tests.test_unwinding import _throwing_program
 
 #: RunResult fields that must agree bit-for-bit with telemetry on.
 PARITY_FIELDS = ("checksum", "cycles", "icount", "icache_misses",
@@ -99,7 +102,7 @@ class TestTelemetryAccounting:
         for ev in t.deopt_events:
             assert ev["pc"] in t.guards
             assert ev["reason"].startswith("guard-miss:")
-        assert len(t.deopt_events) <= t.max_deopt_events
+        assert len(t.deopt_events) <= t.max_events
         # Miss targets are per-site attributable.
         for site in t.guards.values():
             assert sum(site.targets.values()) == site.misses
@@ -147,20 +150,18 @@ class TestDemotionSignals:
             machine.cpu.step()
         assert machine.cpu.demotions == {}
 
-    def test_step_granularity_flight_attach_signals(self, lbm):
-        metrics = Metrics()
-        flight = FlightRecorder(granularity="step")
-        machine = machine_for(lbm, metrics=metrics, flight=flight)
-        assert machine.cpu.demotions == {"flight-recorder": 1}
-        assert metrics.counter_values()["engine.demoted"] == 1
-
-    def test_telemetry_mirrors_demotions(self, lbm):
-        flight = FlightRecorder(granularity="step")
+    def test_telemetry_mirrors_demotions(self):
+        binary = assemble("x86", [I("movi", R0, 1), I("inc", R0),
+                                  I("syscall", 0)])
         telemetry = EngineTelemetry()
-        # Telemetry attached after the demotion still sees it: the CPU
-        # counts by cause unconditionally and seeds at attach time.
-        machine = machine_for(lbm, flight=flight, telemetry=telemetry)
-        assert telemetry.demotions == {"flight-recorder": 1}
+        machine = machine_for(binary, telemetry=telemetry)
+        machine.load(binary)
+        machine.prepare_run()
+        while machine.cpu.running:
+            machine.cpu.step()
+        # The report reads the CPU's own tally by cause.
+        assert telemetry.report()["demotions"] == {"manual-step": 1}
+        assert telemetry.report()["demotions"] == machine.cpu.demotions
 
 
 class TestInvalidationAccounting:
@@ -194,8 +195,9 @@ class TestInvalidationAccounting:
         cpu = machine.cpu
         assert cpu.invalidations["watch-region"] == 2
         assert cpu.invalidations["invalidate_code"] == 1
-        # The telemetry mirror agrees with the CPU's own ledger.
-        assert telemetry.invalidations == cpu.invalidations
+        # The report reads the CPU's own ledger.
+        assert telemetry.report()["cache"]["invalidations"] \
+            == cpu.invalidations
         assert sb_results[1].transitions > 0
 
     def test_empty_cache_invalidation_not_counted(self, lbm):
@@ -236,10 +238,6 @@ class TestEngineValidation:
         assert exc.value.code == 2   # argparse usage error
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_flight_granularity_validated(self):
-        with pytest.raises(ValueError, match="granularity"):
-            FlightRecorder(granularity="bogus")
-
 
 class TestEngineReport:
     def test_schema_and_json_round_trip(self, lbm):
@@ -270,32 +268,81 @@ class TestEngineReport:
         assert len(report["guards"]["ranking"]) <= 2
 
 
-class TestFlightGranularity:
-    def test_block_mode_matches_step_mode_tramp_hits(
-            self, fuse_on_first_entry):
-        """Block-granularity recording rides the fused tier but must
-        count trampoline hits exactly like per-step recording (the
-        small program runs under 300 instructions, so it reaches the
-        fused tier only when heads fuse on their first entry)."""
-        binary = compiled(small_program("c"), "x86")
-        rewriter = IncrementalRewriter(mode=RewriteMode.JT,
-                                       scorch_original=True)
-        out, _ = rewriter.rewrite(binary)
-        runtime = rewriter.runtime_library(out)
-        by_mode = {}
-        for granularity in ("block", "step"):
-            recorder = FlightRecorder(granularity=granularity)
-            run_binary(out, runtime_lib=runtime, flight=recorder)
-            by_mode[granularity] = recorder
-        assert by_mode["block"].tramp_hits
-        assert by_mode["block"].tramp_hits \
-            == by_mode["step"].tramp_hits
-        assert by_mode["block"].superblocks > 0
-        assert by_mode["step"].superblocks == 0
-        summary = by_mode["block"].summary()
-        assert summary["granularity"] == "block"
-        assert summary["superblocks"] \
-            == by_mode["block"].superblocks
+def _unwinding_jt(arch="x86"):
+    """A jt-rewritten C++ program that throws through relocated
+    frames: trampolines plus ``cxx-unwind`` RA translations."""
+    binary = compiled(_throwing_program(depth=3, catch_level=0), arch)
+    rewritten, _, runtime = rewrite_binary(binary, RewriteMode.JT,
+                                           scorch_original=True)
+    return rewritten, runtime
+
+
+def _docker_jt(arch="x86"):
+    """The Go-like app (x86 only) rewritten in jt mode: trampolines
+    plus ``go`` RA translations during tracebacks."""
+    _, binary = docker_like()
+    rewritten, _, runtime = rewrite_binary(binary, RewriteMode.JT,
+                                           scorch_original=True)
+    return rewritten, runtime
+
+
+class TestRuntimeParity:
+    @pytest.mark.parametrize("make, arch", [
+        (_unwinding_jt, "x86"), (_unwinding_jt, "ppc64"),
+        (_unwinding_jt, "aarch64"), (_docker_jt, "x86")],
+        ids=["cxx-unwind-x86", "cxx-unwind-ppc64", "cxx-unwind-aarch64",
+             "go-x86"])
+    def test_superblock_matches_step_engine(self, make, arch,
+                                            fuse_on_first_entry):
+        """The collector rides the fused tier but counts trampoline
+        hits per site, RA hits and misses per path, and unwind walks
+        exactly like the per-step engine, and attaching it changes no
+        ``RunResult`` field (heads fuse on their first entry, so
+        trampolines run inside dispatched blocks)."""
+        rewritten, runtime = make(arch)
+        by_engine = {}
+        for engine in ENGINES:
+            telemetry = EngineTelemetry()
+            observed = run_binary(rewritten, runtime_lib=runtime,
+                                  engine=engine, telemetry=telemetry)
+            plain = run_binary(rewritten, runtime_lib=runtime,
+                               engine=engine)
+            for field in PARITY_FIELDS:
+                assert getattr(observed, field) == getattr(plain, field)
+            by_engine[engine] = telemetry
+        fused, step = by_engine["superblock"], by_engine["step"]
+        assert fused.dispatches > 0 and step.dispatches == 0
+        assert fused.tramp_hits and fused.ra_stats and fused.unwind_stats
+        assert fused.tramp_hits == step.tramp_hits
+        assert fused.ra_stats == step.ra_stats
+        assert fused.unwind_stats == step.unwind_stats
+        # Some dispatched block holds a trampoline site.
+        assert any(fused._block_sites.values())
+
+
+class TestFlightSections:
+    def test_block_cycles_use_nearest_rank_percentiles(self):
+        values = [3, 3, 7, 10, 10, 10, 42, 5, 8, 8, 99, 1]
+        hist = Histogram("reference")
+        counts = {}
+        for v in values:
+            hist.observe(v)
+            counts[v] = counts.get(v, 0) + 1
+        assert _distribution(counts) == hist.summary()
+        assert _distribution({})["p50"] is None
+
+    def test_attach_after_load_resolves_loaded_sites(self):
+        rewritten, runtime = _unwinding_jt()
+        machine = machine_for(rewritten)
+        image = machine.load(rewritten)
+        machine.install_runtime(runtime, image)
+        telemetry = EngineTelemetry().attach(machine)
+        machine.run(image)
+        declared = {site for site, _, _ in
+                    rewritten.metadata["rewrite"]["trampoline_sites"]}
+        assert set(telemetry.tramp_sites) == declared
+        assert telemetry.tramp_hits
+        assert set(telemetry.tramp_hits) <= declared
 
 
 class TestHarnessHook:
@@ -316,27 +363,48 @@ class TestEngineCli:
     def test_engine_report_smoke(self, tmp_path, lbm, capsys):
         path = tmp_path / "lbm.bin"
         path.write_bytes(lbm.to_bytes())
+        assert main(["run", str(path)]) == 0
+        plain = capsys.readouterr().out
         out_json = tmp_path / "engine.json"
-        assert main(["engine", "report", str(path),
-                     "--json", str(out_json)]) == 0
+        assert main(["run", str(path), "--telemetry", str(out_json)]) == 0
         captured = capsys.readouterr()
-        assert "engine report" in captured.out
-        assert "hot block" in captured.out
-        assert "guard site" in captured.out
+        # Program output on stdout is unchanged; the report is on stderr.
+        assert captured.out == plain
+        assert "engine report" in captured.err
+        assert "hot block" in captured.err
+        assert "guard site" in captured.err
         doc = json.loads(out_json.read_text())
         assert doc["schema"] == ENGINE_REPORT_SCHEMA
         assert doc["hot_blocks"]
         assert doc["guards"]["sites"] > 0
+        assert doc["last_blocks"]
 
     def test_engine_report_step_tier(self, tmp_path, lbm, capsys):
-        # The per-step tier produces an (empty-but-valid) report: no
-        # blocks compile, so telemetry shows zero dispatches.
+        # The per-step tier produces a valid report: no blocks
+        # compile, so telemetry shows zero dispatches.
         path = tmp_path / "lbm.bin"
         path.write_bytes(lbm.to_bytes())
-        assert main(["engine", "report", str(path),
-                     "--engine", "step"]) == 0
-        assert "engine report (step)" in capsys.readouterr().out
+        out_json = tmp_path / "engine.json"
+        assert main(["run", str(path), "--engine", "step",
+                     "--telemetry", str(out_json)]) == 0
+        assert "engine report (step)" in capsys.readouterr().err
+        assert json.loads(out_json.read_text())["blocks"]["dispatches"] \
+            == 0
+
+    def test_engine_report_names_trampolines(self, tmp_path, capsys):
+        rewritten, _ = _unwinding_jt()
+        path = tmp_path / "rw.bin"
+        path.write_bytes(rewritten.to_bytes())
+        out_json = tmp_path / "engine.json"
+        assert main(["run", str(path), "--telemetry", str(out_json)]) == 0
+        err = capsys.readouterr().err
+        assert "trampolines       :" in err
+        assert "ra-translation    : cxx-unwind" in err
+        doc = json.loads(out_json.read_text())
+        assert doc["trampolines"]["hits_total"] > 0
+        assert doc["unwind"]["throw:dwarf"]["walks"] > 0
 
     def test_engine_report_missing_file(self, capsys):
-        assert main(["engine", "report", "/no/such/file.bin"]) == 3
+        assert main(["run", "/no/such/file.bin", "--telemetry",
+                     "x.json"]) == 3
         assert "cannot read" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""The runtime flight recorder and the differential runner."""
+"""The runtime collector's flight data (block ring, trampoline hits,
+block-cycle histogram) and the differential runner."""
 
 import json
 
@@ -17,8 +18,7 @@ from repro.eval.diffrun import (
 from repro.isa import get_arch
 from repro.isa.insn import Instruction
 from repro.machine import run_binary
-from repro.obs import FlightRecorder, render_flight_report
-from repro.obs.flight import Ring
+from repro.obs import EngineTelemetry, render_engine_report
 from repro.util.errors import ReproError
 from tests.conftest import compiled, small_program
 
@@ -32,76 +32,86 @@ def _rewritten(arch="x86", mode=RewriteMode.JT):
 
 class TestRing:
     def test_keeps_only_the_last_capacity_items(self):
-        ring = Ring(4)
+        collector = EngineTelemetry(ring_size=4)
         for i in range(10):
-            ring.push(i)
-        assert len(ring) == 4
-        assert ring.items() == [6, 7, 8, 9]
-        assert ring.items(last=2) == [8, 9]
+            collector.record_block(i, 10 * i)
+        assert len(collector.ring) == 4
+        assert collector.last_blocks() == [(6, 60), (7, 70), (8, 80),
+                                           (9, 90)]
+        assert collector.last_blocks(2) == [(8, 80), (9, 90)]
+        # Every entry after the first still counts one latency.
+        assert collector.block_cycles == {10: 9}
 
     def test_under_capacity_preserves_everything(self):
-        ring = Ring(8)
-        ring.push("a")
-        ring.push("b")
-        assert ring.items() == ["a", "b"]
+        collector = EngineTelemetry(ring_size=8)
+        collector.record_block(0x10, 1)
+        collector.record_block(0x20, 5)
+        assert collector.last_blocks() == [(0x10, 1), (0x20, 5)]
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            Ring(0)
+            EngineTelemetry(ring_size=0)
 
 
-class TestFlightRecorder:
+class TestFlightData:
     def test_records_blocks_and_trampoline_hits(self):
         binary, out, runtime = _rewritten()
-        recorder = FlightRecorder()
-        result = run_binary(out, runtime_lib=runtime, flight=recorder)
-        assert recorder.blocks > 0
-        assert len(recorder.last_blocks()) > 0
-        hits = sum(recorder.tramp_hits.values())
+        collector = EngineTelemetry()
+        result = run_binary(out, runtime_lib=runtime, telemetry=collector)
+        assert len(collector.last_blocks()) > 0
+        hits = sum(collector.tramp_hits.values())
         assert hits > 0
         # Every hit site resolves to a known kind at a known site.
-        kinds = recorder.hits_by_kind()
+        kinds = collector.hits_by_kind()
         assert sum(kinds.values()) == hits
         assert "?" not in kinds
         # Entries mirror the run, not some stale state.
-        assert recorder.last_blocks()[-1][1] <= result.cycles
+        assert collector.last_blocks()[-1][1] <= result.cycles
 
     def test_site_resolution_uses_rewriter_metadata(self):
         binary, out, runtime = _rewritten()
-        recorder = FlightRecorder()
-        run_binary(out, runtime_lib=runtime, flight=recorder)
+        collector = EngineTelemetry()
+        run_binary(out, runtime_lib=runtime, telemetry=collector)
         declared = {site: (kind, fn) for site, kind, fn
                     in out.metadata["rewrite"]["trampoline_sites"]}
-        assert recorder.tramp_hits
+        assert collector.tramp_hits
         # Non-PIE test binaries load at bias 0, so loaded == link-time.
-        for loaded_site in recorder.tramp_hits:
+        for loaded_site in collector.tramp_hits:
             assert declared[loaded_site] \
-                == recorder.tramp_sites[loaded_site]
+                == collector.tramp_sites[loaded_site]
 
     def test_ring_is_bounded(self):
         binary, out, runtime = _rewritten()
-        recorder = FlightRecorder(ring_size=8)
-        run_binary(out, runtime_lib=runtime, flight=recorder)
-        assert len(recorder.last_blocks()) <= 8
-        assert recorder.blocks > 8  # more happened than was retained
+        collector = EngineTelemetry(ring_size=8)
+        run_binary(out, runtime_lib=runtime, telemetry=collector)
+        assert collector.last_blocks(3) == collector.last_blocks()[-3:]
+        assert len(collector.last_blocks()) == 8
+        # More happened than was retained: one latency per entry after
+        # the first.
+        assert sum(collector.block_cycles.values()) > 8
 
     def test_summary_and_json_round_trip(self):
         binary, out, runtime = _rewritten()
-        recorder = FlightRecorder()
-        run_binary(out, runtime_lib=runtime, flight=recorder)
-        summary = json.loads(recorder.to_json())
-        assert summary["blocks"] == recorder.blocks
-        assert summary["trampolines"]["hits_total"] \
-            == sum(recorder.tramp_hits.values())
-        assert 0 < summary["trampolines"]["occupancy"] <= 1
-        assert summary["block_cycles"]["p50"] is not None
+        collector = EngineTelemetry()
+        run_binary(out, runtime_lib=runtime, telemetry=collector)
+        report = json.loads(collector.to_json())
+        assert report["trampolines"]["hits_total"] \
+            == sum(collector.tramp_hits.values())
+        assert 0 < report["trampolines"]["occupancy"] <= 1
+        cycles = report["block_cycles"]
+        assert cycles["count"] == sum(collector.block_cycles.values())
+        assert cycles["min"] <= cycles["p50"] <= cycles["p90"] \
+            <= cycles["p99"] <= cycles["max"]
+        assert cycles["sum"] == sum(
+            d * n for d, n in collector.block_cycles.items())
+        assert len(report["last_blocks"]) == len(collector.ring)
 
-    def test_render_flight_report(self):
+    def test_render_runtime_sections(self):
         binary, out, runtime = _rewritten()
-        recorder = FlightRecorder()
-        run_binary(out, runtime_lib=runtime, flight=recorder)
-        text = render_flight_report(recorder)
-        assert "blocks executed" in text
+        collector = EngineTelemetry()
+        run_binary(out, runtime_lib=runtime, telemetry=collector)
+        text = render_engine_report(collector)
+        assert "block cycles" in text
         assert "trampolines" in text
         assert "hot site" in text
         assert ".instr" in text
@@ -110,7 +120,7 @@ class TestFlightRecorder:
         binary, out, runtime = _rewritten()
         plain = run_binary(out, runtime_lib=runtime)
         observed = run_binary(out, runtime_lib=runtime,
-                              flight=FlightRecorder())
+                              telemetry=EngineTelemetry())
         assert observed.checksum == plain.checksum
         assert observed.cycles == plain.cycles
         assert observed.icount == plain.icount

@@ -17,7 +17,7 @@ from repro.core.runtime_lib import RuntimeLibrary
 from repro.isa.registers import R0, R1, R2, R3, R10
 from repro.machine import CostModel, machine_for, run_binary
 from repro.machine.cpu import HOT_THRESHOLD
-from repro.obs import EngineTelemetry, FlightRecorder, Metrics
+from repro.obs import EngineTelemetry, Metrics
 from repro.util.errors import MachineFault, UnmappedMemoryFault
 
 from tests.conftest import workload
@@ -37,10 +37,10 @@ def workload_binaries():
     return {name: workload(name, "x86")[1] for name in WORKLOADS}
 
 
-def _run_engine(binary, engine, costs=None, watch=False, flight=None,
+def _run_engine(binary, engine, costs=None, watch=False,
                 step_limit=None, telemetry=None):
     machine = machine_for(binary, costs=costs, engine=engine,
-                          flight=flight, telemetry=telemetry)
+                          telemetry=telemetry)
     image = machine.load(binary)
     if watch:
         text = binary.section(".text")
@@ -324,38 +324,22 @@ class TestBlockCacheLifecycle:
         assert not machine.cpu._blocks
 
 
-class TestFlightFallback:
-    def test_block_granularity_rides_superblocks(self,
-                                                 workload_binaries):
+class TestObservedFusedTier:
+    def test_collector_rides_superblocks(self, workload_binaries):
         binary = workload_binaries["619.lbm_s"]
-        flight = FlightRecorder()   # granularity="block" by default
-        machine = machine_for(binary, flight=flight)
+        telemetry = EngineTelemetry()
+        machine = machine_for(binary, telemetry=telemetry)
         machine.load(binary)
         recorded = machine.run()
-        # The default recorder rides the fused tier: blocks are built
-        # and dispatched, no demotion is counted, and results still
-        # match an unobserved superblock run bit for bit.
+        # The collector rides the fused tier: blocks are built and
+        # dispatched, no demotion is counted, and results still match
+        # an unobserved superblock run bit for bit.
         assert machine.cpu._blocks
         assert machine.cpu.demotions == {}
-        assert flight.superblocks > 0
+        assert telemetry.dispatches > 0
         plain, _ = _run_engine(binary, "superblock")
         assert_parity(recorded, plain)
-        assert len(flight.ring) > 0
-
-    def test_step_granularity_forces_per_step(self, workload_binaries):
-        binary = workload_binaries["619.lbm_s"]
-        flight = FlightRecorder(granularity="step")
-        machine = machine_for(binary, flight=flight)
-        machine.load(binary)
-        recorded = machine.run()
-        # Superblocks skip per-transfer block events, so an explicit
-        # step-granularity recorder demotes run() to the per-step tier
-        # — and the demotion is counted, never silent.
-        assert not machine.cpu._blocks
-        assert machine.cpu.demotions == {"flight-recorder": 1}
-        plain, _ = _run_engine(binary, "superblock")
-        assert_parity(recorded, plain)
-        assert len(flight.ring) > 0
+        assert len(telemetry.ring) > 0
 
 
 class TestStaleSpeculation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import machine_for, run_binary
 from repro.core import RewriteMode, RuntimeLibrary, rewrite_binary
-from repro.obs import FlightRecorder
+from repro.obs import EngineTelemetry
 from repro.toolchain import compile_program, interpret, ir
 from repro.util.errors import UnwindError
 from tests.conftest import assert_same_behaviour, compiled
@@ -168,7 +168,7 @@ class TestGoTraceback:
 
 
 class TestRaTranslationObservability:
-    """The flight recorder's hit/miss split of the kernel's RA
+    """The runtime collector's hit/miss split of the kernel's RA
     translations, across both unwinding paths."""
 
     def test_cxx_unwind_hits_and_misses(self, arch):
@@ -177,9 +177,9 @@ class TestRaTranslationObservability:
         rewritten, report, runtime = rewrite_binary(
             binary, RewriteMode.JT, scorch_original=True
         )
-        recorder = FlightRecorder()
+        recorder = EngineTelemetry()
         result = run_binary(rewritten, runtime_lib=runtime,
-                            flight=recorder)
+                            telemetry=recorder)
         stats = recorder.ra_stats["cxx-unwind"]
         assert stats["hits"] > 0
         assert stats["misses"] > 0  # at least the throw-site PC itself
@@ -196,9 +196,9 @@ class TestRaTranslationObservability:
         rewritten, report, runtime = rewrite_binary(
             binary, RewriteMode.JT, scorch_original=True
         )
-        recorder = FlightRecorder()
+        recorder = EngineTelemetry()
         result = run_binary(rewritten, runtime_lib=runtime,
-                            flight=recorder)
+                            telemetry=recorder)
         stats = recorder.ra_stats["go"]
         assert stats["hits"] > 0
         # Every complete stack scan ends at the sentinel RA 0, which no
@@ -217,7 +217,7 @@ class TestRaTranslationObservability:
         )
         plain = run_binary(rewritten, runtime_lib=runtime)
         observed = run_binary(rewritten, runtime_lib=runtime,
-                              flight=FlightRecorder())
+                              telemetry=EngineTelemetry())
         assert observed.checksum == plain.checksum
         assert observed.cycles == plain.cycles
 
