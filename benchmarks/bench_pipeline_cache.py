@@ -14,16 +14,15 @@ import time
 import pytest
 
 from repro.core import ArtifactCache, IncrementalRewriter, RewriteMode
-from repro.obs import Metrics, Tracer
+from repro.obs import Tracer
 from repro.toolchain.workloads import build_workload, spec_workload
 
 REFERENCE = ("602.sgcc_s", "x86")
 MODE = RewriteMode.JT
 
 
-def _rewrite(binary, cache, metrics, tracer=None):
-    rewriter = IncrementalRewriter(mode=MODE, cache=cache,
-                                   metrics=metrics, tracer=tracer)
+def _rewrite(binary, cache, tracer=None):
+    rewriter = IncrementalRewriter(mode=MODE, cache=cache, tracer=tracer)
     t0 = time.perf_counter()
     rewriter.rewrite(binary)
     return time.perf_counter() - t0
@@ -35,22 +34,22 @@ def test_warm_cache_rewrite(benchmark, print_section, runtime_records):
     _, binary = build_workload(spec_workload(name, arch), arch)
     cache = ArtifactCache()
 
-    cold_metrics = Metrics()
     cold_tracer = Tracer(name="cold-rewrite", memory=True)
-    cold_seconds = _rewrite(binary, cache, cold_metrics, cold_tracer)
-    cold_mem_peak = cold_tracer.finish().mem_peak
+    cold_seconds = _rewrite(binary, cache, cold_tracer)
+    cold_root = cold_tracer.finish()
 
-    warm_seconds = benchmark(lambda: _rewrite(binary, cache, Metrics()))
-    warm_metrics = Metrics()
-    _rewrite(binary, cache, warm_metrics)
+    warm_seconds = benchmark(lambda: _rewrite(binary, cache))
+    warm_tracer = Tracer(name="warm-rewrite")
+    _rewrite(binary, cache, warm_tracer)
+    warm = warm_tracer.finish().total_counters()
 
     # The acceptance property: a warm rewrite constructs nothing, and
     # makes exactly one lookup per cached stage (cfg, funcptr).
-    assert warm_metrics.counter("cfg.constructions").value == 0
-    assert warm_metrics.counter("cache.misses").value == 0
-    assert warm_metrics.counter("cache.hits").value == 2
+    assert warm.get("cfg.constructions", 0) == 0
+    assert warm.get("cache.misses", 0) == 0
+    assert warm["cache.hits"] == 2
 
-    counters = cold_metrics.counter_values()
+    counters = cold_root.total_counters()
     record = {
         "bench": "pipeline_cache",
         "benchmark": name,
@@ -59,7 +58,7 @@ def test_warm_cache_rewrite(benchmark, print_section, runtime_records):
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "cold_constructions": counters.get("cfg.constructions", 0),
-        "cold_mem_peak": cold_mem_peak,
+        "cold_mem_peak": cold_root.mem_peak,
         "cache": cache.stats(),
     }
     runtime_records(record)

@@ -1,9 +1,10 @@
 """Record tax: emitting a rewrite record must stay cheap.
 
 Records are on by default for every batch rewrite and every harness
-evaluation, so the cost of assembling one — metric snapshot/delta, span
-walk, digesting the input and output images, canonical-JSON content
-addressing — has to be a small fraction of the rewrite it describes.
+evaluation, so the cost of assembling one — the span walk for stage
+timings and cache counters, digesting the input and output images,
+canonical-JSON content addressing — has to be a small fraction of the
+rewrite it describes.
 
 Wall-clock ratios are too noisy on a shared machine to gate on, so
 ``test_record_emission_overhead`` gates on the work record assembly
@@ -22,7 +23,7 @@ projected share of a rewrite.
 import time
 
 from repro.core import IncrementalRewriter, RewriteMode
-from repro.obs import Metrics, receipt
+from repro.obs import Tracer, receipt
 from repro.obs.receipt import EnvFingerprint, content_digest
 from repro.toolchain.workloads import build_workload, spec_workload
 
@@ -33,7 +34,7 @@ DIGEST_BUDGET = 0.05  # two content digests against one rewrite
 
 def _rewriter(record, atlas=False):
     sink = [].append if record else None
-    return IncrementalRewriter(mode=MODE, metrics=Metrics(),
+    return IncrementalRewriter(mode=MODE, tracer=Tracer(),
                                record_sink=sink, atlas=atlas)
 
 

@@ -1,8 +1,8 @@
 """Observability tax: un-instrumented rewrites must stay fast.
 
-The tracing/metrics hooks are unconditional in the pipeline hot paths;
-the design relies on :data:`NULL_TRACER`/:data:`NULL_METRICS` being so
-cheap that nobody needs a "tracing off" build.  This bench quantifies
+The tracing hooks are unconditional in the pipeline hot paths; the
+design relies on :data:`NULL_TRACER` being so cheap that nobody needs
+a "tracing off" build.  This bench quantifies
 that: it counts how many observability hook calls one reference rewrite
 makes (with a tallying no-op stand-in), measures the per-call cost of
 the real no-op singletons in a tight loop, and projects the total no-op
@@ -15,7 +15,7 @@ boundary) to the same budget.
 import time
 
 from repro.core import IncrementalRewriter, RewriteMode
-from repro.obs import NULL_METRICS, NULL_TRACER, Tracer
+from repro.obs import NULL_TRACER, Tracer
 from repro.toolchain.workloads import build_workload, spec_workload
 
 REFERENCE = ("602.sgcc_s", "x86")
@@ -24,11 +24,11 @@ BUDGET = 0.02  # no-op tracing may add at most 2% to a rewrite
 
 
 class _TallyingNoop:
-    """NULL_TRACER/NULL_METRICS lookalike that counts hook invocations.
+    """NULL_TRACER lookalike that counts hook invocations.
 
-    Serves as both sinks at once; every tracer or metrics entry point a
-    rewrite touches bumps ``ops`` by one, so ``ops`` is exactly the
-    number of no-op calls an un-instrumented rewrite performs.
+    Every tracer entry point a rewrite touches bumps ``ops`` by one, so
+    ``ops`` is exactly the number of no-op calls an un-instrumented
+    rewrite performs.
     """
 
     enabled = False
@@ -60,26 +60,16 @@ class _TallyingNoop:
     def count(self, name, n=1):
         self.ops += 1
 
-    def inc(self, name, n=1):
-        self.ops += 1
-
-    def set_gauge(self, name, value):
-        self.ops += 1
-
-    def observe(self, name, value):
-        self.ops += 1
-
 
 def _noop_cost_per_call(iterations=50_000):
     """Measured seconds per call on the real no-op singletons."""
-    tracer, metrics = NULL_TRACER, NULL_METRICS
-    calls_per_lap = 6  # span() + enter + exit + count + event + inc
+    tracer = NULL_TRACER
+    calls_per_lap = 5  # span() + enter + exit + count + event
     t0 = time.perf_counter()
     for _ in range(iterations):
         with tracer.span("stage"):
             tracer.count("counter")
             tracer.event("event")
-            metrics.inc("metric")
     elapsed = time.perf_counter() - t0
     return elapsed / (iterations * calls_per_lap)
 
@@ -101,8 +91,7 @@ def _experiment():
     _, binary = build_workload(spec_workload(name, arch), arch)
 
     sink = _TallyingNoop()
-    IncrementalRewriter(mode=MODE, tracer=sink, metrics=sink) \
-        .rewrite(binary)
+    IncrementalRewriter(mode=MODE, tracer=sink).rewrite(binary)
     hook_calls = sink.ops
 
     per_call = _noop_cost_per_call()

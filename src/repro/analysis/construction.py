@@ -46,7 +46,7 @@ from repro.analysis.cfg import (
 from repro.analysis.failures import classify_failure
 from repro.analysis.jumptable import JumpTableAnalyzer
 from repro.isa import get_arch
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.toolchain.codegen import RUNTIME_SUPPORT_FUNCS
 from repro.util.errors import AnalysisError, DecodingError
 
@@ -106,20 +106,19 @@ def initial_seeds(binary):
     return seeds
 
 
-def build_cfg(binary, options=None, tracer=None, metrics=None):
+def build_cfg(binary, options=None, tracer=None):
     """Build the whole-binary CFG by orchestrating per-function units.
 
     Functions are built over waves of a discovery worklist (call
     targets found in one wave seed the next), each under a
-    ``pipeline-analysis`` span and counted in ``cfg.constructions``
-    (``tracer``/``metrics``, see :mod:`repro.obs`).  Each function's
-    instruction count and construction seconds land on the returned
-    :class:`BinaryCFG`, from which :func:`record_cfg` derives the
-    stage's counters and failure events.
+    ``pipeline-analysis`` span; the caller's span counts them in
+    ``cfg.constructions`` (``tracer``, see :mod:`repro.obs`).  Each
+    function's instruction count and construction seconds land on the
+    returned :class:`BinaryCFG`, from which :func:`record_cfg` derives
+    the stage's counters and failure events.
     """
     options = options or ConstructionOptions()
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
     cfg = BinaryCFG()
 
     seeds = initial_seeds(binary)
@@ -138,30 +137,29 @@ def build_cfg(binary, options=None, tracer=None, metrics=None):
                     binary, name, entry, range_end,
                     pads_by_owner.get(entry, ()), options)
                 cfg.seconds[entry] = time.perf_counter() - t0
-            metrics.inc("cfg.constructions")
             cfg.instructions[entry] = insn_count
             cfg.add(fcfg)
             for target in discovered_calls:
                 if target not in seeds:
                     seeds[target] = (f"func_{target:x}", None)
                     pending.append(target)
+    tracer.count("cfg.constructions", len(cfg.functions))
     return cfg
 
 
-def record_cfg(cfg, tracer=None, metrics=None):
+def record_cfg(cfg, tracer=None):
     """The construction stage's accounting, read off a built CFG.
 
-    Per-function ``cfg.*`` counters, one ``analysis-failure`` event per
-    contained failure (with its Figure-2 category) and the stage's
-    ``functions`` count, in construction order — the same whether
-    :func:`build_cfg` just ran or the CFG came from a cache.
+    One ``analysis-failure`` event per contained failure (with its
+    Figure-2 category), in construction order, then the stage's
+    ``functions`` count and its ``cfg.blocks``/``cfg.instructions``/
+    ``cfg.jump_tables`` totals over the functions built — the same
+    whether :func:`build_cfg` just ran or the CFG came from a cache.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
+    blocks = instructions = jump_tables = 0
     for fcfg in cfg:
-        metrics.inc("cfg.functions")
         if fcfg.failed is not None:
-            metrics.inc("cfg.functions_failed")
             tracer.event(
                 "analysis-failure",
                 function=fcfg.name,
@@ -169,10 +167,13 @@ def record_cfg(cfg, tracer=None, metrics=None):
                 category=classify_failure(fcfg.failed),
             )
         else:
-            metrics.inc("cfg.blocks", len(fcfg.blocks))
-            metrics.inc("cfg.instructions", cfg.instructions[fcfg.entry])
-            metrics.inc("cfg.jump_tables", len(fcfg.jump_tables))
+            blocks += len(fcfg.blocks)
+            instructions += cfg.instructions[fcfg.entry]
+            jump_tables += len(fcfg.jump_tables)
     tracer.count("functions", len(cfg.functions))
+    tracer.count("cfg.blocks", blocks)
+    tracer.count("cfg.instructions", instructions)
+    tracer.count("cfg.jump_tables", jump_tables)
 
 
 def _landing_pads_by_owner(binary, seeds):

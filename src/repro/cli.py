@@ -40,7 +40,6 @@ from repro.binfmt import Binary
 from repro.machine import run_binary
 from repro.obs import (
     EngineTelemetry,
-    Metrics,
     RecordLedger,
     Tracer,
     fleet_summary,
@@ -124,19 +123,10 @@ def _read_binary(path):
                        EXIT_LOAD_ERROR)
 
 
-def _make_cache(args):
-    """The artifact cache a command asked for (or None)."""
-    if getattr(args, "no_cache", False):
-        return None
-    return ArtifactCache(directory=getattr(args, "cache_dir", None))
-
-
 def _add_pipeline_args(parser):
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="persist analysis artifacts under DIR "
                              "(shared across invocations)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the analysis-artifact cache")
 
 
 def cmd_list(args):
@@ -186,8 +176,8 @@ def cmd_rewrite(args):
         else None
     # One process rewrites once, so an in-memory cache could never be
     # read back: only a --cache-dir cache is worth its lookups.
-    cache = _make_cache(args) if args.cache_dir else None
-    metrics = Metrics() if (observing or cache is not None) else None
+    cache = ArtifactCache(directory=args.cache_dir) if args.cache_dir \
+        else None
     record_sink = records = None
     if record_path:
         record_sink, records = _ledger_sink(record_path)
@@ -196,8 +186,7 @@ def cmd_rewrite(args):
             binary, RewriteMode.parse(args.mode),
             instrumentation=instrumentation,
             scorch_original=args.scorch,
-            tracer=tracer, metrics=metrics,
-            cache=cache,
+            tracer=tracer, cache=cache,
             degrade=not args.no_degrade,
             record_sink=record_sink, workload=args.workload,
             atlas=args.atlas,
@@ -220,10 +209,10 @@ def cmd_rewrite(args):
     print(f"size increase : {report.size_increase:+.1%}")
     print(f"trampolines   : " + ", ".join(
         f"{k}={v}" for k, v in report.trampolines.items() if v))
-    if cache is not None and metrics is not None:
-        counters = metrics.counter_values()
-        print(f"cache         : {counters.get('cache.hits', 0)} hits, "
-              f"{counters.get('cache.misses', 0)} misses")
+    if cache is not None:
+        stats = cache.stats()
+        print(f"cache         : {stats['hits']} hits, "
+              f"{stats['misses']} misses")
     if report.failed_functions:
         print(f"skipped       : " + ", ".join(
             name for name, _ in report.failed_functions))
@@ -247,7 +236,7 @@ def cmd_rewrite(args):
     if args.run:
         base = run_binary(binary)
         result = run_binary(rewritten, runtime_lib=runtime,
-                            tracer=tracer, metrics=metrics)
+                            tracer=tracer)
         same = (result.exit_code, result.output) == (base.exit_code,
                                                      base.output)
         print(f"run           : {'identical behaviour' if same else 'DIVERGED'}, "
@@ -275,13 +264,12 @@ def cmd_batch(args):
     ``--records``, and the whole batch closes with one fleet-summary
     row.
     """
-    cache = _make_cache(args)
+    cache = ArtifactCache(directory=args.cache_dir)
     record_sink = batch_records = None
     record_path = None if args.no_records else args.records
     if record_path:
         record_sink, batch_records = _ledger_sink(record_path)
     failures = 0
-    runs = []
     loaded = {}
     load_failed = set()
     for round_no in range(args.repeat):
@@ -300,16 +288,14 @@ def cmd_batch(args):
                           file=sys.stderr)
                     continue
             _, binary = loaded[name]
-            metrics = Metrics()
-            # One tracer per rewrite so each record gets its own
-            # per-stage timings.
-            tracer = (Tracer(name=f"batch:{name}")
-                      if record_sink is not None else None)
+            # One tracer per rewrite: its span tree holds this
+            # rewrite's cache counts and its record's stage timings.
+            tracer = Tracer(name=f"batch:{name}")
             t0 = time.perf_counter()
             try:
                 rewritten, report, _ = rewrite_binary(
                     binary, RewriteMode.parse(args.mode),
-                    tracer=tracer, metrics=metrics, cache=cache,
+                    tracer=tracer, cache=cache,
                     record_sink=record_sink, workload=name,
                 )
             except ReproError as exc:
@@ -317,12 +303,10 @@ def cmd_batch(args):
                 print(f"{name:<16} FAILED: {exc}", file=sys.stderr)
                 continue
             elapsed = time.perf_counter() - t0
-            counters = metrics.counter_values()
+            counters = tracer.root.total_counters()
             hits = counters.get("cache.hits", 0)
             misses = counters.get("cache.misses", 0)
-            saved = metrics.as_dict().get("histograms", {}).get(
-                "cache.seconds_saved", {}).get("sum", 0.0)
-            runs.append((name, elapsed, hits, misses, saved))
+            saved = counters.get("cache.seconds_saved", 0.0)
             print(f"{name:<16} {elapsed:7.3f}s  coverage "
                   f"{report.coverage:6.2%}  cache {hits}/{hits + misses} "
                   f"hits  saved {saved:.3f}s")
@@ -332,11 +316,10 @@ def cmd_batch(args):
                 out_path = f"{args.out_dir}/{name}.r{round_no}.rw"
                 with open(out_path, "wb") as f:
                     f.write(rewritten.to_bytes())
-    if cache is not None:
-        stats = cache.stats()
-        print(f"[cache: {stats['entries']} entries, {stats['hits']} hits"
-              f" / {stats['misses']} misses, {stats['stores']} stores]",
-              file=sys.stderr)
+    stats = cache.stats()
+    print(f"[cache: {stats['entries']} entries, {stats['hits']} hits"
+          f" / {stats['misses']} misses, {stats['stores']} stores]",
+          file=sys.stderr)
     if batch_records:
         RecordLedger(record_path).append_summary(
             fleet_summary(batch_records))
@@ -369,8 +352,12 @@ def cmd_chaos(args):
         underapproximate=args.underapprox,
         corrupt_cache=args.corrupt_cache,
     )
-    cache = _make_cache(args)
-    if plan.corrupt_cache and cache is not None:
+    # A one-shot chaos run reads a cache back only when corruption
+    # needs warmed entries to bite, or through a --cache-dir.
+    cache = None
+    if plan.corrupt_cache or args.cache_dir:
+        cache = ArtifactCache(directory=args.cache_dir)
+    if plan.corrupt_cache:
         # Warm the cache with one clean rewrite so corruption has
         # entries to bite; the chaos run must then recover from them.
         evaluate_tool(args.mode, binary, oracle, base_cycles,

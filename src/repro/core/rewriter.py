@@ -58,13 +58,8 @@ from repro.core.runtime_lib import RuntimeLibrary, pack_addr_map
 from repro.core.trampolines import ScratchPool, TrampolineInstaller
 from repro.isa import get_arch
 from repro.isa.archspec import ILLEGAL_BYTE
-from repro.obs import NULL_METRICS, NULL_TRACER
-from repro.obs.receipt import (
-    AtlasBuilder,
-    RewriteRecord,
-    delta_metrics,
-    snapshot_metrics,
-)
+from repro.obs import NULL_TRACER
+from repro.obs.receipt import AtlasBuilder, RewriteRecord
 from repro.util.errors import ReproError, RewriteError
 
 #: Trace span names of the eight pipeline stages (module docstring),
@@ -154,16 +149,15 @@ class IncrementalRewriter:
                  construction_options=None, scorch_original=False,
                  call_emulation=False, cfg_hook=None,
                  function_order="address", block_order="address",
-                 tracer=None, metrics=None, cache=None, degrade=True,
+                 tracer=None, cache=None, degrade=True,
                  record_sink=None, workload=None, atlas=False):
         self.mode = (RewriteMode.parse(mode) if isinstance(mode, str)
                      else mode)
         self.instrumentation = instrumentation or EmptyInstrumentation()
         self.construction_options = (construction_options
                                      or ConstructionOptions())
-        #: observability sinks (:mod:`repro.obs`); no-ops by default
+        #: observability sink (:mod:`repro.obs`); a no-op by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         #: artifact cache (:class:`repro.core.cache.ArtifactCache`)
         #: holding whole-stage analysis results; None disables caching
         self.cache = cache
@@ -209,9 +203,7 @@ class IncrementalRewriter:
         a successful rewrite's record carries the atlas section.
         """
         tr = self.tracer
-        metrics = self.metrics
         emit = self.record_sink is not None
-        before = snapshot_metrics(metrics) if emit else None
         atlas = AtlasBuilder() if emit and self.atlas else None
         t0 = time.perf_counter()
         error = None
@@ -221,14 +213,14 @@ class IncrementalRewriter:
             with tr.span("rewrite", mode=str(self.mode),
                          arch=binary.arch_name) as rewrite_span:
                 rewritten, report = self._rewrite_traced(
-                    binary, tr, metrics, atlas)
+                    binary, tr, atlas)
         except ReproError as exc:
             if not emit:
                 raise
             error = exc
         if emit:
             self._emit_record(binary, rewritten, report, rewrite_span,
-                              before, time.perf_counter() - t0, error,
+                              time.perf_counter() - t0, error,
                               atlas if error is None else None)
             if error is not None:
                 raise error
@@ -247,12 +239,10 @@ class IncrementalRewriter:
             "block_order": self.block_order,
         }
 
-    def _emit_record(self, binary, rewritten, report, span, before,
+    def _emit_record(self, binary, rewritten, report, span,
                      total_seconds, error, atlas):
         record = RewriteRecord.from_rewrite(
-            binary, rewritten, report, span,
-            delta_metrics(before, snapshot_metrics(self.metrics)),
-            total_seconds,
+            binary, rewritten, report, span, total_seconds,
             workload=self.workload,
             options=self.resolved_options(),
             error=error,
@@ -264,7 +254,7 @@ class IncrementalRewriter:
         (append if append is not None else sink)(record)
         return record
 
-    def _rewrite_traced(self, binary, tr, metrics, atlas):
+    def _rewrite_traced(self, binary, tr, atlas):
         spec = get_arch(binary.arch_name)
 
         # The key of this rewrite's cached stages: everything the cfg
@@ -284,15 +274,14 @@ class IncrementalRewriter:
             cfg = self._stage_artifact(
                 "cfg", stage_key,
                 lambda: build_cfg(binary, self.construction_options,
-                                  tracer=tr, metrics=metrics))
-            record_cfg(cfg, tr, metrics)
+                                  tracer=tr))
+            record_cfg(cfg, tr)
             if self.cfg_hook is not None:
                 cfg = self.cfg_hook(cfg) or cfg
             self._pre_checks(binary, cfg)
             failed_fns = [FailedFunction(f.name, f.failed)
                           for f in cfg.failed_functions()]
             for rec in failed_fns:
-                metrics.inc("rewrite.functions_skipped")
                 tr.event(
                     "function-skipped",
                     function=rec.name,
@@ -339,8 +328,6 @@ class IncrementalRewriter:
                     binary, cfg, funcptrs, candidate_fns, degradation,
                 )
                 for rec in degradation.entries:
-                    metrics.inc("degrade.functions")
-                    metrics.inc(f"degrade.to.{rec.final}")
                     tr.event(
                         "function-degraded",
                         function=rec.function,
@@ -394,9 +381,6 @@ class IncrementalRewriter:
                              for v in placement.cfl_by_function.values())
             tr.count("cfl_blocks", cfl_blocks)
             tr.count("superblocks", len(placement.superblocks))
-            metrics.inc("placement.cfl_blocks", cfl_blocks)
-            metrics.inc("placement.superblocks",
-                        len(placement.superblocks))
 
         with tr.span("relocation"):
             code_defs = ()
@@ -427,9 +411,6 @@ class IncrementalRewriter:
             tr.count("relocated_functions", len(emit_order))
             tr.count("clones", len(reloc.clones))
             tr.count("instr_bytes", len(instr_bytes))
-            metrics.inc("relocation.functions", len(emit_order))
-            metrics.inc("relocation.clones", len(reloc.clones))
-            metrics.inc("relocation.instr_bytes", len(instr_bytes))
             if atlas is not None:
                 atlas.observe_relocation(reloc.block_labels)
 
@@ -443,7 +424,7 @@ class IncrementalRewriter:
             installer = TrampolineInstaller(
                 out, spec, pool, toc_base=binary.metadata.get("toc_base"),
                 pool_leftovers=self.pool_leftovers,
-                tracer=tr, metrics=metrics,
+                tracer=tr,
             )
             liveness_cache = {}
             for sb in placement.superblocks:
@@ -468,7 +449,6 @@ class IncrementalRewriter:
                     degraded_entries,
                 )
                 tr.count("redirected_slots", redirected)
-                metrics.inc("funcptr.redirected_slots", redirected)
             else:
                 span.attrs["skipped"] = True
 
@@ -518,35 +498,32 @@ class IncrementalRewriter:
             funcptr_reasons=list(funcptrs.reasons),
             degradation=degradation,
         )
-        metrics.inc("rewrite.runs")
-        metrics.set_gauge("rewrite.coverage", report.coverage)
-        metrics.set_gauge("rewrite.size_increase", report.size_increase)
         return out, report
 
     def _stage_artifact(self, kind, key, compute):
         """One analysis stage's result: the :attr:`cache` entry for
         ``(kind, key)`` when there is one, else ``compute()``, timed and
         stored.  ``key`` None (no cache, or a stage that may not be
-        cached) just computes.  Accounts ``cache.*`` and
-        ``cache.<kind>.*`` counters and, on a hit, the compute seconds
-        the hit saved."""
+        cached) just computes.  Counts ``cache.*`` and
+        ``cache.<kind>.*`` on the stage's span and, on a hit, the
+        compute seconds the hit saved (``cache.seconds_saved``)."""
         if key is None:
             return compute()
-        metrics = self.metrics
+        tr = self.tracer
         full_key = self.cache.key(kind, key)
         got = self.cache.get(kind, full_key)
         if got is not MISS:
             seconds, value = got
-            metrics.inc("cache.hits")
-            metrics.inc(f"cache.{kind}.hits")
-            metrics.observe("cache.seconds_saved", seconds)
+            tr.count("cache.hits")
+            tr.count(f"cache.{kind}.hits")
+            tr.count("cache.seconds_saved", seconds)
             return value
-        metrics.inc("cache.misses")
-        metrics.inc(f"cache.{kind}.misses")
+        tr.count("cache.misses")
+        tr.count(f"cache.{kind}.misses")
         t0 = time.perf_counter()
         value = compute()
         self.cache.put(kind, full_key, value, time.perf_counter() - t0)
-        metrics.inc("cache.stores")
+        tr.count("cache.stores")
         return value
 
     def runtime_library(self, rewritten):
@@ -819,17 +796,17 @@ def _subtract_ranges(start, end, keep_sorted):
 
 
 def rewrite_binary(binary, mode=RewriteMode.JT, instrumentation=None,
-                   tracer=None, metrics=None, cache=None, **kwargs):
+                   tracer=None, cache=None, **kwargs):
     """One-call convenience: returns (rewritten, report, runtime_lib).
 
-    Observability sinks and the artifact cache are explicit (rather than
+    The tracer and the artifact cache are explicit (rather than
     swallowed by ``**kwargs``) so call sites get signature help and typos
     fail loudly; remaining keywords forward to
     :class:`IncrementalRewriter`.
     """
     rewriter = IncrementalRewriter(mode=mode,
                                    instrumentation=instrumentation,
-                                   tracer=tracer, metrics=metrics,
-                                   cache=cache, **kwargs)
+                                   tracer=tracer, cache=cache,
+                                   **kwargs)
     rewritten, report = rewriter.rewrite(binary)
     return rewritten, report, rewriter.runtime_library(rewritten)

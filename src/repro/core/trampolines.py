@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.insn import Instruction, Mem
 from repro.isa.registers import CTR, SP, TOC
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.util.errors import RewriteError
 
 #: Preference order for scratch registers (toolchain temporaries first).
@@ -132,7 +132,7 @@ class TrampolineInstaller:
     """Plans and writes trampolines into the (output) binary's .text."""
 
     def __init__(self, out_binary, spec, pool, toc_base=None,
-                 pool_leftovers=True, tracer=None, metrics=None):
+                 pool_leftovers=True, tracer=None):
         self.binary = out_binary
         self.spec = spec
         self.pool = pool
@@ -141,7 +141,6 @@ class TrampolineInstaller:
         #: SRBI-era rewriters lacked the scratch-block insight and do not
         self.pool_leftovers = pool_leftovers
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.records = []
         self.stats = TrampolineStats()
         self.trap_map = {}
@@ -161,14 +160,13 @@ class TrampolineInstaller:
         self.records.append(record)
         setattr(self.stats, record.kind,
                 getattr(self.stats, record.kind) + 1)
-        self.metrics.inc("trampolines." + record.kind)
         self.tracer.count("trampolines." + record.kind)
         used_at_site = sum(n for addr, n in record.written if addr == site)
         if self.pool_leftovers and site + used_at_site < site + size:
             # Superblock tail: back into the pool for other sites' hops.
             leftover = size - used_at_site
             self.pool.add(site + used_at_site, site + size)
-            self.metrics.inc("scratch.recycled_bytes", leftover)
+            self.tracer.count("scratch.recycled_bytes", leftover)
             self.tracer.event(
                 "superblock-recycled",
                 function=function, site=site, bytes=leftover,

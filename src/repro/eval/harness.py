@@ -22,7 +22,7 @@ from repro.core import (
     RuntimeLibrary,
 )
 from repro.machine import run_binary
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.util.errors import ReproError
 
 #: Tool names understood by :func:`make_tool`.
@@ -51,7 +51,7 @@ class ToolRun:
     dyn_translations: int = 0
     unwound_frames: int = 0
     #: artifact-cache accounting for this run, read off :attr:`record`
-    #: (zeros for tools without record support)
+    #: (zeros for untraced runs and tools without record support)
     cache_hits: int = 0
     cache_misses: int = 0
     analysis_seconds_saved: float = 0.0
@@ -126,7 +126,7 @@ def _discard_record(record):
 
 
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
-                  instrumentation=None, tracer=None, metrics=None,
+                  instrumentation=None, tracer=None,
                   telemetry=None, cache=None,
                   faults=None, record_sink=None, atlas=False,
                   **tool_kwargs):
@@ -134,13 +134,13 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
 
     ``oracle`` is the expected ``(exit_code, output list)``;
     ``base_cycles`` the original binary's cycle count.  Pass a
-    :class:`repro.obs.Tracer` (and optionally a ``Metrics`` registry) to
-    observe the whole run — the rewrite's pipeline-stage spans and the
-    emulated execution land under it and the tracer is attached to the
-    returned :attr:`ToolRun.trace`; failures are recorded as
-    ``harness-error`` trace events with the exception type.  A
-    ``Tracer(memory=True)`` additionally surfaces the rewrite's peak
-    traced memory on :attr:`ToolRun.mem_peak`.  Pass an
+    :class:`repro.obs.Tracer` to observe the whole run — the rewrite's
+    pipeline-stage spans and the emulated execution land under it and
+    the tracer is attached to the returned :attr:`ToolRun.trace`;
+    failures are recorded as ``harness-error`` trace events with the
+    exception type.  A ``Tracer(memory=True)`` additionally surfaces
+    the rewrite's peak traced memory on :attr:`ToolRun.mem_peak`.
+    Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
     emulated execution (hot blocks, guard outcomes, compile time,
     block ring, trampoline hits, RA translations); it comes back on
@@ -148,8 +148,9 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
     across many evaluations) feeds the incremental pipeline; the run's
-    own hit/miss/time-saved deltas come back on the ToolRun, read off
-    its record.
+    own hit/miss/time-saved counts come back on the ToolRun, read off
+    its record (which reads them off the rewrite's span, so only a
+    traced run has them).
 
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
@@ -169,15 +170,13 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     """
     attach = tracer if tracer is not None else None
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
     rewriter = None
     try:
         rewriter = make_tool(tool, instrumentation=instrumentation,
                              **tool_kwargs)
-        # Thread the sinks into the rewriter post-construction so every
+        # Thread the tracer into the rewriter post-construction so every
         # tool (incl. baselines with fixed signatures) is observable.
         rewriter.tracer = tracer
-        rewriter.metrics = metrics
         if cache is not None:
             rewriter.cache = cache
         if hasattr(rewriter, "record_sink"):
@@ -193,13 +192,11 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         rewritten, report = rewriter.rewrite(binary)
         runtime = runtime_for(tool, rewriter, rewritten)
         result = run_binary(rewritten, runtime_lib=runtime,
-                            tracer=tracer, metrics=metrics,
-                            telemetry=telemetry)
+                            tracer=tracer, telemetry=telemetry)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error=error)
-        metrics.inc("harness.errors")
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
                        error=error, trace=attach, telemetry=telemetry,
                        record=getattr(rewriter, "last_record", None))
@@ -208,7 +205,6 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     if (result.exit_code, result.output) != oracle:
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error="wrong output")
-        metrics.inc("harness.wrong_output")
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
                        error="wrong output", report=report, trace=attach,
                        telemetry=telemetry,

@@ -39,12 +39,12 @@ are generated from that one table:
 
 Demotions away from the fused tier are never silent: a manual
 :meth:`CPU.step` on a superblock CPU counts a ``manual-step`` cause in
-:attr:`CPU.demotions` (mirrored to the machine's metrics as
-``engine.demoted`` and traced as an ``engine-demoted`` event).  An
-attached :class:`~repro.obs.engine.EngineTelemetry` rides the fused
-tier: it observes fuse/compile/guard activity, one record per block
-dispatch (with exact trampoline-hit recovery) and one per control
-transfer and trampoline site in cold code.  Block-cache
+:attr:`CPU.demotions`, which the machine traces as an
+``engine-demoted`` event.  An attached
+:class:`~repro.obs.engine.EngineTelemetry` rides the fused tier: it
+observes fuse/compile/guard activity, one record per block dispatch
+(with exact trampoline-hit recovery) and one per control transfer and
+trampoline site in cold code.  Block-cache
 invalidations are counted by cause in :attr:`CPU.invalidations`
 (``invalidate_code``, ``watch-region``,
 ``telemetry-attach``/``-detach``).  The ``is None`` discipline keeps
@@ -401,8 +401,8 @@ class CPU:
         #: cause (always counted, telemetry attached or not).
         self.invalidations = {}
         #: Optional ``fn(cause)`` invoked on every demotion — the
-        #: Machine wires this to its metrics/tracer so demotions are
-        #: never silent.
+        #: Machine wires this to its tracer so demotions are never
+        #: silent.
         self.on_demote = None
         self._step_demoted = False
 
@@ -486,8 +486,7 @@ class CPU:
 
     def _demote(self, cause):
         """Count one demotion away from the fused tier, by cause, and
-        signal it through the machine's ``on_demote`` metrics/event
-        hook."""
+        signal it through the machine's ``on_demote`` event hook."""
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
         cb = self.on_demote
         if cb is not None:

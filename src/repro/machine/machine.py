@@ -10,10 +10,10 @@ from repro.machine.cpu import CPU, DEFAULT_STEP_LIMIT
 from repro.machine.kernel import Kernel
 from repro.machine.loader import load_binary
 from repro.machine.memory import Memory
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.util.ints import align_up
 
-#: Kernel counters mirrored onto the ``machine-run`` span / metrics.
+#: Kernel counters mirrored onto the ``machine-run`` span.
 _KERNEL_COUNTERS = ("traps", "ra_translations", "dyn_translations",
                     "unwound_frames", "exceptions", "tracebacks")
 
@@ -42,12 +42,11 @@ class Machine:
 
     def __init__(self, arch, costs=None, mem_size=None,
                  step_limit=DEFAULT_STEP_LIMIT, tracer=None,
-                 metrics=None, engine="superblock", telemetry=None):
+                 engine="superblock", telemetry=None):
         self.spec = get_arch(arch) if isinstance(arch, str) else arch
         self.costs = costs or CostModel.default()
-        #: observability sinks (:mod:`repro.obs`); no-ops by default
+        #: observability sink (:mod:`repro.obs`); a no-op by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.memory = Memory(mem_size) if mem_size else Memory()
         self.kernel = Kernel(self.memory, self.costs)
         self.cpu = CPU(self.memory, self.spec, self.kernel, self.costs,
@@ -62,8 +61,7 @@ class Machine:
 
     def _on_demote(self, cause):
         """Fused-tier demotions are never silent: mirror each one as a
-        metric and a trace event naming the cause."""
-        self.metrics.inc("engine.demoted")
+        trace event naming the cause."""
         self.tracer.event("engine-demoted", cause=cause)
 
     def load(self, binary, bias=None):
@@ -146,24 +144,19 @@ class Machine:
 
     def _record_run(self, span, cpu, icount0, cycles0, counters0):
         """Mirror one run's instruction/trap/unwind tallies onto the
-        trace span and the metrics registry (deltas, so repeated runs on
-        one machine stay attributable)."""
-        instructions = cpu.icount - icount0
-        cycles = cpu.cycles - cycles0
-        span.count("instructions", instructions)
-        span.count("cycles", cycles)
-        self.metrics.inc("machine.instructions", instructions)
-        self.metrics.inc("machine.cycles", cycles)
+        trace span (deltas, so repeated runs on one machine stay
+        attributable)."""
+        span.count("instructions", cpu.icount - icount0)
+        span.count("cycles", cpu.cycles - cycles0)
         for name in _KERNEL_COUNTERS:
             delta = self.kernel.counters.get(name, 0) \
                 - counters0.get(name, 0)
             if delta:
                 span.count(name, delta)
-                self.metrics.inc("machine." + name, delta)
 
 
 def machine_for(binary, costs=None, step_limit=DEFAULT_STEP_LIMIT,
-                stack_headroom=1 << 20, tracer=None, metrics=None,
+                stack_headroom=1 << 20, tracer=None,
                 engine="superblock", telemetry=None):
     """A machine sized to fit ``binary`` plus stack headroom."""
     alloc = binary.alloc_sections()
@@ -172,17 +165,16 @@ def machine_for(binary, costs=None, step_limit=DEFAULT_STEP_LIMIT,
     size = align_up(top + 0x80000 + stack_headroom, 0x1000)
     size = max(size, 4 << 20)
     return Machine(binary.arch_name, costs=costs, mem_size=size,
-                   step_limit=step_limit, tracer=tracer, metrics=metrics,
-                   engine=engine, telemetry=telemetry)
+                   step_limit=step_limit, tracer=tracer, engine=engine,
+                   telemetry=telemetry)
 
 
 def run_binary(binary, runtime_lib=None, costs=None, bias=None,
                step_limit=DEFAULT_STEP_LIMIT, watch_bounce=None,
-               tracer=None, metrics=None, engine="superblock",
-               telemetry=None):
+               tracer=None, engine="superblock", telemetry=None):
     """Load and run a binary on a fresh machine; returns a RunResult."""
     machine = machine_for(binary, costs=costs, step_limit=step_limit,
-                          tracer=tracer, metrics=metrics, engine=engine,
+                          tracer=tracer, engine=engine,
                           telemetry=telemetry)
     image = machine.load(binary, bias)
     if runtime_lib is not None:

@@ -1,14 +1,16 @@
-"""Observability: pipeline tracing, metrics, run-time telemetry and
-failure forensics.
+"""Observability: pipeline tracing, run-time telemetry and failure
+forensics.
 
 The substrate every benchmark and robustness experiment measures itself
 against: nested wall-clock spans over the rewriting pipeline's stages,
-counter/gauge/histogram metrics, structured events for per-function
-failure forensics, JSON export, and a human-readable profile table.
+each carrying the counters of the stage that produced them (trampolines
+by kind, CFG shape, cache hits/misses/stores), structured events for
+per-function failure forensics, JSON export, and a human-readable
+profile table.  Each fact is counted once, on its stage's span; a
+subtree's :meth:`Span.total_counters` sums it over any scope.
 
-Everything is zero-dependency and defaults to no-op singletons
-(:data:`NULL_TRACER`, :data:`NULL_METRICS`) so un-instrumented runs pay
-near-zero cost.
+Everything is zero-dependency and defaults to the no-op
+:data:`NULL_TRACER`, so un-instrumented runs pay near-zero cost.
 
 :mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
 content-addressed :class:`RewriteRecord` per rewrite (provenance, cost,
@@ -39,25 +41,15 @@ from repro.obs.receipt import (
     RecordLedger,
     RewriteRecord,
     content_digest,
-    delta_metrics,
     diff_records,
     fleet_summary,
     render_record,
     render_record_diff,
     render_record_list,
     render_record_top,
-    snapshot_metrics,
     stamp_record,
 )
 from repro.obs.store import JsonlStore, atomic_write_text
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    NULL_METRICS,
-    NullMetrics,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -74,12 +66,6 @@ __all__ = [
     "Span",
     "render_profile",
     "trace_from_json",
-    "Metrics",
-    "NullMetrics",
-    "NULL_METRICS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "EngineTelemetry",
     "GuardSite",
     "ENGINE_REPORT_SCHEMA",
@@ -91,8 +77,6 @@ __all__ = [
     "RecordLedger",
     "AtlasBuilder",
     "content_digest",
-    "snapshot_metrics",
-    "delta_metrics",
     "fleet_summary",
     "diff_records",
     "render_record",

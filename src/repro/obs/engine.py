@@ -66,7 +66,6 @@ and surfaced as ``repro run BINARY --telemetry FILE``.
 import json
 from collections import deque
 
-from repro.obs.metrics import Histogram
 
 #: Schema tag; bump when a field changes meaning.
 ENGINE_REPORT_SCHEMA = "EngineReport/v2"
@@ -199,7 +198,8 @@ class EngineTelemetry:
         self.alloc_regs = 0
         self.source_lines = 0
         self.loop_blocks = 0
-        self.trace_lengths = Histogram("engine.trace_length")
+        #: fused trace length (instructions) -> blocks built
+        self.trace_lengths = {}
         #: why traces ended: reason -> count
         self.ends_by_reason = {}
 
@@ -365,7 +365,7 @@ class EngineTelemetry:
         self.alloc_regs += alloc_regs
         if loop:
             self.loop_blocks += 1
-        self.trace_lengths.observe(n)
+        self.trace_lengths[n] = self.trace_lengths.get(n, 0) + 1
         self.ends_by_reason[reason] = \
             self.ends_by_reason.get(reason, 0) + 1
 
@@ -472,7 +472,7 @@ class EngineTelemetry:
             },
             "hot_blocks": self.hot_blocks(top),
             "trace_shape": {
-                "lengths": self.trace_lengths.summary(),
+                "lengths": _distribution(self.trace_lengths),
                 "loop_blocks": self.loop_blocks,
                 "ends_by_reason": dict(sorted(
                     self.ends_by_reason.items())),

@@ -93,8 +93,6 @@ __all__ = [
     "RewriteRecord",
     "RecordLedger",
     "content_digest",
-    "snapshot_metrics",
-    "delta_metrics",
     "fleet_summary",
     "diff_records",
     "render_record",
@@ -216,48 +214,19 @@ def content_digest(obj):
     return hashlib.sha256(data).hexdigest()
 
 
-# -- metrics snapshots -------------------------------------------------------
-#
-# Records must account one rewrite even when the metrics registry is
-# shared across rewrites (the harness reuses one registry per tool):
-# snapshot before, snapshot after, subtract.
-
-
-def snapshot_metrics(metrics):
-    """Plain-data point-in-time reading of a registry: counter values
-    plus histogram sums (the two monotonic quantities records use)."""
-    data = metrics.as_dict() if hasattr(metrics, "as_dict") else {}
-    return {
-        "counters": dict(data.get("counters", {})),
-        "sums": {name: summary.get("sum", 0)
-                 for name, summary in data.get("histograms", {}).items()},
-    }
-
-
-def delta_metrics(before, after):
-    """What one rewrite added: ``after - before``, zero entries elided."""
-    out = {"counters": {}, "sums": {}}
-    for section in ("counters", "sums"):
-        base = before.get(section, {})
-        for name, value in after.get(section, {}).items():
-            delta = value - base.get(name, 0)
-            if delta:
-                out[section][name] = delta
-    return out
-
-
-def _cache_section(delta):
-    """The record's cache accounting, parsed out of ``cache.*``."""
-    counters = delta.get("counters", {})
+def _cache_section(span):
+    """The record's cache accounting: the ``cache.*`` counters summed
+    over the rewrite span's subtree (zeros under a null span)."""
+    totals = span.total_counters() if hasattr(span, "total_counters") \
+        else {}
     section = {
-        "hits": counters.get("cache.hits", 0),
-        "misses": counters.get("cache.misses", 0),
-        "stores": counters.get("cache.stores", 0),
-        "saved_seconds": delta.get("sums", {}).get(
-            "cache.seconds_saved", 0.0),
+        "hits": totals.get("cache.hits", 0),
+        "misses": totals.get("cache.misses", 0),
+        "stores": totals.get("cache.stores", 0),
+        "saved_seconds": totals.get("cache.seconds_saved", 0.0),
     }
     by_kind = {}
-    for name, value in counters.items():
+    for name, value in totals.items():
         parts = name.split(".")
         if len(parts) == 3 and parts[0] == "cache" \
                 and parts[2] in ("hits", "misses"):
@@ -525,7 +494,7 @@ class RewriteRecord:
         self.unix_time = time.time() if unix_time is None else unix_time
 
     @classmethod
-    def from_rewrite(cls, binary, rewritten, report, span, delta,
+    def from_rewrite(cls, binary, rewritten, report, span,
                      total_seconds, workload=None, options=None,
                      error=None, atlas=None):
         """Assemble a record off one observed rewrite.
@@ -534,9 +503,10 @@ class RewriteRecord:
         the input's ``arch_name``), ``report`` a
         :class:`~repro.core.rewriter.RewriteReport` shape (may be None
         on failure), ``span`` the finished ``rewrite`` trace span (or a
-        null span), ``delta`` a :func:`delta_metrics` result for just
-        this rewrite, ``atlas`` the :class:`AtlasBuilder` that rode
-        along a successful rewrite (None for no atlas section).
+        null span), whose subtree holds the stage timings and cache
+        counters of just this rewrite, ``atlas`` the
+        :class:`AtlasBuilder` that rode along a successful rewrite
+        (None for no atlas section).
         """
         mode = getattr(report, "mode", None) \
             or (options or {}).get("mode", "?")
@@ -559,7 +529,7 @@ class RewriteRecord:
             total_seconds=total_seconds,
             stages=_stage_section(span),
             mem_peak=getattr(span, "mem_peak", None),
-            cache=_cache_section(delta),
+            cache=_cache_section(span),
             trampolines=getattr(report, "trampolines", None),
             traps=getattr(report, "traps", 0),
             degradation=degradation,
@@ -770,22 +740,6 @@ class RecordLedger:
                 f"{id_prefix!r} is ambiguous: {len(matches)} records "
                 f"match")
         return matches[0]
-
-    def query(self, input_digest=None, workload=None, fingerprint=None):
-        """Records filtered by input digest, workload, and/or
-        fingerprint key (an :class:`EnvFingerprint` or its ``key``)."""
-        key = getattr(fingerprint, "key", fingerprint)
-        out = []
-        for r in self.load():
-            if input_digest is not None \
-                    and r.input_digest != input_digest:
-                continue
-            if workload is not None and r.workload != workload:
-                continue
-            if key is not None and r.fingerprint.key != tuple(key):
-                continue
-            out.append(r)
-        return out
 
     def __repr__(self):
         return f"<RecordLedger {self.path}>"

@@ -355,7 +355,10 @@ def render_profile(trace):
         for span in group:
             for key, n in span.counters.items():
                 counters[key] = counters.get(key, 0) + n
-        extras.extend(f"{key}={counters[key]}" for key in sorted(counters))
+        extras.extend(f"{key}={counters[key]:.4g}"
+                      if isinstance(counters[key], float)
+                      else f"{key}={counters[key]}"
+                      for key in sorted(counters))
         events = sum(len(span.events) for span in group)
         if events:
             extras.append(f"events={events}")

@@ -30,7 +30,7 @@ from repro.core.modes import (
     mode_rewrites_jump_tables,
 )
 from repro.eval import baseline_run, evaluate_tool
-from repro.obs import Metrics, render_degradation
+from repro.obs import Tracer, render_degradation
 from tests.conftest import workload
 
 
@@ -199,20 +199,22 @@ class TestChaosHarness:
         victim = next(iter(plan.underapproximate))
         assert run.degradation.final_mode_of(victim) != "jt"
 
-    def test_substrate_faults_survive_with_cache_and_pool(self):
+    def test_substrate_faults_survive_with_cache(self):
         binary, oracle, cycles = self._setup()
-        metrics = Metrics()
+        tracer = Tracer()
         cache = ArtifactCache()
         # Warm the cache with a clean run, then corrupt it before the
         # chaotic one.
         warm = evaluate_tool("jt", binary, oracle, cycles,
-                             metrics=metrics, cache=cache)
+                             tracer=tracer, cache=cache)
         assert warm.passed
         plan = FailurePlan(corrupt_cache=2)
         run = evaluate_tool("jt", binary, oracle, cycles,
-                            metrics=metrics, cache=cache, faults=plan)
+                            tracer=tracer, cache=cache, faults=plan)
         assert run.passed
         assert cache.stats()["corrupt"] >= 1
+        # A corrupt entry reads as a miss and is recomputed.
+        assert run.cache_misses == cache.stats()["corrupt"]
 
     def test_full_menu_against_go_like_binary(self):
         """Everything at once on the imprecise-funcptr workload: the
@@ -222,13 +224,12 @@ class TestChaosHarness:
         binary = docker_like("x86")[1]
         oracle, cycles = baseline_run(binary)
         cache = ArtifactCache()
-        metrics = Metrics()
         warm = evaluate_tool("func-ptr", binary, oracle, cycles,
-                             metrics=metrics, cache=cache)
+                             cache=cache)
         assert warm.passed and warm.degraded_functions >= 1
         plan = plan_chaos(build_cfg(binary), report=1, corrupt_cache=1)
         run = evaluate_tool("func-ptr", binary, oracle, cycles,
-                            metrics=metrics, cache=cache, faults=plan)
+                            cache=cache, faults=plan)
         assert run.passed
         assert run.coverage < 1.0
         assert run.degraded_functions >= warm.degraded_functions

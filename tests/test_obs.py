@@ -1,20 +1,18 @@
 """The observability layer itself: spans, counters, events, no-op mode,
-metrics registry, JSON round-trips, and the profile renderer."""
+histogram summaries, JSON round-trips, and the profile renderer."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    Histogram,
-    Metrics,
-    NULL_METRICS,
     NULL_TRACER,
     Span,
     Tracer,
     render_profile,
     trace_from_json,
 )
+from repro.obs.engine import EngineTelemetry, _distribution
 
 
 def stepping_clock(step=1.0):
@@ -200,88 +198,37 @@ class TestJsonRoundTrip:
             == ["stage-1", "stage-2"]
 
 
-class TestMetrics:
-    def test_counters_accumulate(self):
-        m = Metrics()
-        m.inc("trampolines.hop")
-        m.inc("trampolines.hop", 2)
-        m.inc("trampolines.trap")
-        assert m.counter("trampolines.hop").value == 3
-        assert m.group("trampolines") == {"hop": 3, "trap": 1}
-
-    def test_gauges_and_histograms(self):
-        m = Metrics()
-        m.set_gauge("coverage", 0.75)
-        for v in (1, 2, 3):
-            m.observe("span_ms", v)
-        assert m.gauge("coverage").value == 0.75
-        h = m.histogram("span_ms")
-        assert (h.count, h.total, h.vmin, h.vmax) == (3, 6, 1, 3)
-        assert h.mean == 2.0
-
-    def test_as_dict_snapshot(self):
-        m = Metrics()
-        m.inc("a.b")
-        m.set_gauge("g", 1)
-        m.observe("h", 4)
-        snap = m.as_dict()
-        assert snap["counters"] == {"a.b": 1}
-        assert snap["gauges"] == {"g": 1}
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_null_metrics_is_inert(self):
-        NULL_METRICS.inc("x", 5)
-        NULL_METRICS.observe("y", 1)
-        NULL_METRICS.set_gauge("z", 2)
-        assert NULL_METRICS.counter("x").value == 0
-        assert NULL_METRICS.counter_values() == {}
-        assert NULL_METRICS.group("x") == {}
-        assert NULL_METRICS.as_dict() == {"counters": {}}
-        assert NULL_METRICS.counter("a") is NULL_METRICS.histogram("b")
+def _counts(values):
+    """``value -> occurrences`` for :func:`_distribution`."""
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 class TestHistogramPercentiles:
     def test_empty_returns_none(self):
-        h = Histogram("h")
-        assert h.percentile(50) is None
-        assert h.percentile(0) is None
-        assert h.percentile(100) is None
+        s = _distribution({})
+        assert (s["p50"], s["p90"], s["p99"]) == (None, None, None)
+        assert (s["min"], s["max"]) == (None, None)
 
     def test_single_sample_every_percentile(self):
-        h = Histogram("h")
-        h.observe(42)
-        for p in (0, 1, 50, 99, 100):
-            assert h.percentile(p) == 42
+        s = _distribution({42: 1})
+        assert s["p50"] == s["p90"] == s["p99"] == 42
+        assert (s["count"], s["sum"], s["min"], s["max"], s["mean"]) \
+            == (1, 42, 42, 42, 42.0)
 
     def test_nearest_rank_semantics(self):
-        h = Histogram("h")
-        for v in range(100, 0, -1):  # insertion order must not matter
-            h.observe(v)
-        assert h.percentile(50) == 50
-        assert h.percentile(90) == 90
-        assert h.percentile(99) == 99
-        assert h.percentile(100) == 100
-        assert h.percentile(0) == 1
+        # Insertion order of the histogram must not matter.
+        s = _distribution(_counts(range(100, 0, -1)))
+        assert (s["p50"], s["p90"], s["p99"]) == (50, 90, 99)
+        assert (s["min"], s["max"]) == (1, 100)
 
-    def test_out_of_range_raises(self):
-        h = Histogram("h")
-        h.observe(1)
-        with pytest.raises(ValueError):
-            h.percentile(101)
-        with pytest.raises(ValueError):
-            h.percentile(-1)
-
-    def test_reservoir_bounds_samples_not_summary(self):
-        from repro.obs.metrics import RESERVOIR
-        h = Histogram("h")
-        for v in range(RESERVOIR + 100):
-            h.observe(v)
-        assert len(h.samples) == RESERVOIR
-        assert h.count == RESERVOIR + 100
-        assert h.vmax == RESERVOIR + 99
-
-    def test_null_histogram_percentile(self):
-        assert NULL_METRICS.histogram("x").percentile(50) is None
+    def test_ties_share_their_rank(self):
+        # 10 ones, 80 fives, 10 nines: ranks 11..90 all read 5.
+        s = _distribution({1: 10, 5: 80, 9: 10})
+        assert (s["p50"], s["p90"], s["p99"]) == (5, 5, 9)
+        assert s["count"] == 100 and s["sum"] == 10 + 400 + 90
 
 
 class TestMemoryAccounting:
@@ -351,27 +298,24 @@ class TestMemoryAccounting:
 
 class TestHistogramExport:
     def test_summary_includes_percentiles(self):
-        h = Histogram("h")
-        for v in range(1, 101):
-            h.observe(v)
-        s = h.summary()
+        s = _distribution(_counts(range(1, 101)))
         assert s["p50"] == 50
         assert s["p90"] == 90
         assert s["p99"] == 99
 
     def test_empty_summary_has_no_percentiles(self):
-        s = Histogram("h").summary()
-        assert "p50" not in s
+        s = _distribution({})
+        assert s["p50"] is None and s["p99"] is None
         assert s["count"] == 0
 
     def test_metrics_dump_persists_the_distribution(self):
-        m = Metrics()
-        for v in (1, 2, 3, 100):
-            m.observe("lat", v)
-        dumped = json.loads(json.dumps(m.as_dict()))
-        hist = dumped["histograms"]["lat"]
-        assert hist["p50"] == 2
-        assert hist["p99"] == 100
+        telemetry = EngineTelemetry()
+        for n in (1, 2, 3, 100):
+            telemetry.record_compile(0, n, False, "cap", 0.0, 0, 0)
+        dumped = json.loads(telemetry.to_json())
+        lengths = dumped["trace_shape"]["lengths"]
+        assert lengths["p50"] == 2
+        assert lengths["p99"] == 100
 
 
 class TestProfileRendering:
@@ -386,6 +330,13 @@ class TestProfileRendering:
         assert "items=4" in text
         assert "(skipped)" in text
         assert "%" in text.splitlines()[0]
+
+    def test_profile_shortens_fractional_counters(self):
+        tr = Tracer(clock=stepping_clock())
+        with tr.span("stage"):
+            tr.count("cache.seconds_saved", 0.012345678)
+            tr.count("cache.seconds_saved", 0.001)
+        assert "cache.seconds_saved=0.01335" in render_profile(tr)
 
     def test_profile_accepts_a_span(self):
         root = Span("root")

@@ -16,23 +16,30 @@ from repro.core import (
 from repro.analysis import FIG2_CATEGORIES
 from repro.eval import baseline_run, evaluate_tool
 from repro.machine import run_binary
-from repro.obs import Metrics, Tracer, trace_from_json
+from repro.obs import Tracer, trace_from_json
 from repro.toolchain.workloads import docker_like
 from tests.conftest import workload
 
 
 def traced_rewrite(name, arch, mode):
     program, binary = workload(name, arch)
-    tracer, metrics = Tracer(), Metrics()
+    tracer = Tracer()
     rewriter = IncrementalRewriter(mode=RewriteMode.parse(mode),
-                                   tracer=tracer, metrics=metrics)
+                                   tracer=tracer)
     rewritten, report = rewriter.rewrite(binary)
-    return binary, rewritten, report, tracer, metrics
+    return binary, rewritten, report, tracer
+
+
+def trampoline_total(span):
+    """Every ``trampolines.<kind>`` counter summed over ``span``'s
+    subtree."""
+    return sum(n for key, n in span.total_counters().items()
+               if key.startswith("trampolines."))
 
 
 class TestStageSpans:
     def test_dir_mode_trace_contains_every_pipeline_stage(self):
-        _, _, report, tracer, _ = traced_rewrite("605.mcf_s", "x86", "dir")
+        _, _, report, tracer = traced_rewrite("605.mcf_s", "x86", "dir")
         rewrite = tracer.find("rewrite")
         assert rewrite is not None
         stage_names = [s.name for s in rewrite.children]
@@ -42,22 +49,27 @@ class TestStageSpans:
         assert rewrite.find("funcptr-redirection").attrs.get("skipped")
 
     def test_stage_spans_appear_in_pipeline_order(self):
-        _, _, _, tracer, _ = traced_rewrite("605.mcf_s", "x86", "jt")
+        _, _, _, tracer = traced_rewrite("605.mcf_s", "x86", "jt")
         stage_names = [s.name for s in tracer.find("rewrite").children]
         indices = [stage_names.index(s) for s in PIPELINE_STAGES]
         assert indices == sorted(indices)
 
     def test_rewrite_span_records_mode_and_arch(self):
-        _, _, _, tracer, _ = traced_rewrite("605.mcf_s", "ppc64", "jt")
+        _, _, _, tracer = traced_rewrite("605.mcf_s", "ppc64", "jt")
         rewrite = tracer.find("rewrite")
         assert rewrite.attrs["mode"] == "jt"
         assert rewrite.attrs["arch"] == "ppc64"
         assert rewrite.duration > 0
 
     def test_stage_counters_are_attributed_to_their_stage(self):
-        _, _, report, tracer, _ = traced_rewrite("605.mcf_s", "x86", "jt")
+        _, _, report, tracer = traced_rewrite("605.mcf_s", "x86", "jt")
         cfg = tracer.find("cfg-construction")
         assert cfg.counters["functions"] == report.total_functions
+        # Built without a cache: every function was constructed once.
+        assert cfg.total_counters()["cfg.constructions"] \
+            == report.total_functions
+        assert cfg.counters["cfg.blocks"] > 0
+        assert cfg.counters["cfg.instructions"] > cfg.counters["cfg.blocks"]
         reloc = tracer.find("relocation")
         assert reloc.counters["relocated_functions"] \
             == report.relocated_functions
@@ -66,27 +78,32 @@ class TestStageSpans:
 class TestTrampolineCounters:
     @pytest.mark.parametrize("mode", ["dir", "jt", "func-ptr"])
     def test_per_kind_counters_match_the_report(self, mode):
-        _, _, report, _, metrics = traced_rewrite(
-            "602.sgcc_s", "x86", mode)
+        _, _, report, tracer = traced_rewrite("602.sgcc_s", "x86", mode)
+        installation = tracer.find("trampoline-installation")
+        totals = tracer.root.total_counters()
         for kind, total in report.trampolines.items():
-            assert metrics.counter(f"trampolines.{kind}").value == total, \
+            assert installation.counters.get(f"trampolines.{kind}", 0) \
+                == totals.get(f"trampolines.{kind}", 0) == total, \
                 f"{kind} counter disagrees with the report in {mode} mode"
 
+    def test_recycled_bytes_match_the_recycle_events(self):
+        _, _, _, tracer = traced_rewrite("602.sgcc_s", "x86", "jt")
+        installation = tracer.find("trampoline-installation")
+        events = installation.total_events("superblock-recycled")
+        assert events
+        assert tracer.root.total_counters()["scratch.recycled_bytes"] \
+            == installation.counters["scratch.recycled_bytes"] \
+            == sum(ev["bytes"] for ev in events)
+
     def test_counters_sum_to_report_total(self):
-        _, _, report, tracer, metrics = traced_rewrite(
-            "602.sgcc_s", "ppc64", "jt")
-        assert sum(metrics.group("trampolines").values()) \
+        _, _, report, tracer = traced_rewrite("602.sgcc_s", "ppc64", "jt")
+        assert trampoline_total(tracer.root) \
             == sum(report.trampolines.values())
-        # The trace sees the same tallies as the metrics registry.
-        span_totals = tracer.root.total_counters()
-        for kind, total in report.trampolines.items():
-            assert span_totals.get(f"trampolines.{kind}", 0) == total
 
 
 class TestFailureForensics:
     def test_one_skip_event_per_failed_function(self):
-        _, _, report, tracer, metrics = traced_rewrite(
-            "602.sgcc_s", "ppc64", "jt")
+        _, _, report, tracer = traced_rewrite("602.sgcc_s", "ppc64", "jt")
         assert report.failed_functions, "workload should have failures"
         events = tracer.root.total_events("function-skipped")
         assert len(events) == len(report.failed_functions)
@@ -98,17 +115,14 @@ class TestFailureForensics:
             assert ev["category"] == failed.category
             assert ev["category"] in FIG2_CATEGORIES
             assert ev["mode"] == "jt"
-        assert metrics.counter("rewrite.functions_skipped").value \
-            == len(report.failed_functions)
 
     def test_construction_emits_analysis_failure_events(self):
-        _, _, report, tracer, metrics = traced_rewrite(
-            "602.sgcc_s", "ppc64", "jt")
+        _, _, report, tracer = traced_rewrite("602.sgcc_s", "ppc64", "jt")
         events = tracer.find("cfg-construction") \
             .total_events("analysis-failure")
         assert {ev["function"] for ev in events} \
             == {f.name for f in report.failed_functions}
-        assert metrics.counter("cfg.functions_failed").value == len(events)
+        assert len(events) == len(report.failed_functions)
 
     def test_failed_function_tuple_shape(self):
         # (name, reason) unpacking is part of the reporting API.
@@ -118,7 +132,7 @@ class TestFailureForensics:
         assert failed.category in FIG2_CATEGORIES
 
     def test_clean_rewrite_has_no_skip_events(self):
-        _, _, report, tracer, _ = traced_rewrite("605.mcf_s", "x86", "jt")
+        _, _, report, tracer = traced_rewrite("605.mcf_s", "x86", "jt")
         assert report.failed_functions == []
         assert tracer.root.total_events("function-skipped") == []
 
@@ -126,22 +140,20 @@ class TestFailureForensics:
 class TestMachineRunTracing:
     def test_run_binary_records_instruction_counts(self):
         program, binary = workload("605.mcf_s", "x86")
-        tracer, metrics = Tracer(), Metrics()
-        result = run_binary(binary, tracer=tracer, metrics=metrics)
+        tracer = Tracer()
+        result = run_binary(binary, tracer=tracer)
         span = tracer.find("machine-run")
         assert span.counters["instructions"] == result.icount
         assert span.counters["cycles"] == result.cycles
-        assert metrics.counter("machine.instructions").value \
-            == result.icount
 
 
 class TestTracedEvaluateTool:
     def test_trace_attaches_and_covers_the_whole_run(self):
         program, binary = workload("602.sgcc_s", "x86")
         oracle, cycles = baseline_run(binary)
-        tracer, metrics = Tracer(), Metrics()
+        tracer = Tracer()
         run = evaluate_tool("jt", binary, oracle, cycles, benchmark="sgcc",
-                            tracer=tracer, metrics=metrics)
+                            tracer=tracer)
         assert run.passed
         assert run.trace is tracer
         # JSON export contains every stage span plus the emulated run.
@@ -150,8 +162,23 @@ class TestTracedEvaluateTool:
         for stage in PIPELINE_STAGES:
             assert root.find(stage) is not None
         assert root.find("machine-run") is not None
+        totals = root.total_counters()
         for kind, total in run.report.trampolines.items():
-            assert metrics.counter(f"trampolines.{kind}").value == total
+            assert totals.get(f"trampolines.{kind}", 0) == total
+
+    def test_each_fact_is_counted_once_over_the_tree(self):
+        # The benchmark sums these names over a whole traced pass: a
+        # second sink counting them under the same name would double
+        # the sums.
+        program, binary = workload("600.perlbench_s", "x86")
+        oracle, cycles = baseline_run(binary)
+        tracer = Tracer()
+        run = evaluate_tool("jt", binary, oracle, cycles, tracer=tracer)
+        assert run.passed
+        root = tracer.finish()
+        assert trampoline_total(root) == sum(run.report.trampolines.values())
+        assert trampoline_total(root) > 0
+        assert root.total_counters()["instructions"] == run.instructions
 
     def test_untraced_run_attaches_no_trace(self):
         program, binary = workload("605.mcf_s", "x86")

@@ -33,18 +33,15 @@ from repro.core.modes import MODE_LADDER, ladder_rung
 from repro.obs import (
     EnvFingerprint,
     JsonlStore,
-    Metrics,
     RecordLedger,
     RewriteRecord,
     Tracer,
-    delta_metrics,
     diff_records,
     fleet_summary,
     render_record,
     render_record_diff,
     render_record_list,
     render_record_top,
-    snapshot_metrics,
     stamp_record,
 )
 from repro.obs.receipt import (
@@ -73,16 +70,16 @@ def _rewrite(binary, sink, **kwargs):
 
 def _record(binary, atlas=False, **kwargs):
     got = []
-    _rewrite(binary, got.append, metrics=Metrics(), atlas=atlas,
-             **kwargs)
+    _rewrite(binary, got.append, tracer=Tracer(), atlas=atlas, **kwargs)
     return got[0]
 
 
-def _cold_warm(binary, atlas=True, **kwargs):
+def _cold_warm(binary, atlas=True, tracer=None, **kwargs):
     records = []
     cache = ArtifactCache()
+    tracer = tracer if tracer is not None else Tracer()
     for _ in range(2):
-        _rewrite(binary, records.append, metrics=Metrics(), cache=cache,
+        _rewrite(binary, records.append, tracer=tracer, cache=cache,
                  atlas=atlas, **kwargs)
     return records
 
@@ -133,9 +130,8 @@ class TestModeRungs:
 class TestRecordEmission:
     def test_rewrite_emits_one_record(self, binary):
         got = []
-        out, report, rewriter = _rewrite(
-            binary, got.append, metrics=Metrics(),
-            tracer=Tracer(name="t"))
+        out, report, rewriter = _rewrite(binary, got.append,
+                                         tracer=Tracer(name="t"))
         assert len(got) == 1
         record = got[0]
         assert record is rewriter.last_record
@@ -227,7 +223,7 @@ class TestRecordEmission:
         records = []
         cache = ArtifactCache()
         for kwargs in ({}, {"cache": cache}, {"cache": cache}):
-            _rewrite(binary, records.append, metrics=Metrics(), **kwargs)
+            _rewrite(binary, records.append, tracer=Tracer(), **kwargs)
         digests = {r.output_digest for r in records}
         assert len(digests) == 1
         # ...and the warm run's record shows the cache paying off.
@@ -272,20 +268,23 @@ class TestRecordEmission:
         assert "functions" not in got[0].to_dict()
 
     def test_shared_registry_yields_per_run_deltas(self, binary):
-        # One registry across two rewrites: each record must account
-        # only its own run, not the running totals.
+        # One tracer (the registry of span counters) across two
+        # rewrites: each record must account only its own run's
+        # subtree, not the running totals.
         records = []
-        metrics = Metrics()
+        tracer = Tracer()
         cache = ArtifactCache()
         for _ in range(2):
             rewriter = IncrementalRewriter(
                 mode="jt", record_sink=records.append,
-                metrics=metrics, cache=cache)
+                tracer=tracer, cache=cache)
             rewriter.rewrite(binary)
         cold, warm = records
         assert cold.cache["misses"] > 0
         assert warm.cache["misses"] == 0
         assert warm.cache["hits"] == cold.cache["misses"]
+        assert tracer.root.total_counters()["cache.hits"] \
+            == warm.cache["hits"]
 
     def test_cold_and_warm_records_identical_modulo_timings(self, binary):
         cold, warm = _cold_warm(binary)
@@ -299,6 +298,13 @@ class TestRecordEmission:
         # the stage artifacts.
         assert warm.cache["by_kind"] == {"cfg": {"hits": 1},
                                          "funcptr": {"hits": 1}}
+        assert (warm.cache["hits"], warm.cache["misses"],
+                warm.cache["stores"]) == (2, 0, 0)
+        assert warm.cache["saved_seconds"] > 0
+        assert cold.cache == {"hits": 0, "misses": 2, "stores": 2,
+                              "saved_seconds": 0.0,
+                              "by_kind": {"cfg": {"misses": 1},
+                                          "funcptr": {"misses": 1}}}
         assert all("provenance" not in r for r in warm.functions)
         assert [r["analysis_seconds"] for r in warm.functions] == \
             [r["analysis_seconds"] for r in cold.functions]
@@ -322,7 +328,7 @@ class TestFig2Reproducibility:
         got = []
         rewriter = IncrementalRewriter(mode="func-ptr",
                                        record_sink=got.append,
-                                       atlas=True, metrics=Metrics())
+                                       atlas=True, tracer=Tracer())
         _, report = rewriter.rewrite(binary)
         record = got[0]
         dist = dict(record.rollup["mode_distribution"])
@@ -376,13 +382,15 @@ class TestSerialization:
         with tr.span("rewrite", mode="jt") as span:
             with tr.span("cfg-construction"):
                 blob = bytearray(1_000_000)
+                tr.count("cache.hits", 7)
+                tr.count("cache.cfg.hits", 7)
+            with tr.span("funcptr-analysis"):
+                tr.count("cache.misses", 3)
+                tr.count("cache.seconds_saved", 0.25)
             with tr.span("relocation"):
                 pass
             del blob
         tr.finish()   # stops tracemalloc
-        metrics = Metrics()
-        metrics.inc("cache.hits", 7)
-        metrics.inc("cache.misses", 3)
 
         class Report:
             mode = "jt"
@@ -397,17 +405,18 @@ class TestSerialization:
 
         record = RewriteRecord.from_rewrite(
             Image(), None, Report(), span,
-            delta_metrics(snapshot_metrics(Metrics()),
-                          snapshot_metrics(metrics)),
             total_seconds=0.5, workload="w")
         assert (record.workload, record.arch, record.mode) \
             == ("w", "x86", "jt")
         assert record.total_seconds == 0.5
-        assert set(record.stages) == {"cfg-construction", "relocation"}
+        assert set(record.stages) == {"cfg-construction",
+                                      "funcptr-analysis", "relocation"}
         stage_peak = record.stages["cfg-construction"]["mem_peak"]
         assert stage_peak >= 1_000_000
         assert record.mem_peak >= stage_peak
-        assert (record.cache["hits"], record.cache["misses"]) == (7, 3)
+        assert record.cache == {"hits": 7, "misses": 3, "stores": 0,
+                                "saved_seconds": 0.25,
+                                "by_kind": {"cfg": {"hits": 7}}}
         assert (record.trampolines, record.traps) == ({"direct": 5}, 2)
 
 
@@ -448,8 +457,7 @@ class TestEnvFingerprint:
 class TestLedger:
     def _one(self, binary, path, atlas=False, **kwargs):
         ledger = RecordLedger(str(path))
-        _rewrite(binary, ledger, metrics=Metrics(), atlas=atlas,
-                 **kwargs)
+        _rewrite(binary, ledger, tracer=Tracer(), atlas=atlas, **kwargs)
         return ledger
 
     @pytest.mark.parametrize("atlas", [False, True],
@@ -554,7 +562,7 @@ class TestLedger:
             ledger.find("zzzz")
         # An empty prefix matches every entry: unambiguous with one
         # record in the ledger, ambiguous with two.
-        _rewrite(binary, ledger, metrics=Metrics(), atlas=not atlas,
+        _rewrite(binary, ledger, tracer=Tracer(), atlas=not atlas,
                  cache=ArtifactCache())
         assert ledger.find("latest").record_id == \
             ledger.load()[-1].record_id
@@ -565,17 +573,6 @@ class TestLedger:
     def test_latest_on_empty_ledger_raises(self, tmp_path):
         with pytest.raises(LookupError, match="latest"):
             RecordLedger(str(tmp_path / "none.jsonl")).find("latest")
-
-    def test_query_by_digest_workload_fingerprint(self, binary,
-                                                  tmp_path):
-        ledger = self._one(binary, tmp_path / "r.jsonl")
-        record = ledger.load()[0]
-        assert ledger.query(input_digest=record.input_digest)
-        assert ledger.query(workload="unit")
-        assert not ledger.query(workload="other")
-        assert ledger.query(fingerprint=record.fingerprint)
-        assert not ledger.query(
-            fingerprint=("py9.9.9", "nowhere", 0))
 
 
 class TestDiff:

@@ -17,7 +17,7 @@ from repro.core.runtime_lib import RuntimeLibrary
 from repro.isa.registers import R0, R1, R2, R3, R10
 from repro.machine import CostModel, machine_for, run_binary
 from repro.machine.cpu import HOT_THRESHOLD
-from repro.obs import EngineTelemetry, Metrics
+from repro.obs import EngineTelemetry, Tracer
 from repro.util.errors import MachineFault, UnmappedMemoryFault
 
 from tests.conftest import workload
@@ -197,16 +197,15 @@ class TestFaultAccounting:
         binary = assemble("x86", _countdown([
             I("movi", R0, 1), I("ld64", R2, Mem(R1, 0))]))
         for engine in ENGINES:
-            metrics = Metrics()
+            tracer = Tracer()
             telemetry = EngineTelemetry() if engine == "superblock" \
                 else None
-            machine = machine_for(binary, engine=engine,
+            machine = machine_for(binary, engine=engine, tracer=tracer,
                                   telemetry=telemetry)
-            machine.metrics = metrics
             machine.load(binary)
             with pytest.raises(UnmappedMemoryFault):
                 machine.run()
-            counted = metrics.counter_values()["machine.instructions"]
+            counted = tracer.find("machine-run").counters["instructions"]
             # 1 + 3 passes of 4 + the faulting pass's 1.
             assert counted == machine.cpu.icount == 14, engine
             if telemetry is not None:
