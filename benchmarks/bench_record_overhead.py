@@ -1,10 +1,11 @@
 """Record tax: emitting a rewrite record must stay cheap.
 
-Records are on by default for every batch rewrite and every harness
-evaluation, so the cost of assembling one — the span walk for stage
-timings and cache counters, digesting the input and output images,
-canonical-JSON content addressing — has to be a small fraction of the
-rewrite it describes.
+Every ``repro rewrite --record`` and ``repro batch --record`` rewrite
+goes through :func:`~repro.obs.receipt.record_rewrite`, so the cost of
+assembling its record — the span walk for stage timings and cache
+counters, digesting the input and output images, canonical-JSON
+content addressing — has to be a small fraction of the rewrite it
+describes.
 
 Wall-clock ratios are too noisy on a shared machine to gate on, so
 ``test_record_emission_overhead`` gates on the work record assembly
@@ -32,23 +33,27 @@ MODE = RewriteMode.JT
 DIGEST_BUDGET = 0.05  # two content digests against one rewrite
 
 
-def _rewriter(record, atlas=False):
-    sink = [].append if record else None
-    return IncrementalRewriter(mode=MODE, tracer=Tracer(),
-                               record_sink=sink, atlas=atlas)
+def _rewrite(binary, record, atlas=False):
+    """One reference rewrite, plain or recorded into a list; returns
+    ``(rewritten, records)``."""
+    rewriter = IncrementalRewriter(mode=MODE, tracer=Tracer())
+    if not record:
+        return rewriter.rewrite(binary)[0], []
+    records = []
+    rewritten, _ = receipt.record_rewrite(rewriter, binary, records,
+                                          atlas=atlas)
+    assert len(records) == 1 and records[0].has_atlas is atlas
+    return rewritten, records
 
 
 def _rewrite_seconds(binary, record, atlas=False, repeats=3):
-    """Best-of-N wall time of a reference rewrite, with or without a
-    record sink discarding into a list."""
+    """Best-of-N wall time of a reference rewrite, plain or recorded
+    into a list."""
     best = None
     for _ in range(repeats):
-        rewriter = _rewriter(record, atlas)
         t0 = time.perf_counter()
-        rewriter.rewrite(binary)
+        _rewrite(binary, record, atlas)
         elapsed = time.perf_counter() - t0
-        if record:
-            assert rewriter.last_record.has_atlas is atlas
         best = elapsed if best is None else min(best, elapsed)
     return best
 
@@ -75,9 +80,7 @@ def _record_work(binary, atlas, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(receipt, "content_digest", counting_digest)
         m.setattr(EnvFingerprint, "collect", classmethod(counting_collect))
-        rewriter = _rewriter(record=True, atlas=atlas)
-        rewritten, _ = rewriter.rewrite(binary)
-    assert rewriter.last_record.has_atlas is atlas
+        rewritten, _ = _rewrite(binary, record=True, atlas=atlas)
     images = len(binary.to_bytes()) + len(rewritten.to_bytes())
     return sum(digested), images, len(collected)
 

@@ -218,7 +218,8 @@ def corrupt_cache_entries(cache, count):
 
     corrupted = 0
     with cache._lock:
-        keys = list(cache._mem)[:count]
+        # A negative count would slice from the end: corrupt nothing.
+        keys = list(cache._mem)[:max(count, 0)]
         for key in keys:
             cache._mem[key] = cache._mem[key][:3]
             corrupted += 1

@@ -9,7 +9,7 @@ Examples::
         --profile --trace sgcc-trace.json
     python -m repro rewrite --workload 602.sgcc_s \\
         --cache-dir .repro-cache -o sgcc.rw
-    python -m repro batch 619.lbm_s 602.sgcc_s --repeat 2
+    python -m repro batch 619.lbm_s 602.sgcc_s --repeat 2 --record
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
         --underapprox 1 --corrupt-cache 1
     python -m repro rewrite --workload 602.sgcc_s --record --atlas
@@ -31,9 +31,9 @@ from repro.core import (
     ArtifactCache,
     EmptyInstrumentation,
     CountingInstrumentation,
+    IncrementalRewriter,
     RewriteMode,
     RuntimeLibrary,
-    rewrite_binary,
     section_layout_report,
 )
 from repro.binfmt import Binary
@@ -42,7 +42,7 @@ from repro.obs import (
     EngineTelemetry,
     RecordLedger,
     Tracer,
-    fleet_summary,
+    record_rewrite,
     render_degradation,
     render_engine_report,
     render_profile,
@@ -81,16 +81,27 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1 (anything else is a usage error)."""
+def _int_at_least(text, low, kind):
+    """An integer >= ``low`` parsed from ``text``; anything else raises
+    the argparse usage error naming ``kind``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = low - 1
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1 (anything else is a usage error)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text):
+    """argparse type: an integer >= 0 (anything else is a usage error)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _load_workload(name, arch, pie=False):
@@ -149,17 +160,27 @@ def cmd_build(args):
     return 0
 
 
-def _ledger_sink(path):
-    """(sink, records) pair: the sink persists into the ledger at
-    ``path`` and keeps each record for in-process reporting."""
-    ledger = RecordLedger(path)
-    records = []
+class _LedgerSink(list):
+    """Record sink: persists each record into the ledger at ``path`` and
+    keeps it for in-process reporting."""
 
-    def sink(record):
-        ledger.append(record)
-        records.append(record)
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+        self._ledger = RecordLedger(path)
 
-    return sink, records
+    def append(self, record):
+        self._ledger.append(record)
+        super().append(record)
+
+
+def _rewrite(rewriter, binary, records, workload, atlas=False):
+    """``rewriter.rewrite(binary)``, recorded into ``records`` (a
+    :class:`_LedgerSink`) unless that is None."""
+    if records is None:
+        return rewriter.rewrite(binary)
+    return record_rewrite(rewriter, binary, records, workload=workload,
+                          atlas=atlas)
 
 
 def cmd_rewrite(args):
@@ -178,19 +199,17 @@ def cmd_rewrite(args):
     # read back: only a --cache-dir cache is worth its lookups.
     cache = ArtifactCache(directory=args.cache_dir) if args.cache_dir \
         else None
-    record_sink = records = None
-    if record_path:
-        record_sink, records = _ledger_sink(record_path)
+    records = _LedgerSink(record_path) if record_path else None
+    rewriter = IncrementalRewriter(
+        mode=RewriteMode.parse(args.mode),
+        instrumentation=instrumentation,
+        scorch_original=args.scorch,
+        tracer=tracer, cache=cache,
+        degrade=not args.no_degrade,
+    )
     try:
-        rewritten, report, runtime = rewrite_binary(
-            binary, RewriteMode.parse(args.mode),
-            instrumentation=instrumentation,
-            scorch_original=args.scorch,
-            tracer=tracer, cache=cache,
-            degrade=not args.no_degrade,
-            record_sink=record_sink, workload=args.workload,
-            atlas=args.atlas,
-        )
+        rewritten, report = _rewrite(rewriter, binary, records,
+                                     args.workload, atlas=args.atlas)
     except ReproError as exc:
         print(f"rewrite refused: {exc}", file=sys.stderr)
         if records:
@@ -199,6 +218,7 @@ def cmd_rewrite(args):
         if args.profile and tracer is not None:
             print(render_profile(tracer), file=sys.stderr)
         return EXIT_REWRITE_ERROR
+    runtime = rewriter.runtime_library(rewritten)
     if args.output:
         with open(args.output, "wb") as f:
             f.write(rewritten.to_bytes())
@@ -259,16 +279,11 @@ def cmd_batch(args):
     funcptr stages of each binary from the cache (only a byte-identical
     binary hits).
 
-    Unless ``--no-records``, every rewrite (failed ones included)
-    appends a :class:`~repro.obs.RewriteRecord` to the ledger at
-    ``--records``, and the whole batch closes with one fleet-summary
-    row.
+    With ``--record [LEDGER]``, every rewrite (failed ones included)
+    appends a :class:`~repro.obs.RewriteRecord` to the ledger.
     """
     cache = ArtifactCache(directory=args.cache_dir)
-    record_sink = batch_records = None
-    record_path = None if args.no_records else args.records
-    if record_path:
-        record_sink, batch_records = _ledger_sink(record_path)
+    records = _LedgerSink(args.record) if args.record else None
     failures = 0
     loaded = {}
     load_failed = set()
@@ -292,12 +307,11 @@ def cmd_batch(args):
             # rewrite's cache counts and its record's stage timings.
             tracer = Tracer(name=f"batch:{name}")
             t0 = time.perf_counter()
+            rewriter = IncrementalRewriter(mode=RewriteMode.parse(args.mode),
+                                           tracer=tracer, cache=cache)
             try:
-                rewritten, report, _ = rewrite_binary(
-                    binary, RewriteMode.parse(args.mode),
-                    tracer=tracer, cache=cache,
-                    record_sink=record_sink, workload=name,
-                )
+                rewritten, report = _rewrite(rewriter, binary, records,
+                                             name)
             except ReproError as exc:
                 failures += 1
                 print(f"{name:<16} FAILED: {exc}", file=sys.stderr)
@@ -320,11 +334,9 @@ def cmd_batch(args):
     print(f"[cache: {stats['entries']} entries, {stats['hits']} hits"
           f" / {stats['misses']} misses, {stats['stores']} stores]",
           file=sys.stderr)
-    if batch_records:
-        RecordLedger(record_path).append_summary(
-            fleet_summary(batch_records))
-        print(f"[{len(batch_records)} record(s) + fleet summary "
-              f"-> {record_path}]", file=sys.stderr)
+    if records:
+        print(f"[{len(records)} record(s) -> {records.path}]",
+              file=sys.stderr)
     if load_failed and load_failed >= set(args.workloads):
         return EXIT_LOAD_ERROR   # nothing in the batch even loaded
     return EXIT_REWRITE_ERROR if failures else 0
@@ -426,8 +438,7 @@ def cmd_record(args):
         )
 
     if args.action == "list":
-        print(render_record_list(records, ledger.skipped,
-                                 ledger.summaries))
+        print(render_record_list(records, ledger.skipped))
         return 0
 
     try:
@@ -634,11 +645,10 @@ def build_parser():
                         "rounds)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write rewritten binaries under DIR")
-    p.add_argument("--records", default=DEFAULT_LEDGER, metavar="FILE",
-                   help="record ledger the batch appends to "
+    p.add_argument("--record", nargs="?", const=DEFAULT_LEDGER,
+                   default=None, metavar="LEDGER",
+                   help="append one rewrite record per rewrite to LEDGER "
                         f"(default {DEFAULT_LEDGER})")
-    p.add_argument("--no-records", action="store_true",
-                   help="skip record emission")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_batch)
 
@@ -651,13 +661,17 @@ def build_parser():
     p.add_argument("--arch", default="x86")
     p.add_argument("--mode", default="jt",
                    choices=[m.value for m in RewriteMode])
-    p.add_argument("--report", type=int, default=0, metavar="N",
+    p.add_argument("--report", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="N functions whose analysis reports failure")
-    p.add_argument("--overapprox", type=int, default=0, metavar="N",
+    p.add_argument("--overapprox", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="N functions given a spurious incoming edge")
-    p.add_argument("--underapprox", type=int, default=0, metavar="N",
+    p.add_argument("--underapprox", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="N functions with one jump-table edge hidden")
-    p.add_argument("--corrupt-cache", type=int, default=0, metavar="N",
+    p.add_argument("--corrupt-cache", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="truncate N artifact-cache entries (cache is "
                         "warmed by a clean rewrite first)")
     _add_pipeline_args(p)
@@ -675,7 +689,8 @@ def build_parser():
                    help=f"record ledger (default {DEFAULT_LEDGER})")
     p.add_argument("--json", action="store_true",
                    help="show: print the raw record document")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
+    p.add_argument("--limit", type=_positive_int, default=None,
+                   metavar="N",
                    help="show/top: cap the atlas rows printed "
                         "(show: all, top: 10)")
     p.add_argument("--by", default="trampoline-bytes",

@@ -59,8 +59,7 @@ from repro.core.trampolines import ScratchPool, TrampolineInstaller
 from repro.isa import get_arch
 from repro.isa.archspec import ILLEGAL_BYTE
 from repro.obs import NULL_TRACER
-from repro.obs.receipt import AtlasBuilder, RewriteRecord
-from repro.util.errors import ReproError, RewriteError
+from repro.util.errors import RewriteError
 
 #: Trace span names of the eight pipeline stages (module docstring),
 #: opened in this order by :meth:`IncrementalRewriter.rewrite`.  Stages a
@@ -149,8 +148,7 @@ class IncrementalRewriter:
                  construction_options=None, scorch_original=False,
                  call_emulation=False, cfg_hook=None,
                  function_order="address", block_order="address",
-                 tracer=None, cache=None, degrade=True,
-                 record_sink=None, workload=None, atlas=False):
+                 tracer=None, cache=None, degrade=True):
         self.mode = (RewriteMode.parse(mode) if isinstance(mode, str)
                      else mode)
         self.instrumentation = instrumentation or EmptyInstrumentation()
@@ -177,54 +175,21 @@ class IncrementalRewriter:
         #: hard :class:`RewriteError` (the Figure-2 experiment needs the
         #: raw failure consequences observable)
         self.degrade = degrade
-        #: record sink: a :class:`repro.obs.RecordLedger` (or any
-        #: callable) receiving one :class:`repro.obs.RewriteRecord` per
-        #: rewrite — failed rewrites included; None disables records
-        self.record_sink = record_sink
-        #: workload label stamped on emitted records
-        self.workload = workload
-        #: give each successful rewrite's record the per-function atlas
-        #: section, assembled stage-by-stage with no re-analysis
-        self.atlas = atlas
-        #: the most recent rewrite's record (None until one is emitted)
-        self.last_record = None
 
     # -- public ---------------------------------------------------------------
 
-    def rewrite(self, binary):
+    def rewrite(self, binary, atlas=None):
         """Rewrite; returns (rewritten Binary, RewriteReport).
 
         Each pipeline stage runs under a :data:`PIPELINE_STAGES` trace
         span; per-function failures become ``function-skipped`` events.
-        With a :attr:`record_sink` attached, every rewrite — failed
-        ones included — additionally emits one
-        :class:`repro.obs.RewriteRecord` (kept on :attr:`last_record`)
-        before the result or error propagates; with :attr:`atlas` set,
-        a successful rewrite's record carries the atlas section.
+        ``atlas`` (a :class:`repro.obs.AtlasBuilder`, as
+        :func:`repro.obs.record_rewrite` passes for a record's atlas
+        section) is fed each stage's results as they are computed.
         """
-        tr = self.tracer
-        emit = self.record_sink is not None
-        atlas = AtlasBuilder() if emit and self.atlas else None
-        t0 = time.perf_counter()
-        error = None
-        rewritten = report = None
-        rewrite_span = None
-        try:
-            with tr.span("rewrite", mode=str(self.mode),
-                         arch=binary.arch_name) as rewrite_span:
-                rewritten, report = self._rewrite_traced(
-                    binary, tr, atlas)
-        except ReproError as exc:
-            if not emit:
-                raise
-            error = exc
-        if emit:
-            self._emit_record(binary, rewritten, report, rewrite_span,
-                              time.perf_counter() - t0, error,
-                              atlas if error is None else None)
-            if error is not None:
-                raise error
-        return rewritten, report
+        with self.tracer.span("rewrite", mode=str(self.mode),
+                              arch=binary.arch_name):
+            return self._rewrite_traced(binary, self.tracer, atlas)
 
     def resolved_options(self):
         """The record's resolved option set: every reproducibility-
@@ -238,21 +203,6 @@ class IncrementalRewriter:
             "function_order": self.function_order,
             "block_order": self.block_order,
         }
-
-    def _emit_record(self, binary, rewritten, report, span,
-                     total_seconds, error, atlas):
-        record = RewriteRecord.from_rewrite(
-            binary, rewritten, report, span, total_seconds,
-            workload=self.workload,
-            options=self.resolved_options(),
-            error=error,
-            atlas=atlas,
-        )
-        self.last_record = record
-        sink = self.record_sink
-        append = getattr(sink, "append", None)
-        (append if append is not None else sink)(record)
-        return record
 
     def _rewrite_traced(self, binary, tr, atlas):
         spec = get_arch(binary.arch_name)

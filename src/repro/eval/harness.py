@@ -50,29 +50,12 @@ class ToolRun:
     ra_translations: int = 0
     dyn_translations: int = 0
     unwound_frames: int = 0
-    #: artifact-cache accounting for this run, read off :attr:`record`
-    #: (zeros for untraced runs and tools without record support)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    analysis_seconds_saved: float = 0.0
-    #: peak traced-memory bytes of the rewrite, read off :attr:`record`
-    #: (None unless the caller passed a ``Tracer(memory=True)``)
-    mem_peak: int = None
     #: functions the degradation ladder moved below the requested mode
     degraded_functions: int = 0
     #: the rewrite's :class:`repro.core.modes.DegradationReport`
     #: (None when the tool has no ladder)
     degradation: object = field(default=None, repr=False)
     report: object = field(default=None, repr=False)
-    #: the :class:`repro.obs.Tracer` that observed this run (None when
-    #: tracing was not requested)
-    trace: object = field(default=None, repr=False)
-    #: the :class:`repro.obs.EngineTelemetry` that observed this run's
-    #: execution (None when telemetry was not requested)
-    telemetry: object = field(default=None, repr=False)
-    #: the rewrite's :class:`repro.obs.RewriteRecord` (None for tools
-    #: without record support)
-    record: object = field(default=None, repr=False)
 
 
 def make_tool(name, instrumentation=None, scorch=True, **kwargs):
@@ -109,48 +92,26 @@ def runtime_for(tool, rewriter, rewritten):
     return None
 
 
-def _record_accounting(record):
-    """The :class:`ToolRun` cache/memory fields carried by a rewrite
-    record (zeros and no peak without one)."""
-    if record is None:
-        return {}
-    return {"cache_hits": record.cache.get("hits", 0),
-            "cache_misses": record.cache.get("misses", 0),
-            "analysis_seconds_saved": record.cache.get("saved_seconds",
-                                                       0.0),
-            "mem_peak": record.mem_peak}
-
-
-def _discard_record(record):
-    """No-op sink: enables record emission without persistence."""
-
-
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                   instrumentation=None, tracer=None,
                   telemetry=None, cache=None,
-                  faults=None, record_sink=None, atlas=False,
-                  **tool_kwargs):
+                  faults=None, **tool_kwargs):
     """Run one tool on one binary; returns a :class:`ToolRun`.
 
     ``oracle`` is the expected ``(exit_code, output list)``;
     ``base_cycles`` the original binary's cycle count.  Pass a
     :class:`repro.obs.Tracer` to observe the whole run — the rewrite's
-    pipeline-stage spans and the emulated execution land under it and
-    the tracer is attached to the returned :attr:`ToolRun.trace`;
-    failures are recorded as ``harness-error`` trace events with the
-    exception type.  A ``Tracer(memory=True)`` additionally surfaces
-    the rewrite's peak traced memory on :attr:`ToolRun.mem_peak`.
-    Pass an
+    pipeline-stage spans (with their cache counters and, under a
+    ``Tracer(memory=True)``, memory peaks) and the emulated execution
+    land under it; failures are recorded as ``harness-error`` trace
+    events with the exception type.  Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
     emulated execution (hot blocks, guard outcomes, compile time,
-    block ring, trampoline hits, RA translations); it comes back on
-    :attr:`ToolRun.telemetry`.
+    block ring, trampoline hits, RA translations).
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
     across many evaluations) feeds the incremental pipeline; the run's
-    own hit/miss/time-saved counts come back on the ToolRun, read off
-    its record (which reads them off the rewrite's span, so only a
-    traced run has them).
+    own hit/miss/time-saved counts are on its ``rewrite`` span.
 
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
@@ -159,18 +120,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     before the rewrite.  The run itself is judged exactly as without
     faults — the invariant under test is that the output binary still
     matches the oracle and only coverage drops.
-
-    ``record_sink`` (a :class:`repro.obs.RecordLedger` or callable)
-    persists the rewrite's :class:`repro.obs.RewriteRecord`; even
-    without one, tools that speak records get a discard sink so the
-    record is still assembled and attached to :attr:`ToolRun.record`.
-    ``atlas=True`` adds the per-function coverage/precision section to
-    that record; it is off by default because atlas assembly walks
-    every function.
     """
-    attach = tracer if tracer is not None else None
     tracer = tracer if tracer is not None else NULL_TRACER
-    rewriter = None
     try:
         rewriter = make_tool(tool, instrumentation=instrumentation,
                              **tool_kwargs)
@@ -179,14 +130,6 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         rewriter.tracer = tracer
         if cache is not None:
             rewriter.cache = cache
-        if hasattr(rewriter, "record_sink"):
-            # Not every baseline is an IncrementalRewriter; only wire
-            # records into tools that emit them.
-            rewriter.record_sink = (record_sink
-                                    if record_sink is not None
-                                    else _discard_record)
-            rewriter.atlas = atlas
-            rewriter.workload = benchmark or None
         if faults is not None:
             _apply_faults(rewriter, faults, cache)
         rewritten, report = rewriter.rewrite(binary)
@@ -198,17 +141,12 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error=error)
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
-                       error=error, trace=attach, telemetry=telemetry,
-                       record=getattr(rewriter, "last_record", None))
-    record = getattr(rewriter, "last_record", None)
-    accounting = _record_accounting(record)
+                       error=error)
     if (result.exit_code, result.output) != oracle:
         tracer.event("harness-error", tool=tool, benchmark=benchmark,
                      error="wrong output")
         return ToolRun(tool=tool, benchmark=benchmark, passed=False,
-                       error="wrong output", report=report, trace=attach,
-                       telemetry=telemetry,
-                       record=record, **accounting)
+                       error="wrong output", report=report)
     return ToolRun(
         tool=tool,
         benchmark=benchmark,
@@ -226,10 +164,6 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         degraded_functions=len(getattr(report, "degradation", ()) or ()),
         degradation=getattr(report, "degradation", None),
         report=report,
-        trace=attach,
-        telemetry=telemetry,
-        record=record,
-        **accounting,
     )
 
 

@@ -13,10 +13,13 @@ Everything is zero-dependency and defaults to the no-op
 :data:`NULL_TRACER`, so un-instrumented runs pay near-zero cost.
 
 :mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
-content-addressed :class:`RewriteRecord` per rewrite (provenance, cost,
-and on request a per-function coverage atlas), stamped with an
-:class:`EnvFingerprint` and persisted in the append-only
-:class:`RecordLedger` through :class:`~repro.obs.store.JsonlStore`.
+content-addressed :class:`RewriteRecord` (provenance, cost, and on
+request a per-function coverage atlas), stamped with an
+:class:`EnvFingerprint`.  It is assembled only for a ledger:
+:func:`record_rewrite` runs one rewrite and appends its record to the
+append-only :class:`RecordLedger` (stored through
+:class:`~repro.obs.store.JsonlStore`); a plain rewrite or a harness
+evaluation builds none.
 Performance across commits is not tracked here: the seeded end-to-end
 benchmark (``bench/run.py``) compares commits.
 
@@ -42,7 +45,7 @@ from repro.obs.receipt import (
     RewriteRecord,
     content_digest,
     diff_records,
-    fleet_summary,
+    record_rewrite,
     render_record,
     render_record_diff,
     render_record_list,
@@ -74,10 +77,10 @@ __all__ = [
     "EnvFingerprint",
     "stamp_record",
     "RewriteRecord",
+    "record_rewrite",
     "RecordLedger",
     "AtlasBuilder",
     "content_digest",
-    "fleet_summary",
     "diff_records",
     "render_record",
     "render_record_list",

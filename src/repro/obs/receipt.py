@@ -18,9 +18,13 @@ how much of it got rewritten?":
   Figure 2's mode distribution and Table 2's space overhead are
   reproducible from this section alone.
 
-The atlas section is assembled *during* a rewrite — :class:`AtlasBuilder`
-is fed by the pipeline stages as they run, so nothing is re-analyzed —
-and only a successful rewrite gets one.
+Records are assembled only where they are persisted:
+:func:`record_rewrite` runs a rewriter, builds the record off the
+finished ``rewrite`` span and the report, and appends it to a ledger.
+The atlas section is assembled *during* that rewrite — the
+:class:`AtlasBuilder` it hands the rewriter is fed by the pipeline
+stages as they run, so nothing is re-analyzed — and only a successful
+rewrite gets one.
 
 Records are schema-versioned and content-addressed: ``record_id`` is the
 SHA-256 of the canonical JSON body, so a tampered or miscopied record no
@@ -35,8 +39,7 @@ can gate on it.
 The :class:`RecordLedger` persists records as JSON lines under the
 store discipline of :mod:`repro.obs.store`: atomic writes,
 corrupt/foreign lines skipped-and-counted on load but preserved on
-append.  Fleet summaries (``repro batch``) live in the same file under
-their own schema tag.
+append.
 
 :class:`EnvFingerprint` (python, platform, cpu count, git sha) is the
 identity stamped on every record, collected once per process by
@@ -58,10 +61,10 @@ import time
 
 from repro.obs.store import JsonlStore
 from repro.obs.trace import format_bytes
+from repro.util.errors import ReproError
 
 #: Schema tags; bump the version when a field changes meaning.
 RECORD_SCHEMA = "RewriteRecord/v1"
-FLEET_SCHEMA = "RewriteFleet/v1"
 BENCH_RECORD_SCHEMA = "BENCH_record/v1"
 
 DEFAULT_LEDGER = "RECORDS.jsonl"
@@ -81,7 +84,6 @@ TOP_ORDERINGS = {
 
 __all__ = [
     "RECORD_SCHEMA",
-    "FLEET_SCHEMA",
     "DEFAULT_LEDGER",
     "MODE_RUNGS",
     "TOP_ORDERINGS",
@@ -91,9 +93,9 @@ __all__ = [
     "stamp_record",
     "AtlasBuilder",
     "RewriteRecord",
+    "record_rewrite",
     "RecordLedger",
     "content_digest",
-    "fleet_summary",
     "diff_records",
     "render_record",
     "render_record_list",
@@ -502,8 +504,8 @@ class RewriteRecord:
         Duck-typed: ``binary``/``rewritten`` need ``to_bytes()`` (and
         the input's ``arch_name``), ``report`` a
         :class:`~repro.core.rewriter.RewriteReport` shape (may be None
-        on failure), ``span`` the finished ``rewrite`` trace span (or a
-        null span), whose subtree holds the stage timings and cache
+        on failure), ``span`` the finished ``rewrite`` trace span (None
+        when untraced), whose subtree holds the stage timings and cache
         counters of just this rewrite, ``atlas`` the
         :class:`AtlasBuilder` that rode along a successful rewrite
         (None for no atlas section).
@@ -667,18 +669,55 @@ class RewriteRecord:
                 f"{self.outcome}{atlas}>")
 
 
+def record_rewrite(rewriter, binary, sink, workload=None, atlas=False):
+    """Run ``rewriter.rewrite(binary)`` and append its record to ``sink``.
+
+    The one place a record is assembled.  Duck-typed: ``rewriter``
+    needs ``rewrite(binary, atlas=...)``, ``resolved_options()`` and a
+    ``tracer`` (under a null tracer the record's stage and cache
+    sections stay empty), ``sink`` an ``append(record)`` such as a
+    :class:`RecordLedger` or a list.  ``atlas=True`` hands the rewrite
+    an :class:`AtlasBuilder` whose section a successful rewrite's
+    record carries.  A failed rewrite (:class:`ReproError`) appends a
+    ``failed`` record before the error propagates.  Returns what
+    ``rewrite`` returns, ``(rewritten, report)``.
+    """
+    builder = AtlasBuilder() if atlas else None
+    parent = getattr(rewriter.tracer, "current", None)
+    rewritten = report = error = None
+    t0 = time.perf_counter()
+    try:
+        rewritten, report = rewriter.rewrite(binary, atlas=builder)
+    except ReproError as exc:
+        error = exc
+    total_seconds = time.perf_counter() - t0
+    # The rewrite's own span is the newest child of the span that was
+    # open when it started.
+    span = parent.children[-1] if parent is not None else None
+    sink.append(RewriteRecord.from_rewrite(
+        binary, rewritten, report, span, total_seconds,
+        workload=workload,
+        options=rewriter.resolved_options(),
+        error=error,
+        atlas=builder if error is None else None,
+    ))
+    if error is not None:
+        raise error
+    return rewritten, report
+
+
 # -- the ledger --------------------------------------------------------------
 
 
 class RecordLedger:
     """Append-only record store behind ``RECORDS.jsonl``.
 
-    One JSON object per line: records under ``RewriteRecord/*`` and
-    fleet summaries under ``RewriteFleet/*`` (collected on
-    :attr:`summaries`, not counted as foreign).  Loading skips — and
-    counts on :attr:`skipped` — lines that are corrupt or speak a
-    schema this reader does not; appending preserves every existing
-    line verbatim (:class:`~repro.obs.store.JsonlStore`).
+    One JSON object per line, records under ``RewriteRecord/*``.
+    Loading skips — and counts on :attr:`skipped` — lines that are
+    corrupt or speak a schema this reader does not (the
+    ``RewriteFleet/v1`` batch summaries older ledgers carry among
+    them); appending preserves every existing line verbatim
+    (:class:`~repro.obs.store.JsonlStore`).
     """
 
     def __init__(self, path=DEFAULT_LEDGER):
@@ -686,38 +725,22 @@ class RecordLedger:
         self._store = JsonlStore(path)
         #: corrupt/foreign lines seen by the most recent load()
         self.skipped = 0
-        #: RewriteFleet/* summary rows seen by the most recent load()
-        self.summaries = []
 
     def load(self):
         """Every parseable :class:`RewriteRecord`, oldest first."""
-        raw, bad = self._store.load_raw()
+        raw, skipped = self._store.load_raw()
         records = []
-        summaries = []
-        skipped = bad
         for obj in raw:
-            schema = obj.get("schema", "") if isinstance(obj, dict) \
-                else ""
-            if isinstance(schema, str) \
-                    and schema.startswith("RewriteFleet/"):
-                summaries.append(obj)
-                continue
             try:
                 records.append(RewriteRecord.from_dict(obj))
             except ValueError:
                 skipped += 1
         self.skipped = skipped
-        self.summaries = summaries
         return records
 
     def append(self, record):
         """Append one record; atomic, existing lines preserved."""
         return self._store.append_raw(record.to_dict())
-
-    def append_summary(self, summary):
-        """Append one fleet-summary row (a plain dict under
-        ``RewriteFleet/*``)."""
-        return self._store.append_raw(summary)
 
     def find(self, id_prefix):
         """The unique record whose id starts with ``id_prefix``; the
@@ -743,26 +766,6 @@ class RecordLedger:
 
     def __repr__(self):
         return f"<RecordLedger {self.path}>"
-
-
-def fleet_summary(records, unix_time=None):
-    """One ``RewriteFleet/v1`` row aggregating a batch's records."""
-    outcomes = {}
-    for r in records:
-        outcomes[r.outcome] = outcomes.get(r.outcome, 0) + 1
-    return {
-        "schema": FLEET_SCHEMA,
-        "records": [r.record_id for r in records],
-        "workloads": sorted({r.workload for r in records
-                             if r.workload}),
-        "outcomes": outcomes,
-        "total_seconds": sum(r.total_seconds for r in records),
-        "cache": {
-            "hits": sum(r.cache.get("hits", 0) for r in records),
-            "misses": sum(r.cache.get("misses", 0) for r in records),
-        },
-        "unix_time": time.time() if unix_time is None else unix_time,
-    }
 
 
 # -- diffing -----------------------------------------------------------------
@@ -977,36 +980,25 @@ def render_record(record, limit=0):
     return "\n".join(lines)
 
 
-def render_record_list(records, skipped=0, summaries=()):
+def render_record_list(records, skipped=0):
     """The ``repro record list`` table."""
-    if not records and not summaries:
+    if not records:
         return "(empty ledger)"
     lines = [f"{len(records)} record(s)"
-             + (f", {len(summaries)} fleet summar"
-                + ("y" if len(summaries) == 1 else "ies")
-                if summaries else "")
-             + (f", {skipped} skipped line(s)" if skipped else "")]
-    if records:
-        lines.append(f"  {'id':<12}  {'workload':<16} "
-                     f"{'arch/mode':<12} {'outcome':<7} "
-                     f"{'total':>9}  {'cache h/m':>9}  {'cfg%':>6}  "
-                     f"{'output':<12}")
-        for r in records:
-            cfg = (f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
-                   if r.has_atlas else f"{'-':>6}")
-            lines.append(
-                f"  {r.short_id:<12}  {(r.workload or '-'):<16} "
-                f"{r.arch + '/' + r.mode:<12} {r.outcome:<7} "
-                f"{r.total_seconds * 1e3:>7.1f}ms  "
-                f"{r.cache.get('hits', 0)}/{r.cache.get('misses', 0):<5}"
-                f"  {cfg}  {_short(r.output_digest):<12}")
-    for summary in summaries:
-        outcomes = summary.get("outcomes", {})
-        tally = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+             + (f", {skipped} skipped line(s)" if skipped else ""),
+             f"  {'id':<12}  {'workload':<16} "
+             f"{'arch/mode':<12} {'outcome':<7} "
+             f"{'total':>9}  {'cache h/m':>9}  {'cfg%':>6}  "
+             f"{'output':<12}"]
+    for r in records:
+        cfg = (f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
+               if r.has_atlas else f"{'-':>6}")
         lines.append(
-            f"  fleet: {len(summary.get('records', ()))} record(s) "
-            f"[{tally}] "
-            f"{summary.get('total_seconds', 0) * 1e3:.1f}ms total")
+            f"  {r.short_id:<12}  {(r.workload or '-'):<16} "
+            f"{r.arch + '/' + r.mode:<12} {r.outcome:<7} "
+            f"{r.total_seconds * 1e3:>7.1f}ms  "
+            f"{r.cache.get('hits', 0)}/{r.cache.get('misses', 0):<5}"
+            f"  {cfg}  {_short(r.output_digest):<12}")
     return "\n".join(lines)
 
 

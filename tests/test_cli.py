@@ -1,11 +1,12 @@
-"""Command-line behaviour: count options reject values below 1 with a
-usage error (exit 2) before any command runs, a one-shot rewrite or
+"""Command-line behaviour: count options reject values below 1 (the
+chaos fault counts: below 0) with a usage error (exit 2) before any
+command runs, a one-shot rewrite or
 chaos run pays for no cache it cannot read back, and a warm rewrite's
 profile shows each cached stage's hit on that stage's row."""
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import ArtifactCache
 
 
@@ -31,6 +32,31 @@ def test_diff_run_max_steps_must_be_positive(capsys):
 def test_batch_repeat_must_be_positive(capsys):
     err = _usage_error(["batch", "619.lbm_s", "--repeat", "-1"], capsys)
     assert "--repeat: expected a positive integer, got '-1'" in err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--overapprox",
+                                  "--underapprox", "--corrupt-cache"])
+def test_chaos_counts_must_be_non_negative(flag, capsys):
+    err = _usage_error(["chaos", "--workload", "619.lbm_s", flag, "-1"],
+                       capsys)
+    assert f"{flag}: expected a non-negative integer, got '-1'" in err
+    args = build_parser().parse_args(
+        ["chaos", "--workload", "619.lbm_s", flag, "0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("action", ["show", "top"])
+def test_record_limit_must_be_positive(action, value, capsys):
+    err = _usage_error(["record", action, "latest", "--limit", value],
+                       capsys)
+    assert f"--limit: expected a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("flag", ["--records=R.jsonl", "--no-records"])
+def test_batch_records_only_through_the_record_flag(flag, capsys):
+    err = _usage_error(["batch", "619.lbm_s", flag], capsys)
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_one_shot_rewrite_makes_no_cache_lookups(tmp_path, monkeypatch,

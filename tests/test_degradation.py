@@ -127,6 +127,15 @@ class TestCorruptCache:
         reader.put("cfg", key, {"value": 42}, seconds=0.1)
         assert reader.get("cfg", key) == (0.1, {"value": 42})
 
+    def test_negative_count_corrupts_nothing(self):
+        cache = ArtifactCache()
+        key = self._fill(cache)
+        # With two entries, slicing [:-1] would truncate the first.
+        cache.put("funcptr", cache.key("funcptr", ()), {}, seconds=0.1)
+        assert corrupt_cache_entries(cache, -1) == 0
+        assert cache.get("cfg", key) == (0.5, {"value": 42})
+        assert cache.stats()["corrupt"] == 0
+
     def test_corrupt_mem_entry_counts_and_recovers(self):
         cache = ArtifactCache()
         key = self._fill(cache)
@@ -214,7 +223,10 @@ class TestChaosHarness:
         assert run.passed
         assert cache.stats()["corrupt"] >= 1
         # A corrupt entry reads as a miss and is recomputed.
-        assert run.cache_misses == cache.stats()["corrupt"]
+        chaotic = [span for span in tracer.root.children
+                   if span.name == "rewrite"][-1]
+        assert chaotic.total_counters()["cache.misses"] \
+            == cache.stats()["corrupt"]
 
     def test_full_menu_against_go_like_binary(self):
         """Everything at once on the imprecise-funcptr workload: the

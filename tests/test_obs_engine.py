@@ -362,7 +362,6 @@ class TestHarnessHook:
         run = evaluate_tool("jt", binary, oracle, cycles,
                             telemetry=telemetry)
         assert run.passed
-        assert run.telemetry is telemetry
         assert telemetry.dispatches > 0
 
 

@@ -2,9 +2,10 @@
 
 Covers the acceptance properties of the subsystem:
 
-* every rewrite (fresh, cached — and failed) emits one
+* every recorded rewrite (fresh, cached — and failed) appends one
   schema-versioned, content-addressed record whose accounting matches
   the run, and records of the same input agree on the output digest;
+  a rewrite or harness evaluation without a ledger assembles none;
 * on request a successful rewrite's record carries the atlas section —
   per-function coverage split, precision class, ladder verdict — and a
   cold and a warm rewrite of the same input are identical modulo
@@ -13,8 +14,9 @@ Covers the acceptance properties of the subsystem:
   agrees with :func:`repro.core.modes.ladder_rung`;
 * the ledger speaks the store discipline of ``repro.obs.store`` —
   atomic appends, corrupt/foreign lines skipped-and-counted on load
-  but preserved on append — and resolves id prefixes and ``latest``;
-* ``repro rewrite --record [--atlas]`` / ``repro batch`` persist records
+  but preserved on append (old ``RewriteFleet/v1`` rows included) —
+  and resolves id prefixes and ``latest``;
+* ``repro rewrite --record [--atlas]`` / ``repro batch --record`` persist records
   and ``repro record list/show/top/diff`` read them back, with ``diff``
   exiting :data:`~repro.cli.EXIT_COVERAGE_REGRESSION` when coverage
   regressed, else :data:`~repro.cli.EXIT_DIVERGED` on diverged outputs;
@@ -31,13 +33,14 @@ import pytest
 from repro.core import ArtifactCache, IncrementalRewriter
 from repro.core.modes import MODE_LADDER, ladder_rung
 from repro.obs import (
+    AtlasBuilder,
     EnvFingerprint,
     JsonlStore,
     RecordLedger,
     RewriteRecord,
     Tracer,
     diff_records,
-    fleet_summary,
+    record_rewrite,
     render_record,
     render_record_diff,
     render_record_list,
@@ -46,7 +49,6 @@ from repro.obs import (
 )
 from repro.obs.receipt import (
     BENCH_RECORD_SCHEMA,
-    FLEET_SCHEMA,
     MODE_RUNGS,
     RECORD_SCHEMA,
     TOP_ORDERINGS,
@@ -60,17 +62,25 @@ def binary():
     return compiled(small_program("c"), "x86")
 
 
-def _rewrite(binary, sink, **kwargs):
-    rewriter = IncrementalRewriter(mode=kwargs.pop("mode", "jt"),
-                                   record_sink=sink, workload="unit",
-                                   **kwargs)
-    out, report = rewriter.rewrite(binary)
+def _rewrite(binary, sink, atlas=False, mode="jt", **kwargs):
+    rewriter = IncrementalRewriter(mode=mode, **kwargs)
+    out, report = record_rewrite(rewriter, binary, sink, workload="unit",
+                                 atlas=atlas)
     return out, report, rewriter
+
+
+@pytest.fixture
+def no_record_assembly(monkeypatch):
+    """Make assembling any record fail loudly."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was assembled")
+
+    monkeypatch.setattr(RewriteRecord, "from_rewrite", refuse)
 
 
 def _record(binary, atlas=False, **kwargs):
     got = []
-    _rewrite(binary, got.append, tracer=Tracer(), atlas=atlas, **kwargs)
+    _rewrite(binary, got, tracer=Tracer(), atlas=atlas, **kwargs)
     return got[0]
 
 
@@ -79,7 +89,7 @@ def _cold_warm(binary, atlas=True, tracer=None, **kwargs):
     cache = ArtifactCache()
     tracer = tracer if tracer is not None else Tracer()
     for _ in range(2):
-        _rewrite(binary, records.append, tracer=tracer, cache=cache,
+        _rewrite(binary, records, tracer=tracer, cache=cache,
                  atlas=atlas, **kwargs)
     return records
 
@@ -130,11 +140,10 @@ class TestModeRungs:
 class TestRecordEmission:
     def test_rewrite_emits_one_record(self, binary):
         got = []
-        out, report, rewriter = _rewrite(binary, got.append,
+        out, report, rewriter = _rewrite(binary, got,
                                          tracer=Tracer(name="t"))
         assert len(got) == 1
         record = got[0]
-        assert record is rewriter.last_record
         assert record.outcome == "ok" and record.error is None
         assert record.workload == "unit"
         assert record.arch == "x86" and record.mode == "jt"
@@ -200,11 +209,16 @@ class TestRecordEmission:
 
     @pytest.mark.parametrize("atlas", [False, True],
                              ids=["plain", "atlas"])
-    def test_no_sink_means_no_record_machinery(self, binary, atlas):
-        # atlas=True alone does not emit: the atlas is a record section.
-        rewriter = IncrementalRewriter(mode="jt", atlas=atlas)
-        rewriter.rewrite(binary)
-        assert rewriter.last_record is None
+    def test_no_sink_means_no_record_machinery(self, binary, atlas,
+                                               no_record_assembly):
+        # Only record_rewrite assembles records; a bare rewrite never
+        # does, even while it feeds an atlas builder.
+        builder = AtlasBuilder() if atlas else None
+        rewriter = IncrementalRewriter(mode="jt", tracer=Tracer())
+        rewriter.rewrite(binary, atlas=builder)
+        if atlas:
+            rows, rollup = builder.finish()
+            assert rows and rollup["functions"] == len(rows)
 
     @pytest.mark.parametrize("atlas", [False, True],
                              ids=["plain", "atlas"])
@@ -223,7 +237,7 @@ class TestRecordEmission:
         records = []
         cache = ArtifactCache()
         for kwargs in ({}, {"cache": cache}, {"cache": cache}):
-            _rewrite(binary, records.append, tracer=Tracer(), **kwargs)
+            _rewrite(binary, records, tracer=Tracer(), **kwargs)
         digests = {r.output_digest for r in records}
         assert len(digests) == 1
         # ...and the warm run's record shows the cache paying off.
@@ -232,36 +246,31 @@ class TestRecordEmission:
         assert warm.cache["hits"] > 0 and warm.cache["misses"] == 0
 
     def test_failed_rewrite_still_emits_a_record(self):
-        # SrbiRewriter inherits record support and refuses C++ binaries
-        # outright — the refusal must leave a failed record behind
-        # before the error propagates.
+        # SrbiRewriter refuses C++ binaries outright — the refusal must
+        # leave a failed record behind before the error propagates.
         from repro.baselines import SrbiRewriter
 
         cxx = compiled(small_program("cxx"), "x86")
         got = []
-        rewriter = SrbiRewriter()
-        rewriter.record_sink = got.append
-        rewriter.workload = "cxx-refusal"
         with pytest.raises(RewriteError):
-            rewriter.rewrite(cxx)
+            record_rewrite(SrbiRewriter(), cxx, got,
+                           workload="cxx-refusal")
         assert len(got) == 1
         record = got[0]
         assert record.outcome == "failed"
+        assert record.workload == "cxx-refusal"
         assert record.output_digest is None
         assert record.error["type"] == "RewriteError"
         assert record.input_digest
-        assert rewriter.last_record is record
 
     def test_failed_rewrite_record_has_no_atlas_section(self):
         from repro.toolchain.workloads import docker_like
 
         binary = docker_like("x86")[1]
         got = []
-        rewriter = IncrementalRewriter(mode="func-ptr", degrade=False,
-                                       record_sink=got.append,
-                                       atlas=True)
         with pytest.raises(RewriteError):
-            rewriter.rewrite(binary)
+            _rewrite(binary, got, mode="func-ptr", degrade=False,
+                     atlas=True)
         assert len(got) == 1
         assert got[0].outcome == "failed"
         assert not got[0].has_atlas
@@ -275,10 +284,7 @@ class TestRecordEmission:
         tracer = Tracer()
         cache = ArtifactCache()
         for _ in range(2):
-            rewriter = IncrementalRewriter(
-                mode="jt", record_sink=records.append,
-                tracer=tracer, cache=cache)
-            rewriter.rewrite(binary)
+            _rewrite(binary, records, tracer=tracer, cache=cache)
         cold, warm = records
         assert cold.cache["misses"] > 0
         assert warm.cache["misses"] == 0
@@ -326,10 +332,8 @@ class TestFig2Reproducibility:
 
         binary = docker_like("x86")[1]
         got = []
-        rewriter = IncrementalRewriter(mode="func-ptr",
-                                       record_sink=got.append,
-                                       atlas=True, tracer=Tracer())
-        _, report = rewriter.rewrite(binary)
+        _, report, _ = _rewrite(binary, got, mode="func-ptr", atlas=True,
+                                tracer=Tracer())
         record = got[0]
         dist = dict(record.rollup["mode_distribution"])
         degraded = report.degradation.by_final_mode()
@@ -491,33 +495,41 @@ class TestLedger:
         assert "not json" in text and "Alien/v9" in text
         assert "RewriteReceipt/v1" in text and "RewriteAtlas/v1" in text
 
-    def test_fleet_summaries_are_not_foreign(self, binary, tmp_path):
+    def test_old_fleet_rows_are_skipped_but_preserved(self, binary,
+                                                      tmp_path):
+        # Batches once closed with a RewriteFleet/v1 summary row.  It
+        # is foreign now: every record still loads, the row counts as
+        # skipped, and an append keeps it verbatim.
         path = tmp_path / "r.jsonl"
         ledger = self._one(binary, path)
-        ledger.append_summary(fleet_summary(ledger.load()))
+        first = ledger.load()[0]
+        fleet = json.dumps({"schema": "RewriteFleet/v1",
+                            "records": [first.record_id],
+                            "outcomes": {"ok": 1}})
+        with open(path, "a") as f:
+            f.write(fleet + "\n")
+        _rewrite(binary, ledger, tracer=Tracer(), cache=ArtifactCache())
         records = ledger.load()
-        assert len(records) == 1
-        assert ledger.skipped == 0
-        assert len(ledger.summaries) == 1
-        summary = ledger.summaries[0]
-        assert summary["schema"] == FLEET_SCHEMA
-        assert summary["records"] == [records[0].record_id]
-        assert summary["outcomes"] == {"ok": 1}
+        assert len(records) == 2
+        assert records[0].record_id == first.record_id
+        assert ledger.skipped == 1
+        assert fleet in path.read_text().splitlines()
 
     def test_lines_with_worker_accounting_still_load(self, binary,
                                                      tmp_path, capsys):
         # Ledgers written while analyses could run on a worker pool
         # carry a `workers` section, `jobs`/`executor` options and a
-        # fleet row with `worker_tasks`.  They load, render and count;
-        # the id is recomputed without `workers`, so it no longer
-        # matches the one stored on the line.
+        # fleet row with `worker_tasks`.  The records load, render and
+        # count (the fleet row is skipped); the id is recomputed without
+        # `workers`, so it no longer matches the one stored on the line.
         from repro.cli import main
 
         old = _record(binary).to_dict()
         old["options"].update(jobs=2, executor="thread")
         old["workers"] = {"tasks": 26, "task_seconds": 0.0045}
         old["record_id"] = "0" * 64
-        fleet = {"schema": FLEET_SCHEMA, "records": [old["record_id"]],
+        fleet = {"schema": "RewriteFleet/v1",
+                 "records": [old["record_id"]],
                  "workloads": ["unit"], "outcomes": {"ok": 1},
                  "total_seconds": old["total_seconds"],
                  "cache": {"hits": 0, "misses": 0}, "worker_tasks": 26,
@@ -527,8 +539,7 @@ class TestLedger:
 
         ledger = RecordLedger(str(path))
         records = ledger.load()
-        assert len(records) == 1 and ledger.skipped == 0
-        assert len(ledger.summaries) == 1
+        assert len(records) == 1 and ledger.skipped == 1
         record = records[0]
         assert record.options["jobs"] == 2
         assert record.record_id != old["record_id"]
@@ -536,17 +547,12 @@ class TestLedger:
 
         assert main(["record", "list", "--ledger", str(path)]) == 0
         listing = capsys.readouterr().out
-        assert "1 record(s), 1 fleet summary" in listing
+        assert "1 record(s), 1 skipped line(s)" in listing
         assert record.short_id in listing
         assert main(["record", "show", record.short_id,
                      "--ledger", str(path)]) == 0
         shown = capsys.readouterr().out
         assert "jobs=2" in shown and "workers" not in shown
-
-        row = fleet_summary(records)
-        assert row["records"] == [record.record_id]
-        assert row["outcomes"] == {"ok": 1}
-        assert "worker_tasks" not in row
 
     @pytest.mark.parametrize("atlas", [False, True],
                              ids=["plain", "atlas"])
@@ -664,11 +670,11 @@ class TestRendering:
         assert records[0].short_id in text
         assert "cache:" in text and "stages:" in text
         assert "coverage:" not in text
-        listing = render_record_list(records, 0, [fleet_summary(records)])
+        listing = render_record_list(records)
         assert "2 record(s)" in listing
-        assert "fleet:" in listing
+        assert all(r.short_id in listing for r in records)
         assert "skipped" in render_record_list(records, skipped=2)
-        assert render_record_list([], 0, []) == "(empty ledger)"
+        assert render_record_list([], 0) == "(empty ledger)"
 
     def test_render_atlas_section_rollups_and_rows(self, binary):
         record = _record(binary, atlas=True)
@@ -704,43 +710,16 @@ class TestRendering:
         assert heaviest["function"] in ranked
 
 
-class TestHarnessIntegration:
-    def _run(self, binary, tool="jt", **kwargs):
+class TestHarnessBuildsNoRecord:
+    @pytest.mark.parametrize("tool", ["jt", "srbi"])
+    def test_evaluate_tool_never_assembles_a_record(self, binary, tool,
+                                                    no_record_assembly):
         from repro.eval import baseline_run, evaluate_tool
 
         oracle, base_cycles = baseline_run(binary)
-        return evaluate_tool(tool, binary, oracle, base_cycles,
-                             benchmark="unit", **kwargs)
-
-    def test_evaluate_tool_attaches_record(self, binary):
-        run = self._run(binary)
-        assert run.passed
-        assert run.record is not None
-        assert run.record.workload == "unit"
-        assert run.record.outcome == "ok"
-
-    def test_evaluate_tool_persists_into_sink(self, binary, tmp_path):
-        ledger = RecordLedger(str(tmp_path / "r.jsonl"))
-        run = self._run(binary, record_sink=ledger)
-        assert run.record is not None
-        loaded = ledger.load()
-        assert len(loaded) == 1
-        assert loaded[0].record_id == run.record.record_id
-
-    def test_evaluate_tool_atlas_on_request(self, binary, tmp_path):
-        ledger = RecordLedger(str(tmp_path / "r.jsonl"))
-        run = self._run(binary, record_sink=ledger, atlas=True)
-        assert run.passed
-        assert run.record.has_atlas
-        assert ledger.load()[0].record_id == run.record.record_id
-
-    def test_atlas_is_opt_in(self, binary):
-        # The default path is receipt-sized: digests and accounting,
-        # no per-function rows.
-        assert not self._run(binary).record.has_atlas
-
-    def test_tool_without_record_support(self, binary):
-        assert self._run(binary, tool="ir-lowering").record is None
+        run = evaluate_tool(tool, binary, oracle, base_cycles,
+                            benchmark="unit", tracer=Tracer())
+        assert run.passed, run.error
 
 
 class TestCli:
@@ -767,27 +746,31 @@ class TestCli:
         records = RecordLedger(str(tmp_path / "RECORDS.jsonl")).load()
         assert len(records) == 1 and records[0].has_atlas
 
-    def test_batch_emits_records_and_fleet_summary(self, tmp_path,
-                                                   capsys):
+    def test_batch_records_only_with_the_record_flag(self, tmp_path,
+                                                     capsys):
         from repro.cli import main
 
         assert main(["batch", "619.lbm_s", "--repeat", "2"]) == 0
-        capsys.readouterr()
+        assert not (tmp_path / "RECORDS.jsonl").exists()
+        assert main(["batch", "619.lbm_s", "--repeat", "2",
+                     "--record"]) == 0
+        assert "2 record(s) -> RECORDS.jsonl" in capsys.readouterr().err
         ledger = RecordLedger(str(tmp_path / "RECORDS.jsonl"))
         records = ledger.load()
-        assert len(records) == 2
-        assert len(ledger.summaries) == 1
+        assert len(records) == 2 and ledger.skipped == 0
+        assert len((tmp_path / "RECORDS.jsonl").read_text()
+                   .splitlines()) == 2
         assert {r.output_digest for r in records} == \
             {records[0].output_digest}
 
     def test_record_list_show_diff(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["batch", "619.lbm_s", "--repeat", "2"])
+        main(["batch", "619.lbm_s", "--repeat", "2", "--record"])
         capsys.readouterr()
         assert main(["record", "list"]) == 0
         listing = capsys.readouterr().out
-        assert "2 record(s)" in listing and "fleet:" in listing
+        assert "2 record(s)" in listing
 
         ids = _ids(tmp_path / "RECORDS.jsonl")
         assert main(["record", "show", ids[0]]) == 0
