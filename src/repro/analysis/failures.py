@@ -207,31 +207,22 @@ def audit_jump_tables(binary, fcfg):
 def corrupt_cache_entries(cache, count):
     """Corrupt up to ``count`` entries of an ArtifactCache in place.
 
-    Truncates the pickled payloads of the first ``count`` entries (in
-    deterministic insertion order) to a prefix that cannot unpickle, in
-    memory and — when the cache is disk-backed — on disk too.  Returns
-    the number of entries corrupted.  The cache's own corrupt-entry
-    handling (miss + unlink + ``corrupt`` counter) is what the chaos
-    harness then exercises.
+    Truncates the files of the first ``count`` entries (in sorted path
+    order, :meth:`~repro.core.cache.ArtifactCache.entry_paths`) to a
+    prefix that cannot unpickle, and returns the number corrupted.  The
+    cache's own corrupt-entry handling (unlink + ``CORRUPT``, counted
+    as ``cache.corrupt`` and a miss on the stage span) is what the
+    chaos harness then exercises.
     """
-    import os
-
     corrupted = 0
-    with cache._lock:
-        # A negative count would slice from the end: corrupt nothing.
-        keys = list(cache._mem)[:max(count, 0)]
-        for key in keys:
-            cache._mem[key] = cache._mem[key][:3]
-            corrupted += 1
-    if cache.directory is not None:
-        for key in keys:
-            kind = key.split("-v", 1)[0]
-            path = cache._disk_path(kind, key)
-            try:
-                with open(path, "r+b") as f:
-                    f.truncate(3)
-            except OSError:
-                pass
+    # A negative count would slice from the end: corrupt nothing.
+    for path in cache.entry_paths()[:max(count, 0)]:
+        try:
+            with open(path, "r+b") as f:
+                f.truncate(3)
+        except OSError:
+            continue
+        corrupted += 1
     return corrupted
 
 

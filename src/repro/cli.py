@@ -24,8 +24,11 @@ Examples::
 """
 
 import argparse
+import contextlib
 import sys
+import tempfile
 import time
+from collections import Counter
 
 from repro.core import (
     ArtifactCache,
@@ -190,15 +193,16 @@ def cmd_rewrite(args):
                        else EmptyInstrumentation())
     # --atlas is a section of the record, so it implies --record.
     record_path = args.record or (DEFAULT_LEDGER if args.atlas else None)
-    # Records need the trace's per-stage timings, so --record implies
-    # a tracer even without --profile/--trace.
-    observing = args.profile or args.trace or record_path
+    # Records need the trace's per-stage timings and the cache line
+    # its lookup counts, so --record and --cache-dir imply a tracer
+    # even without --profile/--trace.
+    observing = args.profile or args.trace or record_path \
+        or args.cache_dir
     tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
         else None
-    # One process rewrites once, so an in-memory cache could never be
-    # read back: only a --cache-dir cache is worth its lookups.
-    cache = ArtifactCache(directory=args.cache_dir) if args.cache_dir \
-        else None
+    # One process rewrites once, so only a --cache-dir cache can ever
+    # be read back: without one there are no lookups at all.
+    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     records = _LedgerSink(record_path) if record_path else None
     rewriter = IncrementalRewriter(
         mode=RewriteMode.parse(args.mode),
@@ -230,9 +234,9 @@ def cmd_rewrite(args):
     print(f"trampolines   : " + ", ".join(
         f"{k}={v}" for k, v in report.trampolines.items() if v))
     if cache is not None:
-        stats = cache.stats()
-        print(f"cache         : {stats['hits']} hits, "
-              f"{stats['misses']} misses")
+        counters = tracer.root.total_counters()
+        print(f"cache         : {counters.get('cache.hits', 0)} hits, "
+              f"{counters.get('cache.misses', 0)} misses")
     if report.failed_functions:
         print(f"skipped       : " + ", ".join(
             name for name, _ in report.failed_functions))
@@ -272,18 +276,32 @@ def cmd_rewrite(args):
     return 1 if diverged else 0
 
 
+def _cache_directory(cache_dir):
+    """A context yielding ``cache_dir``, or else a temporary directory
+    that is removed on exit."""
+    if cache_dir:
+        return contextlib.nullcontext(cache_dir)
+    return tempfile.TemporaryDirectory(prefix="repro-cache-")
+
+
 def cmd_batch(args):
     """Rewrite a list of workloads through one shared artifact cache.
 
     Every ``--repeat`` round after the first is served the cfg and
     funcptr stages of each binary from the cache (only a byte-identical
-    binary hits).
+    binary hits).  Without ``--cache-dir`` the cache lives in a
+    temporary directory for the length of the batch.
 
     With ``--record [LEDGER]``, every rewrite (failed ones included)
     appends a :class:`~repro.obs.RewriteRecord` to the ledger.
     """
-    cache = ArtifactCache(directory=args.cache_dir)
+    with _cache_directory(args.cache_dir) as directory:
+        return _run_batch(args, ArtifactCache(directory))
+
+
+def _run_batch(args, cache):
     records = _LedgerSink(args.record) if args.record else None
+    tracers = []
     failures = 0
     loaded = {}
     load_failed = set()
@@ -306,6 +324,7 @@ def cmd_batch(args):
             # One tracer per rewrite: its span tree holds this
             # rewrite's cache counts and its record's stage timings.
             tracer = Tracer(name=f"batch:{name}")
+            tracers.append(tracer)
             t0 = time.perf_counter()
             rewriter = IncrementalRewriter(mode=RewriteMode.parse(args.mode),
                                            tracer=tracer, cache=cache)
@@ -330,10 +349,12 @@ def cmd_batch(args):
                 out_path = f"{args.out_dir}/{name}.r{round_no}.rw"
                 with open(out_path, "wb") as f:
                     f.write(rewritten.to_bytes())
-    stats = cache.stats()
-    print(f"[cache: {stats['entries']} entries, {stats['hits']} hits"
-          f" / {stats['misses']} misses, {stats['stores']} stores]",
-          file=sys.stderr)
+    totals = Counter()
+    for tracer in tracers:
+        totals.update(tracer.root.total_counters())
+    print(f"[cache: {totals['cache.hits']} hits / "
+          f"{totals['cache.misses']} misses, {totals['cache.stores']} "
+          f"stores]", file=sys.stderr)
     if records:
         print(f"[{len(records)} record(s) -> {records.path}]",
               file=sys.stderr)
@@ -350,7 +371,8 @@ def cmd_chaos(args):
     Figure-2 category and cache corruption — then runs the full
     evaluation pipeline under it.  Success means the rewritten binary
     still matched the oracle; coverage (and nothing else) is allowed to
-    drop.
+    drop.  With a cache, the ``substrate`` line reports the corrupt
+    entries the chaos run met (its span's ``cache.corrupt``).
     """
     from repro.analysis import build_cfg, plan_chaos
     from repro.eval import baseline_run, evaluate_tool
@@ -364,19 +386,23 @@ def cmd_chaos(args):
         underapproximate=args.underapprox,
         corrupt_cache=args.corrupt_cache,
     )
-    # A one-shot chaos run reads a cache back only when corruption
-    # needs warmed entries to bite, or through a --cache-dir.
-    cache = None
-    if plan.corrupt_cache or args.cache_dir:
-        cache = ArtifactCache(directory=args.cache_dir)
-    if plan.corrupt_cache:
-        # Warm the cache with one clean rewrite so corruption has
-        # entries to bite; the chaos run must then recover from them.
-        evaluate_tool(args.mode, binary, oracle, base_cycles,
-                      benchmark=args.workload, cache=cache)
-    run = evaluate_tool(args.mode, binary, oracle, base_cycles,
-                        benchmark=args.workload, cache=cache,
-                        faults=plan)
+    # A one-shot chaos run reads a cache back only through a
+    # --cache-dir, or when corruption needs warmed entries to bite (in
+    # a temporary directory).
+    tracer = Tracer(name=f"chaos:{args.workload}")
+    caching = plan.corrupt_cache or args.cache_dir
+    with _cache_directory(args.cache_dir) if caching \
+            else contextlib.nullcontext() as directory:
+        cache = ArtifactCache(directory) if caching else None
+        if plan.corrupt_cache:
+            # Warm the cache with one clean rewrite so corruption has
+            # entries to bite; the chaos run must then recover from
+            # them.
+            evaluate_tool(args.mode, binary, oracle, base_cycles,
+                          benchmark=args.workload, cache=cache)
+        run = evaluate_tool(args.mode, binary, oracle, base_cycles,
+                            benchmark=args.workload, cache=cache,
+                            tracer=tracer, faults=plan)
 
     injected = [f"{label}:{name}" for label, names in
                 (("report", plan.report),
@@ -396,8 +422,8 @@ def cmd_chaos(args):
                                    show_reason=False)[1:]:
         print(line)
     if cache is not None:
-        print(f"substrate : cache_corrupt="
-              f"{cache.stats().get('corrupt', 0)}")
+        corrupt = tracer.root.total_counters().get("cache.corrupt", 0)
+        print(f"substrate : cache_corrupt={corrupt}")
     return 0 if run.passed else EXIT_REWRITE_ERROR
 
 
@@ -673,7 +699,8 @@ def build_parser():
     p.add_argument("--corrupt-cache", type=_non_negative_int, default=0,
                    metavar="N",
                    help="truncate N artifact-cache entries (cache is "
-                        "warmed by a clean rewrite first)")
+                        "warmed by a clean rewrite first, in a "
+                        "temporary directory unless --cache-dir)")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_chaos)
 

@@ -42,7 +42,7 @@ from repro.analysis.failures import audit_jump_tables, classify_failure
 from repro.analysis.funcptr import analyze_function_pointers
 from repro.analysis.liveness import LivenessAnalysis
 from repro.binfmt.sections import Section
-from repro.core.cache import MISS, image_digest
+from repro.core.cache import CORRUPT, MISS, image_digest
 from repro.core.cfl import CflAnalysis
 from repro.core.instrumentation import EmptyInstrumentation
 from repro.core.layout import prepare_output
@@ -456,13 +456,16 @@ class IncrementalRewriter:
         stored.  ``key`` None (no cache, or a stage that may not be
         cached) just computes.  Counts ``cache.*`` and
         ``cache.<kind>.*`` on the stage's span and, on a hit, the
-        compute seconds the hit saved (``cache.seconds_saved``)."""
+        compute seconds the hit saved (``cache.seconds_saved``); an
+        unreadable entry counts ``cache.corrupt`` and a miss."""
         if key is None:
             return compute()
         tr = self.tracer
         full_key = self.cache.key(kind, key)
         got = self.cache.get(kind, full_key)
-        if got is not MISS:
+        if got is CORRUPT:
+            tr.count("cache.corrupt")
+        elif got is not MISS:
             seconds, value = got
             tr.count("cache.hits")
             tr.count(f"cache.{kind}.hits")
@@ -472,8 +475,9 @@ class IncrementalRewriter:
         tr.count(f"cache.{kind}.misses")
         t0 = time.perf_counter()
         value = compute()
-        self.cache.put(kind, full_key, value, time.perf_counter() - t0)
-        tr.count("cache.stores")
+        if self.cache.put(kind, full_key, value,
+                          time.perf_counter() - t0):
+            tr.count("cache.stores")
         return value
 
     def runtime_library(self, rewritten):

@@ -52,7 +52,7 @@ from repro.obs.receipt import (
     render_record_top,
     stamp_record,
 )
-from repro.obs.store import JsonlStore, atomic_write_text
+from repro.obs.store import JsonlStore
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -87,5 +87,4 @@ __all__ = [
     "render_record_top",
     "render_record_diff",
     "JsonlStore",
-    "atomic_write_text",
 ]

@@ -4,8 +4,8 @@ The rewrite-record ledger behind ``RECORDS.jsonl`` (one JSON object per
 line, :class:`~repro.obs.receipt.RecordLedger`) stores through
 :class:`JsonlStore`, which owes its callers three guarantees:
 
-* **Atomic writes** (:func:`atomic_write_text`): every persist goes
-  through a temp file + ``os.replace``, so a crashed writer never
+* **Atomic writes** (:func:`repro.util.atomic_write`): every persist
+  goes through a temp file + ``os.replace``, so a crashed writer never
   leaves a half-written store behind.
 * **Corrupt tolerance**: loading skips — and *counts*, never raises
   on — lines that are not JSON, so one bad row cannot take the whole
@@ -17,32 +17,10 @@ line, :class:`~repro.obs.receipt.RecordLedger`) stores through
 """
 
 import json
-import os
-import tempfile
 
-__all__ = ["atomic_write_text", "JsonlStore"]
+from repro.util.files import atomic_write
 
-
-def atomic_write_text(path, text, prefix=".obs-store-"):
-    """Write ``text`` to ``path`` atomically (temp file + replace).
-
-    The temp file lives in the destination directory so the final
-    ``os.replace`` never crosses a filesystem boundary; on any failure
-    the temp file is removed and the original store is untouched.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=prefix, dir=directory)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+__all__ = ["JsonlStore"]
 
 
 class JsonlStore:
@@ -85,8 +63,8 @@ class JsonlStore:
         byte-for-byte."""
         lines = self._read_lines()
         lines.append(json.dumps(obj, sort_keys=True))
-        return atomic_write_text(self.path, "\n".join(lines) + "\n",
-                                 prefix=".records-")
+        return atomic_write(self.path, "\n".join(lines) + "\n",
+                            prefix=".records-")
 
     def __repr__(self):
         return f"<JsonlStore {self.path}>"

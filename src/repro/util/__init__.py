@@ -1,4 +1,5 @@
-"""Shared utilities: errors, deterministic RNG, integer helpers."""
+"""Shared utilities: errors, deterministic RNG, integer helpers,
+atomic file writes."""
 
 from repro.util.errors import (
     ReproError,
@@ -22,6 +23,7 @@ from repro.util.ints import (
     s64,
 )
 from repro.util.rng import DeterministicRng
+from repro.util.files import atomic_write
 
 __all__ = [
     "ReproError",
@@ -42,4 +44,5 @@ __all__ = [
     "u64",
     "s64",
     "DeterministicRng",
+    "atomic_write",
 ]

@@ -24,7 +24,7 @@ from repro.core import (
     MODE_SKIP,
     RewriteMode,
 )
-from repro.core.cache import MISS
+from repro.core.cache import CORRUPT, MISS
 from repro.core.modes import (
     mode_rewrites_function_pointers,
     mode_rewrites_jump_tables,
@@ -108,57 +108,51 @@ class TestCorruptCache:
 
     def test_truncated_disk_entry_is_miss_and_unlinked(self, tmp_path):
         import os
-        writer = ArtifactCache(directory=tmp_path)
+        writer = ArtifactCache(tmp_path)
         key = self._fill(writer)
-        path = writer._disk_path("cfg", key)
+        [path] = writer.entry_paths()
         with open(path, "r+b") as f:
             f.truncate(3)
         # A fresh cache (new process, same directory) hits the truncated
-        # file: must miss, count the corruption, and remove the file so
-        # it cannot keep poisoning later runs.
-        reader = ArtifactCache(directory=tmp_path)
-        assert reader.get("cfg", key) is MISS
-        stats = reader.stats()
-        assert stats["corrupt"] == 1
-        assert stats["hits"] == 0 and stats["disk_hits"] == 0
-        assert stats["misses"] == 1
+        # file: must report the corruption and remove the file so it
+        # cannot keep poisoning later runs.
+        reader = ArtifactCache(tmp_path)
+        assert reader.get("cfg", key) is CORRUPT
         assert not os.path.exists(path)
+        assert reader.get("cfg", key) is MISS
         # Recomputation overwrites cleanly.
         reader.put("cfg", key, {"value": 42}, seconds=0.1)
         assert reader.get("cfg", key) == (0.1, {"value": 42})
 
-    def test_negative_count_corrupts_nothing(self):
-        cache = ArtifactCache()
+    def test_negative_count_corrupts_nothing(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
         # With two entries, slicing [:-1] would truncate the first.
         cache.put("funcptr", cache.key("funcptr", ()), {}, seconds=0.1)
         assert corrupt_cache_entries(cache, -1) == 0
         assert cache.get("cfg", key) == (0.5, {"value": 42})
-        assert cache.stats()["corrupt"] == 0
 
-    def test_corrupt_mem_entry_counts_and_recovers(self):
-        cache = ArtifactCache()
+    def test_corrupt_entry_is_reported_once_and_recovers(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
         assert corrupt_cache_entries(cache, 5) == 1
+        assert cache.get("cfg", key) is CORRUPT
+        # The entry was dropped: the next get is a plain miss.
         assert cache.get("cfg", key) is MISS
-        stats = cache.stats()
-        assert stats["corrupt"] == 1
-        assert stats["hits"] == 0   # the optimistic hit was rolled back
-        # The entry was dropped: the next get is a plain miss, with no
-        # counter going negative.
-        assert cache.get("cfg", key) is MISS
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["misses"] == 2
+        assert cache.entry_paths() == []
 
     def test_disk_backed_corruption_via_harness_helper(self, tmp_path):
         import os
-        cache = ArtifactCache(directory=tmp_path)
+        cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
-        path = cache._disk_path("cfg", key)
+        cache.put("funcptr", cache.key("funcptr", ()), {}, seconds=0.1)
+        first, second = cache.entry_paths()
+        # Entries go in sorted path order: the cfg one first.
+        assert "cfg-v" in first and "funcptr-v" in second
         assert corrupt_cache_entries(cache, 1) == 1
-        assert cache.get("cfg", key) is MISS
-        assert cache.stats()["corrupt"] == 1
-        assert not os.path.exists(path)
+        assert cache.get("cfg", key) is CORRUPT
+        assert not os.path.exists(first)
+        assert cache.get("funcptr", cache.key("funcptr", ())) == (0.1, {})
 
 
 class TestChaosHarness:
@@ -208,10 +202,10 @@ class TestChaosHarness:
         victim = next(iter(plan.underapproximate))
         assert run.degradation.final_mode_of(victim) != "jt"
 
-    def test_substrate_faults_survive_with_cache(self):
+    def test_substrate_faults_survive_with_cache(self, tmp_path):
         binary, oracle, cycles = self._setup()
         tracer = Tracer()
-        cache = ArtifactCache()
+        cache = ArtifactCache(tmp_path)
         # Warm the cache with a clean run, then corrupt it before the
         # chaotic one.
         warm = evaluate_tool("jt", binary, oracle, cycles,
@@ -221,27 +215,30 @@ class TestChaosHarness:
         run = evaluate_tool("jt", binary, oracle, cycles,
                             tracer=tracer, cache=cache, faults=plan)
         assert run.passed
-        assert cache.stats()["corrupt"] >= 1
-        # A corrupt entry reads as a miss and is recomputed.
+        # Each corrupt entry is counted on the chaos run's span, reads
+        # as a miss and is recomputed.
         chaotic = [span for span in tracer.root.children
-                   if span.name == "rewrite"][-1]
-        assert chaotic.total_counters()["cache.misses"] \
-            == cache.stats()["corrupt"]
+                   if span.name == "rewrite"][-1].total_counters()
+        assert chaotic["cache.corrupt"] == 2
+        assert chaotic["cache.misses"] == 2
+        assert chaotic["cache.stores"] == 2
 
-    def test_full_menu_against_go_like_binary(self):
+    def test_full_menu_against_go_like_binary(self, tmp_path):
         """Everything at once on the imprecise-funcptr workload: the
         ladder, the audit and cache corruption all compose, and the
         binary still behaves identically."""
         from repro.toolchain.workloads import docker_like
         binary = docker_like("x86")[1]
         oracle, cycles = baseline_run(binary)
-        cache = ArtifactCache()
+        cache = ArtifactCache(tmp_path)
         warm = evaluate_tool("func-ptr", binary, oracle, cycles,
                              cache=cache)
         assert warm.passed and warm.degraded_functions >= 1
         plan = plan_chaos(build_cfg(binary), report=1, corrupt_cache=1)
+        tracer = Tracer()
         run = evaluate_tool("func-ptr", binary, oracle, cycles,
-                            cache=cache, faults=plan)
+                            tracer=tracer, cache=cache, faults=plan)
         assert run.passed
+        assert tracer.root.total_counters()["cache.corrupt"] == 1
         assert run.coverage < 1.0
         assert run.degraded_functions >= warm.degraded_functions

@@ -16,7 +16,7 @@ from repro.core import (
     IncrementalRewriter,
     stable_digest,
 )
-from repro.core.cache import ARTIFACT_VERSIONS, MISS
+from repro.core.cache import ARTIFACT_VERSIONS, CORRUPT, MISS
 from repro.obs import Tracer
 from tests.conftest import compiled, oracle_of, small_program
 from repro.machine import run_binary
@@ -38,38 +38,39 @@ def _rewrite(binary, cache=None, mode="jt", **kwargs):
 
 class TestStableDigest:
     def test_deterministic(self):
-        parts = ("f", 0x1000, None, (1, 2), b"\x90\x90")
+        parts = ("f", 0x1000, None, (1, 2), [("track_spills", True)])
         assert stable_digest(parts) == stable_digest(parts)
 
     def test_type_tags_distinguish_lookalikes(self):
         # repr-based keys would collide on all of these.
         assert stable_digest(1) != stable_digest("1")
-        assert stable_digest("ab") != stable_digest(b"ab")
         assert stable_digest(True) != stable_digest(1)
+        assert stable_digest(True) != stable_digest("true")
         assert stable_digest(None) != stable_digest("None")
         assert stable_digest((1, 2)) != stable_digest((12,))
+        assert stable_digest(("a", "b")) != stable_digest(("a,b",))
 
-    def test_dict_and_set_order_independent(self):
+    def test_dict_order_independent(self):
         assert stable_digest({"a": 1, "b": 2}) == \
             stable_digest({"b": 2, "a": 1})
-        assert stable_digest({3, 1, 2}) == stable_digest({2, 3, 1})
 
     def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
-            stable_digest(object())
+        for value in (object(), b"ab", {1, 2}):
+            with pytest.raises(TypeError):
+                stable_digest(value)
 
 
 class TestArtifactCache:
-    def test_miss_then_hit_roundtrip(self):
-        cache = ArtifactCache()
+    def test_miss_then_hit_roundtrip(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
         key = cache.key("cfg", ("f", 1))
         assert cache.get("cfg", key) is MISS
         cache.put("cfg", key, {"blocks": [1, 2]}, seconds=0.5)
         seconds, value = cache.get("cfg", key)
         assert seconds == 0.5 and value == {"blocks": [1, 2]}
 
-    def test_copy_on_hit_prevents_mutation_poisoning(self):
-        cache = ArtifactCache()
+    def test_copy_on_hit_prevents_mutation_poisoning(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
         key = cache.key("cfg", ("f",))
         cache.put("cfg", key, [1, 2, 3])
         _, first = cache.get("cfg", key)
@@ -77,17 +78,8 @@ class TestArtifactCache:
         _, second = cache.get("cfg", key)
         assert second == [1, 2, 3]
 
-    def test_lru_eviction(self):
-        cache = ArtifactCache(max_entries=2)
-        keys = [cache.key("cfg", (i,)) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.put("cfg", key, i)
-        assert cache.get("cfg", keys[0]) is MISS   # evicted
-        assert cache.get("cfg", keys[2])[1] == 2
-        assert cache.stats()["evictions"] == 1
-
-    def test_version_bump_invalidates(self, monkeypatch):
-        cache = ArtifactCache()
+    def test_version_bump_invalidates(self, monkeypatch, tmp_path):
+        cache = ArtifactCache(tmp_path)
         old_key = cache.key("cfg", ("f",))
         cache.put("cfg", old_key, "old-shape")
         monkeypatch.setitem(ARTIFACT_VERSIONS, "cfg",
@@ -97,34 +89,59 @@ class TestArtifactCache:
         assert cache.get("cfg", new_key) is MISS
 
     def test_disk_roundtrip_across_instances(self, tmp_path):
-        first = ArtifactCache(directory=tmp_path)
+        first = ArtifactCache(tmp_path)
         key = first.key("cfg", ("f",))
         first.put("cfg", key, "artifact", seconds=1.25)
-        fresh = ArtifactCache(directory=tmp_path)   # new process, say
+        fresh = ArtifactCache(tmp_path)   # new process, say
         assert fresh.get("cfg", key) == (1.25, "artifact")
-        assert fresh.stats()["disk_hits"] == 1
+        assert [p.name for p in tmp_path.glob("*/*")] == [key + ".pkl"]
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(directory=tmp_path)
+        cache = ArtifactCache(tmp_path)
         key = cache.key("cfg", ("f",))
         cache.put("cfg", key, "artifact")
-        path = cache._disk_path("cfg", key)
+        [path] = cache.entry_paths()
         with open(path, "wb") as f:
             f.write(b"\x80truncated garbage")
-        fresh = ArtifactCache(directory=tmp_path)
-        assert fresh.get("cfg", key) is MISS
+        fresh = ArtifactCache(tmp_path)
+        assert fresh.get("cfg", key) is CORRUPT
+        assert fresh.get("cfg", key) is MISS   # the file is gone
 
-    def test_missing_directory_degrades_to_memory(self, tmp_path):
-        ro = tmp_path / "nope" / "deeper"
-        cache = ArtifactCache(directory=ro)
+    def test_unusable_directory_stores_nothing(self, binary, tmp_path):
+        # A path under a regular file can never be a directory (root
+        # ignores permission bits, so a read-only one would not do).
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        cache = ArtifactCache(blocker / "cache")
         key = cache.key("cfg", ("f",))
-        cache.put("cfg", key, "v")
-        assert cache.get("cfg", key)[1] == "v"
+        assert cache.put("cfg", key, "v") is False
+        assert cache.get("cfg", key) is MISS
+        assert cache.entry_paths() == []
+        out_cached, _, counters = _rewrite(binary, cache=cache)
+        assert counters["cache.misses"] == 2
+        assert "cache.stores" not in counters
+        out_plain, _, _ = _rewrite(binary)
+        assert out_cached.to_bytes() == out_plain.to_bytes()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path,
+                                              monkeypatch):
+        import os
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        cache = ArtifactCache(tmp_path)
+        key = cache.key("cfg", ("f",))
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert cache.put("cfg", key, "v") is False
+        monkeypatch.undo()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert cache.get("cfg", key) is MISS
 
 
 class TestWarmCacheRewrite:
-    def test_second_rewrite_runs_zero_constructions(self, binary):
-        cache = ArtifactCache()
+    def test_second_rewrite_runs_zero_constructions(self, binary, tmp_path):
+        cache = ArtifactCache(tmp_path)
         out_cold, _, cold = _rewrite(binary, cache=cache)
         out_warm, _, warm = _rewrite(binary, cache=cache)
         assert cold["cfg.constructions"] > 0
@@ -133,19 +150,20 @@ class TestWarmCacheRewrite:
         assert warm.get("cache.cfg.misses", 0) == 0
         assert warm["cache.hits"] == cold["cache.stores"]
 
-    def test_warm_output_byte_identical_to_cold(self, binary):
-        cache = ArtifactCache()
+    def test_warm_output_byte_identical_to_cold(self, binary, tmp_path):
+        cache = ArtifactCache(tmp_path)
         out_cold, _, _ = _rewrite(binary, cache=cache)
         out_warm, _, _ = _rewrite(binary, cache=cache)
         assert out_cold.to_bytes() == out_warm.to_bytes()
 
-    def test_cache_on_off_identical_output(self, binary):
+    def test_cache_on_off_identical_output(self, binary, tmp_path):
         out_nocache, _, _ = _rewrite(binary, cache=None)
-        out_cache, _, _ = _rewrite(binary, cache=ArtifactCache())
+        out_cache, _, _ = _rewrite(binary, cache=ArtifactCache(tmp_path))
         assert out_nocache.to_bytes() == out_cache.to_bytes()
 
-    def test_mode_change_shares_cfg_but_not_placement(self, binary):
-        cache = ArtifactCache()
+    def test_mode_change_shares_cfg_but_not_placement(self, binary,
+                                                      tmp_path):
+        cache = ArtifactCache(tmp_path)
         _rewrite(binary, cache=cache, mode="jt")
         _, _, counters = _rewrite(binary, cache=cache, mode="dir")
         # CFG and funcptr artifacts are mode-independent: both hit.
@@ -158,15 +176,15 @@ class TestWarmCacheRewrite:
         assert "placement" not in ARTIFACT_VERSIONS
 
     def test_disk_cache_warms_a_fresh_process(self, binary, tmp_path):
-        _rewrite(binary, cache=ArtifactCache(directory=tmp_path))
-        fresh = ArtifactCache(directory=tmp_path)
+        _rewrite(binary, cache=ArtifactCache(tmp_path))
+        fresh = ArtifactCache(tmp_path)
         _, _, counters = _rewrite(binary, cache=fresh)
         assert "cfg.constructions" not in counters
         assert "cache.misses" not in counters
-        assert fresh.stats()["disk_hits"] > 0
+        assert counters["cache.hits"] == 2
 
-    def test_cached_rewrite_still_behaves(self, binary):
-        cache = ArtifactCache()
+    def test_cached_rewrite_still_behaves(self, binary, tmp_path):
+        cache = ArtifactCache(tmp_path)
         _rewrite(binary, cache=cache)
         out, report, _ = _rewrite(binary, cache=cache)
         rewriter = IncrementalRewriter(mode="jt")
@@ -178,8 +196,9 @@ class TestWarmCacheRewrite:
 
 class TestStageArtifacts:
     @pytest.mark.parametrize("mode", ["dir", "jt", "func-ptr"])
-    def test_warm_rewrite_hits_each_stage_once(self, binary, mode):
-        cache = ArtifactCache()
+    def test_warm_rewrite_hits_each_stage_once(self, binary, mode,
+                                               tmp_path):
+        cache = ArtifactCache(tmp_path)
         _, _, cold = _rewrite(binary, cache=cache, mode=mode)
         _, _, warm = _rewrite(binary, cache=cache, mode=mode)
         assert {k: v for k, v in cold.items()
@@ -193,17 +212,18 @@ class TestStageArtifacts:
              "cache.funcptr.hits": 1}
         assert cold["cfg.constructions"] == cold["functions"]
         assert "cfg.constructions" not in warm
-        assert len(cache) == 2
+        assert len(cache.entry_paths()) == 2
 
-    def test_cfg_hook_keeps_funcptr_out_of_the_cache(self, binary):
-        cache = ArtifactCache()
+    def test_cfg_hook_keeps_funcptr_out_of_the_cache(self, binary,
+                                                     tmp_path):
+        cache = ArtifactCache(tmp_path)
         for _ in range(2):
             _, _, counters = _rewrite(binary, cache=cache,
                                       cfg_hook=lambda cfg: cfg)
         assert counters.get("cache.cfg.hits") == 1
         assert not any(name.startswith("cache.funcptr")
                        for name in counters)
-        assert len(cache) == 1
+        assert len(cache.entry_paths()) == 1
 
     def test_stage_artifacts_survive_pickle_round_trip(self, binary):
         from repro.analysis import analyze_function_pointers, build_cfg
@@ -226,10 +246,10 @@ class TestStageArtifacts:
 
 
 class TestHarnessCacheAccounting:
-    def test_tool_run_reports_hit_miss_deltas(self, binary):
+    def test_tool_run_reports_hit_miss_deltas(self, binary, tmp_path):
         from repro.eval.harness import baseline_run, evaluate_tool
         oracle, cycles = baseline_run(binary)
-        cache = ArtifactCache()
+        cache = ArtifactCache(tmp_path)
         tracer = Tracer()
         r1 = evaluate_tool("jt", binary, oracle, cycles, tracer=tracer,
                            cache=cache)
@@ -279,10 +299,14 @@ class TestCliPipeline:
         monkeypatch.chdir(tmp_path)   # the default record ledger
         rc = main(["batch", "619.lbm_s", "--repeat", "2"])
         assert rc == 0
-        lines = [ln for ln in capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = [ln for ln in captured.out.splitlines()
                  if ln.startswith("619.lbm_s")]
         assert len(lines) == 2
-        # "cache H/T hits": second round must be 100% hits.
-        frac = lines[1].split("cache")[1].split()[0]
-        hits, total = frac.split("/")
-        assert hits == total and int(total) > 0
+        # "cache H/T hits": second round must be 100% hits, one per
+        # cached stage.
+        assert "cache 2/2 hits" in lines[1]
+        assert "[cache: 2 hits / 2 misses, 2 stores]" in captured.err
+        # Without --cache-dir the cache lived in a temporary directory
+        # (and without --record there is no ledger).
+        assert list(tmp_path.iterdir()) == []

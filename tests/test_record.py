@@ -27,6 +27,7 @@ Covers the acceptance properties of the subsystem:
 """
 
 import json
+import tempfile
 
 import pytest
 
@@ -86,11 +87,12 @@ def _record(binary, atlas=False, **kwargs):
 
 def _cold_warm(binary, atlas=True, tracer=None, **kwargs):
     records = []
-    cache = ArtifactCache()
     tracer = tracer if tracer is not None else Tracer()
-    for _ in range(2):
-        _rewrite(binary, records, tracer=tracer, cache=cache,
-                 atlas=atlas, **kwargs)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ArtifactCache(directory)
+        for _ in range(2):
+            _rewrite(binary, records, tracer=tracer, cache=cache,
+                     atlas=atlas, **kwargs)
     return records
 
 
@@ -233,9 +235,10 @@ class TestRecordEmission:
             record.mode = "tampered"
         assert not record.verify(rid)
 
-    def test_serial_and_cached_runs_agree_on_output(self, binary):
+    def test_serial_and_cached_runs_agree_on_output(self, binary,
+                                                   tmp_path):
         records = []
-        cache = ArtifactCache()
+        cache = ArtifactCache(tmp_path)
         for kwargs in ({}, {"cache": cache}, {"cache": cache}):
             _rewrite(binary, records, tracer=Tracer(), **kwargs)
         digests = {r.output_digest for r in records}
@@ -276,13 +279,14 @@ class TestRecordEmission:
         assert not got[0].has_atlas
         assert "functions" not in got[0].to_dict()
 
-    def test_shared_registry_yields_per_run_deltas(self, binary):
+    def test_shared_registry_yields_per_run_deltas(self, binary,
+                                                  tmp_path):
         # One tracer (the registry of span counters) across two
         # rewrites: each record must account only its own run's
         # subtree, not the running totals.
         records = []
         tracer = Tracer()
-        cache = ArtifactCache()
+        cache = ArtifactCache(tmp_path)
         for _ in range(2):
             _rewrite(binary, records, tracer=tracer, cache=cache)
         cold, warm = records
@@ -508,7 +512,8 @@ class TestLedger:
                             "outcomes": {"ok": 1}})
         with open(path, "a") as f:
             f.write(fleet + "\n")
-        _rewrite(binary, ledger, tracer=Tracer(), cache=ArtifactCache())
+        _rewrite(binary, ledger, tracer=Tracer(),
+                 cache=ArtifactCache(tmp_path / "cache"))
         records = ledger.load()
         assert len(records) == 2
         assert records[0].record_id == first.record_id
@@ -569,7 +574,7 @@ class TestLedger:
         # An empty prefix matches every entry: unambiguous with one
         # record in the ledger, ambiguous with two.
         _rewrite(binary, ledger, tracer=Tracer(), atlas=not atlas,
-                 cache=ArtifactCache())
+                 cache=ArtifactCache(tmp_path / "cache"))
         assert ledger.find("latest").record_id == \
             ledger.load()[-1].record_id
         assert ledger.find("latest").has_atlas is not atlas
