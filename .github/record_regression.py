@@ -24,7 +24,7 @@ CHECK = ("benchmarks/bench_record_overhead.py::"
 
 
 def per_record_fingerprint():
-    receipt.session_fingerprint = lambda: receipt.EnvFingerprint.collect()
+    receipt.session_fingerprint = lambda: receipt.collect_fingerprint()
 
 
 def doubled_digest():

@@ -6,8 +6,7 @@ served by one lookup per cached stage.  This bench rewrites a
 reference workload cold and then warm through one shared
 :class:`ArtifactCache` directory, asserts the warm run is
 construction-free, and registers both timings (plus each run's cache
-counters and the cold rewrite's peak traced memory) as a
-schema-stamped machine-readable record.
+counters) as a schema-stamped machine-readable record.
 """
 
 import time
@@ -36,7 +35,7 @@ def test_warm_cache_rewrite(benchmark, print_section, runtime_records,
     _, binary = build_workload(spec_workload(name, arch), arch)
     cache = ArtifactCache(tmp_path)
 
-    cold_tracer = Tracer(name="cold-rewrite", memory=True)
+    cold_tracer = Tracer(name="cold-rewrite")
     cold_seconds = _rewrite(binary, cache, cold_tracer)
     cold_root = cold_tracer.finish()
 
@@ -60,7 +59,6 @@ def test_warm_cache_rewrite(benchmark, print_section, runtime_records,
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "cold_constructions": counters.get("cfg.constructions", 0),
-        "cold_mem_peak": cold_root.mem_peak,
         "cache": {run: {key: value for key, value in c.items()
                         if key.startswith("cache.")}
                   for run, c in (("cold", counters), ("warm", warm))},

@@ -87,5 +87,5 @@ def pytest_sessionfinish(session, exitstatus):
         return
     with open(out, "w") as f:
         json.dump({"schema": "BENCH_runtime/v2",
-                   "fingerprint": session_fingerprint().to_dict(),
+                   "fingerprint": session_fingerprint(),
                    "results": _RUNTIME_RECORDS}, f, indent=2)

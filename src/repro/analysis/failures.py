@@ -204,19 +204,25 @@ def audit_jump_tables(binary, fcfg):
     return findings
 
 
-def corrupt_cache_entries(cache, count):
-    """Corrupt up to ``count`` entries of an ArtifactCache in place.
+def corrupt_cache_entries(cache, count, key_digest):
+    """Corrupt up to ``count`` of one rewrite's ArtifactCache entries.
 
-    Truncates the files of the first ``count`` entries (in sorted path
-    order, :meth:`~repro.core.cache.ArtifactCache.entry_paths`) to a
-    prefix that cannot unpickle, and returns the number corrupted.  The
+    ``key_digest`` is the digest of the rewrite's stage key, which
+    names each of its entry files (``<kind>-v<N>-<digest>.pkl``):
+    entries of other binaries sharing the directory are left alone.
+    Truncates the files of the first ``count`` matching entries (in
+    sorted path order,
+    :meth:`~repro.core.cache.ArtifactCache.entry_paths`) to a prefix
+    that cannot unpickle, and returns the number corrupted.  The
     cache's own corrupt-entry handling (unlink + ``CORRUPT``, counted
     as ``cache.corrupt`` and a miss on the stage span) is what the
     chaos harness then exercises.
     """
     corrupted = 0
+    mine = [path for path in cache.entry_paths()
+            if path.endswith(f"-{key_digest}.pkl")]
     # A negative count would slice from the end: corrupt nothing.
-    for path in cache.entry_paths()[:max(count, 0)]:
+    for path in mine[:max(count, 0)]:
         try:
             with open(path, "r+b") as f:
                 f.truncate(3)

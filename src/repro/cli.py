@@ -12,7 +12,7 @@ Examples::
     python -m repro batch 619.lbm_s 602.sgcc_s --repeat 2 --record
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
         --underapprox 1 --corrupt-cache 1
-    python -m repro rewrite --workload 602.sgcc_s --record --atlas
+    python -m repro rewrite --workload 602.sgcc_s --record
     python -m repro record list
     python -m repro record show latest --json
     python -m repro record top latest --by unreached
@@ -177,13 +177,12 @@ class _LedgerSink(list):
         super().append(record)
 
 
-def _rewrite(rewriter, binary, records, workload, atlas=False):
+def _rewrite(rewriter, binary, records, workload):
     """``rewriter.rewrite(binary)``, recorded into ``records`` (a
     :class:`_LedgerSink`) unless that is None."""
     if records is None:
         return rewriter.rewrite(binary)
-    return record_rewrite(rewriter, binary, records, workload=workload,
-                          atlas=atlas)
+    return record_rewrite(rewriter, binary, records, workload=workload)
 
 
 def cmd_rewrite(args):
@@ -191,19 +190,17 @@ def cmd_rewrite(args):
     instrumentation = (CountingInstrumentation()
                        if args.instrument == "counting"
                        else EmptyInstrumentation())
-    # --atlas is a section of the record, so it implies --record.
-    record_path = args.record or (DEFAULT_LEDGER if args.atlas else None)
     # Records need the trace's per-stage timings and the cache line
     # its lookup counts, so --record and --cache-dir imply a tracer
     # even without --profile/--trace.
-    observing = args.profile or args.trace or record_path \
+    observing = args.profile or args.trace or args.record \
         or args.cache_dir
     tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
         else None
     # One process rewrites once, so only a --cache-dir cache can ever
     # be read back: without one there are no lookups at all.
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
-    records = _LedgerSink(record_path) if record_path else None
+    records = _LedgerSink(args.record) if args.record else None
     rewriter = IncrementalRewriter(
         mode=RewriteMode.parse(args.mode),
         instrumentation=instrumentation,
@@ -213,12 +210,12 @@ def cmd_rewrite(args):
     )
     try:
         rewritten, report = _rewrite(rewriter, binary, records,
-                                     args.workload, atlas=args.atlas)
+                                     args.workload)
     except ReproError as exc:
         print(f"rewrite refused: {exc}", file=sys.stderr)
         if records:
             print(f"record        : {records[-1].short_id} [failed] "
-                  f"-> {record_path}", file=sys.stderr)
+                  f"-> {args.record}", file=sys.stderr)
         if args.profile and tracer is not None:
             print(render_profile(tracer), file=sys.stderr)
         return EXIT_REWRITE_ERROR
@@ -247,13 +244,10 @@ def cmd_rewrite(args):
             print(line)
     if records:
         record = records[-1]
-        atlas = ""
-        if record.has_atlas:
-            roll = record.rollup
-            atlas = (f" (atlas: {roll['functions']} function(s), "
-                     f"cfg {roll['cfg_fraction']:.1%})")
-        print(f"record        : {record.short_id}{atlas} "
-              f"-> {record_path}")
+        roll = record.rollup
+        print(f"record        : {record.short_id} (atlas: "
+              f"{roll['functions']} function(s), "
+              f"cfg {roll['cfg_fraction']:.1%}) -> {args.record}")
     if args.output:
         print(f"written       : {args.output}")
     diverged = False
@@ -434,11 +428,10 @@ def cmd_record(args):
     ``diff`` answers the reproducibility question first — do the two
     rewrites agree on the output digest? — then explains the cost
     difference (stage timings, cache accounting, degradation shape)
-    and, when both records carry an atlas section, the per-function
-    coverage/mode/overhead deltas.  It exits
-    :data:`EXIT_COVERAGE_REGRESSION` when both have atlas sections and
-    the second covers less; otherwise :data:`EXIT_DIVERGED` when both
-    carry an output digest and they differ.
+    and the per-function coverage/mode/overhead deltas.  It exits
+    :data:`EXIT_COVERAGE_REGRESSION` when the second covers less (a
+    failed rewrite covers nothing); otherwise :data:`EXIT_DIVERGED`
+    when both carry an output digest and they differ.
     """
     from repro.obs import (
         diff_records,
@@ -482,10 +475,10 @@ def cmd_record(args):
         return 0
 
     if args.action == "top":
-        if not found[0].has_atlas:
+        if found[0].outcome != "ok":
             raise CliError(
-                f"record {found[0].short_id} has no atlas section "
-                f"(rewrite with --record --atlas)", EXIT_LOAD_ERROR)
+                f"record {found[0].short_id} is a failed rewrite: it "
+                f"has no function rows", EXIT_LOAD_ERROR)
         print(render_record_top(found[0], by=args.by,
                                 limit=args.limit or 10))
         return 0
@@ -649,9 +642,6 @@ def build_parser():
                    default=None, metavar="LEDGER",
                    help="append a rewrite record to LEDGER "
                         f"(default {DEFAULT_LEDGER})")
-    p.add_argument("--atlas", action="store_true",
-                   help="give the record a per-function coverage atlas "
-                        "(implies --record)")
     p.add_argument("-o", "--output")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_rewrite)

@@ -191,6 +191,13 @@ class IncrementalRewriter:
                               arch=binary.arch_name):
             return self._rewrite_traced(binary, self.tracer, atlas)
 
+    def stage_key(self, binary):
+        """The key of ``binary``'s cached stages: everything the cfg
+        and funcptr stages read (image, arch, construction options).
+        Both stages' cache entries share its digest."""
+        return (image_digest(binary), binary.arch_name,
+                sorted(vars(self.construction_options).items()))
+
     def resolved_options(self):
         """The record's resolved option set: every reproducibility-
         relevant knob as it actually applied to this rewrite."""
@@ -207,15 +214,11 @@ class IncrementalRewriter:
     def _rewrite_traced(self, binary, tr, atlas):
         spec = get_arch(binary.arch_name)
 
-        # The key of this rewrite's cached stages: everything the cfg
-        # and funcptr stages read (image, arch, construction options).
         # The funcptr stage reads the CFG *after* cfg_hook, so a hook
         # keeps it out of the cache; the cfg artifact stays valid
         # because the hook applies after it is stored.
-        stage_key = None
-        if self.cache is not None:
-            stage_key = (image_digest(binary), binary.arch_name,
-                         sorted(vars(self.construction_options).items()))
+        stage_key = (self.stage_key(binary) if self.cache is not None
+                     else None)
 
         # The atlas builder (None unless requested) rides along the
         # stages, accounting data each stage already computed — it

@@ -20,6 +20,7 @@ from repro.core import (
     IncrementalRewriter,
     RewriteMode,
     RuntimeLibrary,
+    stable_digest,
 )
 from repro.machine import run_binary
 from repro.obs import NULL_TRACER
@@ -101,9 +102,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     ``oracle`` is the expected ``(exit_code, output list)``;
     ``base_cycles`` the original binary's cycle count.  Pass a
     :class:`repro.obs.Tracer` to observe the whole run — the rewrite's
-    pipeline-stage spans (with their cache counters and, under a
-    ``Tracer(memory=True)``, memory peaks) and the emulated execution
-    land under it; failures are recorded as ``harness-error`` trace
+    pipeline-stage spans (with their cache counters) and the emulated
+    execution land under it; failures are recorded as ``harness-error`` trace
     events with the exception type.  Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
     emulated execution (hot blocks, guard outcomes, compile time,
@@ -116,8 +116,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
     the rewriter's ``cfg_hook`` (chained after any existing hook), and
-    its ``corrupt_cache`` count truncates that many entries of ``cache``
-    before the rewrite.  The run itself is judged exactly as without
+    its ``corrupt_cache`` count truncates that many of this rewrite's
+    entries of ``cache`` before the rewrite.  The run itself is judged exactly as without
     faults — the invariant under test is that the output binary still
     matches the oracle and only coverage drops.
     """
@@ -131,7 +131,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         if cache is not None:
             rewriter.cache = cache
         if faults is not None:
-            _apply_faults(rewriter, faults, cache)
+            _apply_faults(rewriter, faults, cache, binary)
         rewritten, report = rewriter.rewrite(binary)
         runtime = runtime_for(tool, rewriter, rewritten)
         result = run_binary(rewritten, runtime_lib=runtime,
@@ -167,7 +167,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     )
 
 
-def _apply_faults(rewriter, faults, cache):
+def _apply_faults(rewriter, faults, cache, binary):
     """Wire a FailurePlan's chaos into one rewriter instance."""
     from repro.analysis.failures import (
         corrupt_cache_entries,
@@ -183,8 +183,12 @@ def _apply_faults(rewriter, faults, cache):
             return inject_failures(cfg, faults)
 
         rewriter.cfg_hook = hook
-    if faults.corrupt_cache and cache is not None:
-        corrupt_cache_entries(cache, faults.corrupt_cache)
+    # Only the incremental rewriters read the cache; the other tools
+    # own no entries to corrupt.
+    if faults.corrupt_cache and cache is not None \
+            and isinstance(rewriter, IncrementalRewriter):
+        corrupt_cache_entries(cache, faults.corrupt_cache,
+                              stable_digest(rewriter.stage_key(binary)))
 
 
 def baseline_run(binary):

@@ -13,12 +13,11 @@ Everything is zero-dependency and defaults to the no-op
 :data:`NULL_TRACER`, so un-instrumented runs pay near-zero cost.
 
 :mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
-content-addressed :class:`RewriteRecord` (provenance, cost, and on
-request a per-function coverage atlas), stamped with an
-:class:`EnvFingerprint`.  It is assembled only for a ledger:
+content-addressed :class:`RewriteRecord` (provenance, cost, and for a
+successful rewrite a per-function coverage atlas), stamped with the
+environment fingerprint.  It is assembled only for a ledger:
 :func:`record_rewrite` runs one rewrite and appends its record to the
-append-only :class:`RecordLedger` (stored through
-:class:`~repro.obs.store.JsonlStore`); a plain rewrite or a harness
+append-only :class:`RecordLedger`; a plain rewrite or a harness
 evaluation builds none.
 Performance across commits is not tracked here: the seeded end-to-end
 benchmark (``bench/run.py``) compares commits.
@@ -40,7 +39,6 @@ from repro.obs.engine import (
 )
 from repro.obs.receipt import (
     AtlasBuilder,
-    EnvFingerprint,
     RecordLedger,
     RewriteRecord,
     content_digest,
@@ -52,7 +50,6 @@ from repro.obs.receipt import (
     render_record_top,
     stamp_record,
 )
-from repro.obs.store import JsonlStore
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -74,7 +71,6 @@ __all__ = [
     "ENGINE_REPORT_SCHEMA",
     "render_engine_report",
     "render_degradation",
-    "EnvFingerprint",
     "stamp_record",
     "RewriteRecord",
     "record_rewrite",
@@ -86,5 +82,4 @@ __all__ = [
     "render_record_list",
     "render_record_top",
     "render_record_diff",
-    "JsonlStore",
 ]

@@ -5,44 +5,43 @@ A :class:`RewriteRecord` is the single auditable record of one rewrite
 how much of it got rewritten?":
 
 * input/output content digests and the resolved option set;
-* the environment fingerprint, per-stage wall and memory cost, and
-  cache accounting;
+* the environment fingerprint, per-stage wall time, and cache
+  accounting;
 * the degradation ladder's verdict and the outcome (with a typed error
   when the rewrite failed);
 * the report's trampoline and trap counts;
-* optionally (``atlas``) an analysis-quality section: one row per
-  function (CFG shape, byte coverage split into cfg/padding/unreached,
+* for a successful rewrite, the atlas section: one row per function
+  (CFG shape, byte coverage split into cfg/padding/unreached,
   indirect-target set size with a precision class, the ladder's
   verdict, trampoline count/bytes by kind, relocated blocks, analysis
-  wall time) plus whole-binary rollups.
-  Figure 2's mode distribution and Table 2's space overhead are
-  reproducible from this section alone.
+  wall time) plus whole-binary rollups.  Figure 2's mode distribution
+  and Table 2's space overhead are reproducible from this section
+  alone.  A failed rewrite has no output, so its record carries no
+  atlas section.
 
 Records are assembled only where they are persisted:
 :func:`record_rewrite` runs a rewriter, builds the record off the
 finished ``rewrite`` span and the report, and appends it to a ledger.
 The atlas section is assembled *during* that rewrite — the
 :class:`AtlasBuilder` it hands the rewriter is fed by the pipeline
-stages as they run, so nothing is re-analyzed — and only a successful
-rewrite gets one.
+stages as they run, so nothing is re-analyzed.
 
 Records are schema-versioned and content-addressed: ``record_id`` is the
-SHA-256 of the canonical JSON body, so a tampered or miscopied record no
-longer verifies.  Two rewrites of the same input with the same options
-are identical *modulo timings*: :meth:`RewriteRecord.comparable_dict`
-strips the wall-clock, memory and cache fields (the only
-legitimate cold-vs-warm difference) and the machine's fingerprint, and
-:func:`diff_records` compares those.  A coverage regression — a function losing cfg bytes, falling
-down the ladder, or disappearing — is flagged so ``repro record diff``
-can gate on it.
+SHA-256 of the canonical JSON body, and a ledger line whose stored id
+does not match its content is refused as corrupt.  Two rewrites of the
+same input with the same options are identical *modulo timings*:
+:meth:`RewriteRecord.comparable_dict` strips the wall-clock and cache
+fields (the only legitimate cold-vs-warm difference) and the machine's
+fingerprint, and :func:`diff_records` compares those.  A coverage
+regression — a function losing cfg bytes, falling down the ladder, or
+disappearing — is flagged so ``repro record diff`` can gate on it.
 
-The :class:`RecordLedger` persists records as JSON lines under the
-store discipline of :mod:`repro.obs.store`: atomic writes,
-corrupt/foreign lines skipped-and-counted on load but preserved on
-append.
+The :class:`RecordLedger` persists records as JSON lines: atomic
+writes, corrupt/foreign lines skipped-and-counted on load but preserved
+on append.
 
-:class:`EnvFingerprint` (python, platform, cpu count, git sha) is the
-identity stamped on every record, collected once per process by
+The environment fingerprint (python, platform, cpu count, git sha) is
+a plain dict stamped on every record, collected once per process by
 :func:`session_fingerprint`; :func:`stamp_record` puts the same stamp
 on the ``bench_*.py`` JSON rows.
 
@@ -59,12 +58,11 @@ import subprocess
 import sys
 import time
 
-from repro.obs.store import JsonlStore
-from repro.obs.trace import format_bytes
 from repro.util.errors import ReproError
+from repro.util.files import atomic_write
 
 #: Schema tags; bump the version when a field changes meaning.
-RECORD_SCHEMA = "RewriteRecord/v1"
+RECORD_SCHEMA = "RewriteRecord/v2"
 BENCH_RECORD_SCHEMA = "BENCH_record/v1"
 
 DEFAULT_LEDGER = "RECORDS.jsonl"
@@ -88,7 +86,7 @@ __all__ = [
     "MODE_RUNGS",
     "TOP_ORDERINGS",
     "BENCH_RECORD_SCHEMA",
-    "EnvFingerprint",
+    "collect_fingerprint",
     "session_fingerprint",
     "stamp_record",
     "AtlasBuilder",
@@ -107,59 +105,17 @@ __all__ = [
 # -- environment fingerprint ------------------------------------------------
 
 
-class EnvFingerprint:
-    """Where a record came from: enough identity to refuse comparing
-    apples to oranges, small enough to stamp on every record."""
-
-    __slots__ = ("python", "platform", "cpus", "git_sha")
-
-    def __init__(self, python, platform, cpus, git_sha=None):
-        self.python = python
-        self.platform = platform
-        self.cpus = cpus
-        self.git_sha = git_sha
-
-    @classmethod
-    def collect(cls, git_sha=None):
-        """The running interpreter's fingerprint (git sha best-effort)."""
-        if git_sha is None:
-            git_sha = _git_sha()
-        return cls(
-            python="%d.%d.%d" % sys.version_info[:3],
-            platform=f"{platform.system()}-{platform.machine()}",
-            cpus=os.cpu_count() or 1,
-            git_sha=git_sha,
-        )
-
-    @property
-    def key(self):
-        """Grouping identity: same machine shape + interpreter.
-
-        The git sha is deliberately *not* part of the key, so records
-        of different commits on one machine group together."""
-        return (self.python, self.platform, self.cpus)
-
-    def to_dict(self):
-        out = {"python": self.python, "platform": self.platform,
-               "cpus": self.cpus}
-        if self.git_sha:
-            out["git_sha"] = self.git_sha
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(python=data["python"], platform=data["platform"],
-                   cpus=data["cpus"], git_sha=data.get("git_sha"))
-
-    def __eq__(self, other):
-        return (isinstance(other, EnvFingerprint)
-                and self.key == other.key
-                and self.git_sha == other.git_sha)
-
-    def __repr__(self):
-        sha = self.git_sha or "?"
-        return (f"<EnvFingerprint py{self.python} {self.platform} "
-                f"x{self.cpus} @{sha}>")
+def collect_fingerprint():
+    """Where a record comes from, as a plain dict: the interpreter,
+    platform and cpu count, plus the git sha when the working tree has
+    one (the key is omitted otherwise)."""
+    out = {"python": "%d.%d.%d" % sys.version_info[:3],
+           "platform": f"{platform.system()}-{platform.machine()}",
+           "cpus": os.cpu_count() or 1}
+    sha = _git_sha()
+    if sha:
+        out["git_sha"] = sha
+    return out
 
 
 def _git_sha():
@@ -185,7 +141,7 @@ def stamp_record(record, fingerprint=None):
     if fingerprint is None:
         fingerprint = session_fingerprint()
     stamped = {"schema": BENCH_RECORD_SCHEMA,
-               "fingerprint": fingerprint.to_dict()}
+               "fingerprint": dict(fingerprint)}
     stamped.update(record)
     return stamped
 
@@ -194,16 +150,16 @@ _SESSION_FINGERPRINT = None
 
 
 def session_fingerprint():
-    """The process-wide :class:`EnvFingerprint`, collected once.
+    """The process-wide fingerprint dict, collected once.
 
-    ``EnvFingerprint.collect()`` shells out for the git sha — a few
+    :func:`collect_fingerprint` shells out for the git sha — a few
     milliseconds, which would dominate record assembly if paid per
     rewrite.  The environment cannot change under a running process,
     so every record shares one collection.
     """
     global _SESSION_FINGERPRINT
     if _SESSION_FINGERPRINT is None:
-        _SESSION_FINGERPRINT = EnvFingerprint.collect()
+        _SESSION_FINGERPRINT = collect_fingerprint()
     return _SESSION_FINGERPRINT
 
 
@@ -239,14 +195,9 @@ def _cache_section(span):
 
 
 def _stage_section(span):
-    """Per-stage wall + memory off the rewrite span's children."""
-    stages = {}
-    for child in getattr(span, "children", ()) or ():
-        entry = {"seconds": child.duration}
-        if child.mem_peak is not None:
-            entry["mem_peak"] = child.mem_peak
-        stages[child.name] = entry
-    return stages
+    """Per-stage wall time off the rewrite span's children."""
+    return {child.name: {"seconds": child.duration}
+            for child in getattr(span, "children", ()) or ()}
 
 
 # -- the atlas section -------------------------------------------------------
@@ -443,11 +394,10 @@ def _rollup(rows, text_range):
 # -- the record --------------------------------------------------------------
 
 #: Body fields that vary between two runs of the same rewrite (wall
-#: clock, memory, cache warmth) or name the machine
-#: rather than the rewrite; :meth:`RewriteRecord.comparable_dict` drops
-#: them.
-_RUN_FIELDS = ("unix_time", "total_seconds", "stages", "mem_peak",
-               "cache", "fingerprint")
+#: clock, cache warmth) or name the machine rather than the rewrite;
+#: :meth:`RewriteRecord.comparable_dict` drops them.
+_RUN_FIELDS = ("unix_time", "total_seconds", "stages", "cache",
+               "fingerprint")
 
 
 class RewriteRecord:
@@ -455,16 +405,16 @@ class RewriteRecord:
 
     __slots__ = ("workload", "arch", "mode", "input_digest",
                  "output_digest", "options", "fingerprint",
-                 "total_seconds", "stages", "mem_peak", "cache",
+                 "total_seconds", "stages", "cache",
                  "trampolines", "traps", "degradation",
                  "outcome", "error", "functions", "rollup", "unix_time")
 
     def __init__(self, workload, arch, mode, input_digest,
                  output_digest=None, options=None, fingerprint=None,
-                 total_seconds=0.0, stages=None, mem_peak=None,
-                 cache=None, trampolines=None, traps=0,
-                 degradation=None, outcome="ok", error=None,
-                 functions=None, rollup=None, unix_time=None):
+                 total_seconds=0.0, stages=None, cache=None,
+                 trampolines=None, traps=0, degradation=None,
+                 outcome="ok", error=None, functions=(), rollup=None,
+                 unix_time=None):
         self.workload = workload
         self.arch = arch
         self.mode = mode
@@ -473,11 +423,11 @@ class RewriteRecord:
         self.output_digest = output_digest
         #: the resolved option set (mode/cache/degrade/...)
         self.options = dict(options or {})
-        self.fingerprint = fingerprint or session_fingerprint()
+        #: python/platform/cpus/git_sha? (:func:`collect_fingerprint`)
+        self.fingerprint = dict(fingerprint or session_fingerprint())
         self.total_seconds = total_seconds
-        #: stage name -> {"seconds": ..., "mem_peak"?: ...}
+        #: stage name -> {"seconds": ...}
         self.stages = dict(stages or {})
-        self.mem_peak = mem_peak
         self.cache = dict(cache or {})
         #: the report's trampoline counts by kind and installed traps
         self.trampolines = dict(trampolines or {})
@@ -489,10 +439,9 @@ class RewriteRecord:
         #: {"type": ..., "message": ...} when the rewrite failed
         self.error = dict(error) if error else None
         #: atlas section: row dicts sorted by function entry address,
-        #: and their whole-binary rollup; None when not requested
-        self.functions = (None if functions is None
-                          else list(functions))
-        self.rollup = None if rollup is None else dict(rollup)
+        #: and their whole-binary rollup; empty for a failed rewrite
+        self.functions = list(functions)
+        self.rollup = dict(rollup or {})
         self.unix_time = time.time() if unix_time is None else unix_time
 
     @classmethod
@@ -507,8 +456,8 @@ class RewriteRecord:
         on failure), ``span`` the finished ``rewrite`` trace span (None
         when untraced), whose subtree holds the stage timings and cache
         counters of just this rewrite, ``atlas`` the
-        :class:`AtlasBuilder` that rode along a successful rewrite
-        (None for no atlas section).
+        :class:`AtlasBuilder` that rode along the rewrite (read only
+        when it succeeded).
         """
         mode = getattr(report, "mode", None) \
             or (options or {}).get("mode", "?")
@@ -519,8 +468,8 @@ class RewriteRecord:
         err = None
         if error is not None:
             err = {"type": type(error).__name__, "message": str(error)}
-        functions, rollup = atlas.finish() if atlas is not None \
-            else (None, None)
+        functions, rollup = atlas.finish() if error is None \
+            else ((), None)
         return cls(
             workload=workload,
             arch=getattr(binary, "arch_name", "?"),
@@ -530,7 +479,6 @@ class RewriteRecord:
             options=options,
             total_seconds=total_seconds,
             stages=_stage_section(span),
-            mem_peak=getattr(span, "mem_peak", None),
             cache=_cache_section(span),
             trampolines=getattr(report, "trampolines", None),
             traps=getattr(report, "traps", 0),
@@ -540,10 +488,6 @@ class RewriteRecord:
             functions=functions,
             rollup=rollup,
         )
-
-    @property
-    def has_atlas(self):
-        return self.functions is not None
 
     # -- identity ------------------------------------------------------------
 
@@ -556,7 +500,7 @@ class RewriteRecord:
             "mode": self.mode,
             "input_digest": self.input_digest,
             "options": dict(self.options),
-            "fingerprint": self.fingerprint.to_dict(),
+            "fingerprint": dict(self.fingerprint),
             "total_seconds": self.total_seconds,
             "stages": dict(self.stages),
             "cache": dict(self.cache),
@@ -567,13 +511,11 @@ class RewriteRecord:
         }
         if self.output_digest is not None:
             out["output_digest"] = self.output_digest
-        if self.mem_peak is not None:
-            out["mem_peak"] = self.mem_peak
         if self.degradation is not None:
             out["degradation"] = self.degradation
         if self.error is not None:
             out["error"] = dict(self.error)
-        if self.has_atlas:
+        if self.outcome == "ok":
             out["functions"] = [dict(r) for r in self.functions]
             out["rollup"] = dict(self.rollup)
         return out
@@ -588,32 +530,19 @@ class RewriteRecord:
     def short_id(self):
         return self.record_id[:12]
 
-    def verify(self, claimed_id):
-        """Does ``claimed_id`` still match this record's content?"""
-        return claimed_id == self.record_id
-
     def comparable_dict(self):
-        """The body with every run-dependent field stripped: wall-clock,
-        memory and cache accounting, the fingerprint, and in the
-        atlas section per-row and rollup ``analysis_seconds`` (plus the
-        per-row ``provenance`` that older ledger lines carry).  Two
-        rewrites of the same input under the same options must agree
-        on this."""
+        """The body with every run-dependent field stripped: wall-clock
+        and cache accounting, the fingerprint, and in the atlas section
+        per-row and rollup ``analysis_seconds``.  Two rewrites of the
+        same input under the same options must agree on this."""
         body = self.body_dict()
         for key in _RUN_FIELDS:
             body.pop(key, None)
         for row in body.get("functions", ()):
             row.pop("analysis_seconds", None)
-            row.pop("provenance", None)
         if "rollup" in body:
             body["rollup"].pop("analysis_seconds", None)
         return body
-
-    def row(self, function_name):
-        for r in self.functions or ():
-            if r["function"] == function_name:
-                return r
-        return None
 
     # -- serialization -------------------------------------------------------
 
@@ -625,64 +554,66 @@ class RewriteRecord:
     @classmethod
     def from_dict(cls, data):
         """Parse one ledger entry; raises ValueError on corrupt or
-        foreign input (wrong shape, missing schema, alien schema)."""
+        foreign input: not an object, another schema (older record
+        versions included), a missing field, or a stored ``record_id``
+        that its content no longer hashes to."""
         if not isinstance(data, dict):
             raise ValueError(
                 f"not a record object: {type(data).__name__}")
-        schema = data.get("schema", "")
-        if not isinstance(schema, str) \
-                or not schema.startswith("RewriteRecord/"):
+        schema = data.get("schema")
+        if schema != RECORD_SCHEMA:
             raise ValueError(f"foreign schema {schema!r}")
+        ok = data.get("outcome") == "ok"
         try:
-            functions = data.get("functions")
-            return cls(
-                workload=data.get("workload"),
+            record = cls(
+                workload=data["workload"],
                 arch=data["arch"],
                 mode=data["mode"],
                 input_digest=data["input_digest"],
                 output_digest=data.get("output_digest"),
-                options=dict(data.get("options", {})),
-                fingerprint=EnvFingerprint.from_dict(
-                    data["fingerprint"]),
-                total_seconds=float(data["total_seconds"]),
-                stages=dict(data.get("stages", {})),
-                mem_peak=data.get("mem_peak"),
-                cache=dict(data.get("cache", {})),
-                trampolines=dict(data.get("trampolines", {})),
-                traps=data.get("traps", 0),
+                options=data["options"],
+                fingerprint=data["fingerprint"],
+                total_seconds=data["total_seconds"],
+                stages=data["stages"],
+                cache=data["cache"],
+                trampolines=data["trampolines"],
+                traps=data["traps"],
                 degradation=data.get("degradation"),
-                outcome=data.get("outcome", "ok"),
+                outcome=data["outcome"],
                 error=data.get("error"),
-                functions=(None if functions is None
-                           else [dict(r) for r in functions]),
-                rollup=data.get("rollup"),
-                unix_time=data.get("unix_time", 0.0),
+                functions=data["functions"] if ok else (),
+                rollup=data["rollup"] if ok else None,
+                unix_time=data["unix_time"],
             )
+            stored = data["record_id"]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"corrupt record: {exc}")
+            raise ValueError(f"corrupt record: missing or malformed "
+                             f"{exc}")
+        if record.record_id != stored:
+            raise ValueError(f"record {str(stored)[:12]} does not match "
+                             f"its content")
+        return record
 
     def __repr__(self):
-        atlas = (f" {len(self.functions)} function(s)"
-                 if self.has_atlas else "")
         return (f"<RewriteRecord {self.short_id} "
                 f"{self.workload or '?'}/{self.arch}/{self.mode} "
-                f"{self.outcome}{atlas}>")
+                f"{self.outcome} {len(self.functions)} function(s)>")
 
 
-def record_rewrite(rewriter, binary, sink, workload=None, atlas=False):
+def record_rewrite(rewriter, binary, sink, workload=None):
     """Run ``rewriter.rewrite(binary)`` and append its record to ``sink``.
 
     The one place a record is assembled.  Duck-typed: ``rewriter``
     needs ``rewrite(binary, atlas=...)``, ``resolved_options()`` and a
     ``tracer`` (under a null tracer the record's stage and cache
     sections stay empty), ``sink`` an ``append(record)`` such as a
-    :class:`RecordLedger` or a list.  ``atlas=True`` hands the rewrite
-    an :class:`AtlasBuilder` whose section a successful rewrite's
-    record carries.  A failed rewrite (:class:`ReproError`) appends a
+    :class:`RecordLedger` or a list.  The rewrite is handed an
+    :class:`AtlasBuilder`, whose section a successful rewrite's record
+    carries.  A failed rewrite (:class:`ReproError`) appends a
     ``failed`` record before the error propagates.  Returns what
     ``rewrite`` returns, ``(rewritten, report)``.
     """
-    builder = AtlasBuilder() if atlas else None
+    builder = AtlasBuilder()
     parent = getattr(rewriter.tracer, "current", None)
     rewritten = report = error = None
     t0 = time.perf_counter()
@@ -699,7 +630,7 @@ def record_rewrite(rewriter, binary, sink, workload=None, atlas=False):
         workload=workload,
         options=rewriter.resolved_options(),
         error=error,
-        atlas=builder if error is None else None,
+        atlas=builder,
     ))
     if error is not None:
         raise error
@@ -710,37 +641,48 @@ def record_rewrite(rewriter, binary, sink, workload=None, atlas=False):
 
 
 class RecordLedger:
-    """Append-only record store behind ``RECORDS.jsonl``.
+    """Append-only record store behind ``RECORDS.jsonl``: one JSON
+    object per line.
 
-    One JSON object per line, records under ``RewriteRecord/*``.
-    Loading skips — and counts on :attr:`skipped` — lines that are
-    corrupt or speak a schema this reader does not (the
-    ``RewriteFleet/v1`` batch summaries older ledgers carry among
-    them); appending preserves every existing line verbatim
-    (:class:`~repro.obs.store.JsonlStore`).
+    Loading skips — and counts on :attr:`skipped` — every line that is
+    not JSON, speaks another schema (the ``RewriteFleet/v1`` batch
+    summaries and ``RewriteRecord/v1`` records older ledgers carry) or
+    no longer hashes to its stored id.  Appending is one atomic write
+    (:func:`repro.util.atomic_write`) that re-emits every existing line
+    verbatim, so the skip-on-load tolerance never turns into
+    destroy-on-append.
     """
 
     def __init__(self, path=DEFAULT_LEDGER):
         self.path = path
-        self._store = JsonlStore(path)
         #: corrupt/foreign lines seen by the most recent load()
         self.skipped = 0
 
+    def _lines(self):
+        try:
+            with open(self.path) as f:
+                return [line for line in f.read().splitlines()
+                        if line.strip()]
+        except OSError:
+            return []
+
     def load(self):
-        """Every parseable :class:`RewriteRecord`, oldest first."""
-        raw, skipped = self._store.load_raw()
+        """Every valid :class:`RewriteRecord`, oldest first."""
         records = []
-        for obj in raw:
+        self.skipped = 0
+        for line in self._lines():
             try:
-                records.append(RewriteRecord.from_dict(obj))
-            except ValueError:
-                skipped += 1
-        self.skipped = skipped
+                records.append(RewriteRecord.from_dict(json.loads(line)))
+            except ValueError:   # json.JSONDecodeError included
+                self.skipped += 1
         return records
 
     def append(self, record):
         """Append one record; atomic, existing lines preserved."""
-        return self._store.append_raw(record.to_dict())
+        lines = self._lines()
+        lines.append(json.dumps(record.to_dict(), sort_keys=True))
+        return atomic_write(self.path, "\n".join(lines) + "\n",
+                            prefix=".records-")
 
     def find(self, id_prefix):
         """The unique record whose id starts with ``id_prefix``; the
@@ -781,13 +723,12 @@ def diff_records(a, b):
 
     The reproducibility question first — same input? same options?
     same output? identical modulo timings? — then the explanatory
-    deltas: per-stage wall time, cache accounting, degradation shape.
-    When both records carry an atlas section the per-function and
-    rollup deltas follow, and ``coverage_regressed`` is True when b
-    soundly covers less than a: a function disappeared, lost cfg
+    deltas: per-stage wall time, cache accounting, degradation shape,
+    and the atlas sections' per-function and rollup deltas.
+    ``coverage_regressed`` is True when b soundly covers less than a: a
+    function disappeared (every function does when b failed), lost cfg
     bytes, or fell down the ladder (a larger rung).  Extra trampoline
     bytes are reported but are *overhead*, not a coverage regression.
-    ``coverage_regressed`` is None when either side has no atlas.
     """
     stage_deltas = {}
     for name in sorted(set(a.stages) | set(b.stages)):
@@ -821,18 +762,14 @@ def diff_records(a, b):
         "stage_deltas": stage_deltas,
         "cache_deltas": cache_deltas,
         "degradation": {"a": deg_a, "b": deg_b, "delta": deg_b - deg_a},
-        "function_deltas": {},
-        "rollup_deltas": {},
-        "regressions": [],
-        "coverage_regressed": None,
     }
-    if a.has_atlas and b.has_atlas:
-        diff.update(_diff_atlas(a, b))
+    diff.update(_diff_atlas(a, b))
     return diff
 
 
 def _diff_atlas(a, b):
-    """The atlas-section half of :func:`diff_records`."""
+    """The atlas-section half of :func:`diff_records` (a failed
+    record's section is empty: no rows, no rollup)."""
     rows_a = {r["function"]: r for r in a.functions}
     rows_b = {r["function"]: r for r in b.functions}
     function_deltas = {}
@@ -860,7 +797,7 @@ def _diff_atlas(a, b):
                 f"{name}: mode {ra['mode']} -> {rb['mode']} "
                 f"(down the ladder)")
     rollup_deltas = {}
-    for key in sorted(set(a.rollup) | set(b.rollup)):
+    for key in sorted(set(a.rollup) & set(b.rollup)):
         va, vb = a.rollup.get(key), b.rollup.get(key)
         if key == "analysis_seconds" or va == vb:
             continue
@@ -941,19 +878,15 @@ def render_record(record, limit=0):
         opts = " ".join(f"{k}={r.options[k]}" for k in sorted(r.options))
         lines.append(f"  options:   {opts}")
     fp = r.fingerprint
-    lines.append(f"  env:       py{fp.python} {fp.platform} x{fp.cpus}"
-                 + (f" @{fp.git_sha}" if fp.git_sha else ""))
-    lines.append(f"  total:     {r.total_seconds * 1e3:.1f}ms"
-                 + (f"  mem peak {format_bytes(r.mem_peak)}"
-                    if r.mem_peak is not None else ""))
+    lines.append(f"  env:       py{fp.get('python', '?')} "
+                 f"{fp.get('platform', '?')} x{fp.get('cpus', '?')}"
+                 + (f" @{fp['git_sha']}" if fp.get("git_sha") else ""))
+    lines.append(f"  total:     {r.total_seconds * 1e3:.1f}ms")
     if r.stages:
         lines.append("  stages:")
         for name, entry in r.stages.items():
-            mem = entry.get("mem_peak")
             lines.append(
-                f"    {name:<24} {entry.get('seconds', 0) * 1e3:>8.2f}ms"
-                + (f"  {format_bytes(mem):>9}" if mem is not None
-                   else ""))
+                f"    {name:<24} {entry.get('seconds', 0) * 1e3:>8.2f}ms")
     if r.cache:
         c = r.cache
         lines.append(
@@ -975,7 +908,7 @@ def render_record(record, limit=0):
     if r.error:
         lines.append(f"  error:     {r.error.get('type', '?')}: "
                      f"{r.error.get('message', '')}")
-    if r.has_atlas:
+    if r.outcome == "ok":
         lines.extend(_atlas_lines(r, limit))
     return "\n".join(lines)
 
@@ -991,8 +924,7 @@ def render_record_list(records, skipped=0):
              f"{'total':>9}  {'cache h/m':>9}  {'cfg%':>6}  "
              f"{'output':<12}"]
     for r in records:
-        cfg = (f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
-               if r.has_atlas else f"{'-':>6}")
+        cfg = f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
         lines.append(
             f"  {r.short_id:<12}  {(r.workload or '-'):<16} "
             f"{r.arch + '/' + r.mode:<12} {r.outcome:<7} "
@@ -1004,7 +936,7 @@ def render_record_list(records, skipped=0):
 
 def render_record_top(record, by="trampoline-bytes", limit=10):
     """The ``repro record top`` body: atlas rows ranked by one cost
-    field (the record must carry an atlas section)."""
+    field."""
     field, label = TOP_ORDERINGS[by]
     ranked = sorted(record.functions, key=lambda r: r[field],
                     reverse=True)[:limit]
@@ -1074,17 +1006,12 @@ def render_record_diff(a, b, diff=None):
         else:
             lines.append(f"  rollup {key}: {va} -> {vb}")
     if diff["identical"]:
-        lines.append("  verdict: identical modulo timings"
-                     + (" (zero coverage/mode/overhead deltas)"
-                        if diff["coverage_regressed"] is not None
-                        else ""))
+        lines.append("  verdict: identical modulo timings "
+                     "(zero coverage/mode/overhead deltas)")
     elif diff["coverage_regressed"]:
         lines.append("  verdict: COVERAGE REGRESSED")
         for reason in diff["regressions"]:
             lines.append(f"    {reason}")
-    elif diff["coverage_regressed"] is None:
-        lines.append("  verdict: changed (no atlas on both sides: "
-                     "coverage not compared)")
     else:
         lines.append("  verdict: changed, no coverage regression")
     return "\n".join(lines)

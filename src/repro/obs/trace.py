@@ -12,19 +12,11 @@ Un-instrumented runs pay near-zero cost: :data:`NULL_TRACER` is a
 stateless singleton whose ``span()`` returns one shared no-op context
 manager — entering and exiting it allocates nothing and records nothing,
 so tracing hooks can stay in the hot path unconditionally.
-
-Memory accounting is opt-in per tracer (``Tracer(memory=True)``): every
-span then carries ``mem_peak``, the peak ``tracemalloc`` traced-memory
-high-water mark (bytes) observed while the span was open, sampled at
-span boundaries and propagated child-to-parent so a parent's peak always
-covers its subtree.  Tracers without memory accounting pay one ``is
-None`` test per span boundary and nothing else.
 """
 
 import itertools
 import json
 import time
-import tracemalloc
 
 
 class Span:
@@ -35,7 +27,7 @@ class Span:
     """
 
     __slots__ = ("name", "attrs", "t_start", "t_end", "children",
-                 "events", "counters", "mem_peak")
+                 "events", "counters")
 
     def __init__(self, name, attrs=None):
         self.name = name
@@ -45,9 +37,6 @@ class Span:
         self.children = []
         self.events = []
         self.counters = {}
-        #: peak traced-memory bytes while the span was open; None when
-        #: the owning tracer did not account memory
-        self.mem_peak = None
 
     @property
     def duration(self):
@@ -102,8 +91,6 @@ class Span:
         start = (self.t_start - origin) if self.t_start is not None else 0.0
         end = (self.t_end - origin) if self.t_end is not None else start
         node = {"name": self.name, "start": start, "end": end}
-        if self.mem_peak is not None:
-            node["mem_peak"] = self.mem_peak
         if self.attrs:
             node["attrs"] = dict(self.attrs)
         if self.counters:
@@ -119,7 +106,6 @@ class Span:
         span = cls(node["name"], node.get("attrs"))
         span.t_start = node.get("start", 0.0)
         span.t_end = node.get("end", span.t_start)
-        span.mem_peak = node.get("mem_peak")
         span.counters = dict(node.get("counters", {}))
         span.events = [dict(ev) for ev in node.get("events", ())]
         span.children = [cls.from_dict(c) for c in node.get("children", ())]
@@ -128,13 +114,6 @@ class Span:
     def __repr__(self):
         return (f"<Span {self.name} {self.duration * 1000:.2f}ms "
                 f"{len(self.children)} children>")
-
-
-def _bump_mem(span, value):
-    """Raise ``span.mem_peak`` to ``value`` (None-safe running max)."""
-    if value is not None and (span.mem_peak is None
-                              or value > span.mem_peak):
-        span.mem_peak = value
 
 
 class _SpanContext:
@@ -150,14 +129,6 @@ class _SpanContext:
     def __enter__(self):
         tracer = self.tracer
         span = Span(self.name, self.attrs)
-        if tracer._mem is not None:
-            # Close the parent's current allocation window before
-            # opening this span's own: the peak so far belongs to the
-            # parent, and the reset makes the child's reading start
-            # clean.
-            _bump_mem(tracer._stack[-1],
-                      tracer._mem.get_traced_memory()[1])
-            tracer._mem.reset_peak()
         span.t_start = tracer.clock()
         tracer._stack[-1].children.append(span)
         tracer._stack.append(span)
@@ -167,11 +138,6 @@ class _SpanContext:
         tracer = self.tracer
         span = tracer._stack.pop()
         span.t_end = tracer.clock()
-        if tracer._mem is not None:
-            _bump_mem(span, tracer._mem.get_traced_memory()[1])
-            # A parent's peak must cover its whole subtree.
-            _bump_mem(tracer._stack[-1], span.mem_peak)
-            tracer._mem.reset_peak()
         if exc_type is not None:
             span.attrs["error"] = f"{exc_type.__name__}: {exc}"
         return False
@@ -182,22 +148,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, name="trace", clock=time.perf_counter,
-                 memory=False):
+    def __init__(self, name="trace", clock=time.perf_counter):
         self.clock = clock
         self.root = Span(name)
         self.root.t_start = clock()
         self._stack = [self.root]
-        #: tracemalloc module when per-span memory accounting is on,
-        #: None otherwise — span open/close pays one ``is None`` test
-        self._mem = None
-        self._mem_started = False
-        if memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._mem_started = True
-            self._mem = tracemalloc
-            tracemalloc.reset_peak()
 
     @property
     def current(self):
@@ -218,18 +173,9 @@ class Tracer:
         self._stack[-1].count(name, n)
 
     def finish(self):
-        """Close the root span (idempotent); returns it.
-
-        When memory accounting was on, the root's final ``mem_peak`` is
-        sampled here and tracemalloc is stopped iff this tracer started
-        it."""
+        """Close the root span (idempotent); returns it."""
         if self.root.t_end is None:
             self.root.t_end = self.clock()
-            if self._mem is not None:
-                _bump_mem(self.root, self._mem.get_traced_memory()[1])
-                if self._mem_started:
-                    self._mem.stop()
-                self._mem = None
         return self.root
 
     def find(self, name):
@@ -261,7 +207,6 @@ class _NullSpan:
 
     name = "null"
     duration = 0.0
-    mem_peak = None
 
     @property
     def attrs(self):
@@ -315,26 +260,15 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def format_bytes(n):
-    """``2_621_440 -> "2.5MiB"`` — compact byte quantities for tables."""
-    if n is None:
-        return ""
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024 or unit == "GiB":
-            return f"{n:.0f}B" if unit == "B" else f"{n:.1f}{unit}"
-        n /= 1024
-
-
 def render_profile(trace):
     """A per-stage timing table for a :class:`Tracer` or :class:`Span`.
 
     One row per span (indented by depth): wall time, share of the root's
-    time, peak traced memory (only when the trace carries ``mem_peak``
-    readings), and a compact counter/event summary.  A run of N
-    same-named sibling spans — one ``pipeline-analysis`` span per
-    function, say — collapses into one ``name ×N`` row: their total
-    time and share, their highest memory peak, the per-span p50/max in
-    the detail column, and their summed counters and events.  Their
+    time, and a compact counter/event summary.  A run of N same-named
+    sibling spans — one ``pipeline-analysis`` span per function, say —
+    collapses into one ``name ×N`` row: their total time and share, the
+    per-span p50/max in the detail column, and their summed counters
+    and events.  Their
     children, concatenated, collapse the same way one level down.
     """
     root = trace.finish() if hasattr(trace, "finish") else trace
@@ -366,32 +300,17 @@ def render_profile(trace):
         if skipped:
             extras.append("(skipped)" if len(group) == 1
                           else f"(skipped ×{skipped})")
-        peaks = [span.mem_peak for span in group
-                 if span.mem_peak is not None]
         seconds = sum(span.duration for span in group)
-        rows.append((
-            label,
-            seconds * 1000.0,
-            seconds / total,
-            max(peaks) if peaks else None,
-            " ".join(extras),
-        ))
+        rows.append((label, seconds * 1000.0, seconds / total,
+                     " ".join(extras)))
         children = [child for span in group for child in span.children]
         for _, run in itertools.groupby(children, key=lambda c: c.name):
             walk(list(run), depth + 1)
 
     walk([root], 0)
-    # A row without a reading gets a "-" placeholder, so trees with
-    # mixed mem_peak presence (old trace JSON round-tripped through the
-    # mem column) render instead of misaligning or crashing.
-    has_mem = any(mem is not None for _, _, _, mem, _ in rows)
     width = max(len(r[0]) for r in rows)
-    mem_col = f"  {'mem peak':>9}" if has_mem else ""
-    lines = [f"{'stage':<{width}}  {'ms':>9}  {'%':>6}{mem_col}  detail",
-             "-" * (width + 30 + (11 if has_mem else 0))]
-    for label, ms, frac, mem, extra in rows:
-        cell = format_bytes(mem) if mem is not None else "-"
-        mem_cell = f"  {cell:>9}" if has_mem else ""
-        lines.append(f"{label:<{width}}  {ms:>9.3f}  {frac:>6.1%}"
-                     f"{mem_cell}  {extra}")
+    lines = [f"{'stage':<{width}}  {'ms':>9}  {'%':>6}  detail",
+             "-" * (width + 30)]
+    for label, ms, frac, extra in rows:
+        lines.append(f"{label:<{width}}  {ms:>9.3f}  {frac:>6.1%}  {extra}")
     return "\n".join(lines)

@@ -21,8 +21,10 @@ from repro.analysis import (
 from repro.core import (
     ArtifactCache,
     DegradationReport,
+    IncrementalRewriter,
     MODE_SKIP,
     RewriteMode,
+    stable_digest,
 )
 from repro.core.cache import CORRUPT, MISS
 from repro.core.modes import (
@@ -100,9 +102,12 @@ class TestClassifyFailure:
         assert classify_failure(reason) == category
 
 
+PARTS = ("some", "parts")
+
+
 class TestCorruptCache:
     def _fill(self, cache):
-        key = cache.key("cfg", ("some", "parts"))
+        key = cache.key("cfg", PARTS)
         cache.put("cfg", key, {"value": 42}, seconds=0.5)
         return key
 
@@ -128,14 +133,15 @@ class TestCorruptCache:
         cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
         # With two entries, slicing [:-1] would truncate the first.
-        cache.put("funcptr", cache.key("funcptr", ()), {}, seconds=0.1)
-        assert corrupt_cache_entries(cache, -1) == 0
+        cache.put("funcptr", cache.key("funcptr", PARTS), {},
+                  seconds=0.1)
+        assert corrupt_cache_entries(cache, -1, stable_digest(PARTS)) == 0
         assert cache.get("cfg", key) == (0.5, {"value": 42})
 
     def test_corrupt_entry_is_reported_once_and_recovers(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
-        assert corrupt_cache_entries(cache, 5) == 1
+        assert corrupt_cache_entries(cache, 5, stable_digest(PARTS)) == 1
         assert cache.get("cfg", key) is CORRUPT
         # The entry was dropped: the next get is a plain miss.
         assert cache.get("cfg", key) is MISS
@@ -145,14 +151,15 @@ class TestCorruptCache:
         import os
         cache = ArtifactCache(tmp_path)
         key = self._fill(cache)
-        cache.put("funcptr", cache.key("funcptr", ()), {}, seconds=0.1)
+        funcptr_key = cache.key("funcptr", PARTS)
+        cache.put("funcptr", funcptr_key, {}, seconds=0.1)
         first, second = cache.entry_paths()
         # Entries go in sorted path order: the cfg one first.
         assert "cfg-v" in first and "funcptr-v" in second
-        assert corrupt_cache_entries(cache, 1) == 1
+        assert corrupt_cache_entries(cache, 1, stable_digest(PARTS)) == 1
         assert cache.get("cfg", key) is CORRUPT
         assert not os.path.exists(first)
-        assert cache.get("funcptr", cache.key("funcptr", ())) == (0.1, {})
+        assert cache.get("funcptr", funcptr_key) == (0.1, {})
 
 
 class TestChaosHarness:
@@ -222,6 +229,31 @@ class TestChaosHarness:
         assert chaotic["cache.corrupt"] == 2
         assert chaotic["cache.misses"] == 2
         assert chaotic["cache.stores"] == 2
+
+    def test_corruption_spares_other_workloads_entries(self, tmp_path):
+        """A shared cache directory that other workloads warmed first:
+        the chaos run corrupts only its own rewrite's entries, meets
+        exactly that corruption on its span, and leaves every other
+        entry byte-identical."""
+        binary, oracle, cycles = self._setup()
+        cache = ArtifactCache(tmp_path)
+        for name in ("619.lbm_s", "605.mcf_s", "648.exchange2_s"):
+            IncrementalRewriter(mode="jt", cache=cache).rewrite(
+                workload(name, "x86")[1])
+        others = {path: open(path, "rb").read()
+                  for path in cache.entry_paths()}
+        assert len(others) == 6
+        assert evaluate_tool("jt", binary, oracle, cycles,
+                             cache=cache).passed
+        tracer = Tracer()
+        run = evaluate_tool("jt", binary, oracle, cycles, tracer=tracer,
+                            cache=cache,
+                            faults=FailurePlan(corrupt_cache=1))
+        assert run.passed
+        chaotic = tracer.find("rewrite").total_counters()
+        assert chaotic.get("cache.corrupt", 0) == 1
+        assert {path: open(path, "rb").read()
+                for path in others} == others
 
     def test_full_menu_against_go_like_binary(self, tmp_path):
         """Everything at once on the imprecise-funcptr workload: the

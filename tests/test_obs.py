@@ -232,68 +232,24 @@ class TestHistogramPercentiles:
 
 
 class TestMemoryAccounting:
-    def test_spans_carry_mem_peak_when_enabled(self):
-        tr = Tracer(memory=True)
-        with tr.span("alloc"):
-            blob = bytearray(2_000_000)
-        del blob
-        with tr.span("quiet"):
-            pass
-        root = tr.finish()
-        alloc = root.find("alloc")
-        assert alloc.mem_peak >= 2_000_000
-        assert root.find("quiet").mem_peak is not None
-        assert root.mem_peak >= alloc.mem_peak
-
-    def test_parent_peak_covers_children(self):
-        tr = Tracer(memory=True)
-        with tr.span("parent"):
-            before = bytearray(500_000)
-            with tr.span("child"):
-                inner = bytearray(1_500_000)
-            del inner
-        del before
-        root = tr.finish()
-        parent, child = root.find("parent"), root.find("child")
-        assert child.mem_peak >= 1_500_000
-        assert parent.mem_peak >= child.mem_peak
-
     def test_default_tracer_records_no_memory(self):
+        # Spans time and count; they carry no memory readings.
         tr = Tracer()
         with tr.span("s"):
             pass
-        assert tr.find("s").mem_peak is None
-        assert tr.finish().mem_peak is None
-
-    def test_finish_stops_tracemalloc_it_started(self):
-        import tracemalloc
-        was_tracing = tracemalloc.is_tracing()
-        tr = Tracer(memory=True)
-        with tr.span("s"):
-            pass
-        tr.finish()
-        assert tracemalloc.is_tracing() == was_tracing
-
-    def test_mem_peak_round_trips_through_json(self):
-        tr = Tracer(memory=True)
-        with tr.span("stage"):
-            blob = bytearray(1_000_000)
-        del blob
-        tr.finish()
-        rebuilt = trace_from_json(tr.to_json())
-        assert rebuilt.find("stage").mem_peak \
-            == tr.find("stage").mem_peak
-        assert rebuilt.mem_peak == tr.root.mem_peak
+        assert not hasattr(tr.find("s"), "mem_peak")
+        assert "mem_peak" not in tr.to_json()
 
     def test_traces_without_mem_peak_still_load(self):
-        # Backwards compatibility: PR-2-era traces have no mem_peak key.
+        # PR-2-era traces have no mem_peak key; later ones carried one
+        # on some spans.  Both load, and the key is not re-emitted.
         old = {"name": "trace", "start": 0.0, "end": 1.0,
-               "children": [{"name": "stage", "start": 0.0, "end": 0.5}]}
+               "children": [{"name": "stage", "start": 0.0, "end": 0.5},
+                            {"name": "peak", "start": 0.5, "end": 1.0,
+                             "mem_peak": 3_000_000}]}
         root = Span.from_dict(old)
-        assert root.mem_peak is None
-        assert root.find("stage").mem_peak is None
-        # And a memory-less span serializes without the key.
-        assert "mem_peak" not in root.to_dict()
+        assert [c.name for c in root.children] == ["stage", "peak"]
+        assert "mem_peak" not in json.dumps(root.to_dict())
 
 
 class TestHistogramExport:
@@ -346,64 +302,26 @@ class TestProfileRendering:
     def test_profile_of_null_tracer(self):
         assert render_profile(NULL_TRACER) == "(no trace recorded)"
 
-    def test_profile_shows_memory_column_only_when_recorded(self):
-        tr = Tracer(memory=True)
-        with tr.span("alloc"):
-            blob = bytearray(3_000_000)
-        del blob
-        text = render_profile(tr)
-        assert "mem peak" in text
-        assert "MiB" in text
-
-        plain = Tracer(clock=stepping_clock())
-        with plain.span("stage"):
-            pass
-        assert "mem peak" not in render_profile(plain)
-
     def test_profile_tolerates_mixed_mem_peak_presence(self):
-        # Old trace JSON round-tripped through the mem column: some
-        # spans carry mem_peak, others don't.  The renderer must keep
-        # the column and show "-" placeholders, not crash or misalign.
-        root = Span("root")
-        root.t_start, root.t_end = 0.0, 4.0
-        with_mem = Span("with-mem")
-        with_mem.t_start, with_mem.t_end = 0.0, 2.0
-        with_mem.mem_peak = 3_000_000
-        without_mem = Span("without-mem")
-        without_mem.t_start, without_mem.t_end = 2.0, 4.0
-        root.children = [with_mem, without_mem]
-        text = render_profile(root)
-        assert "mem peak" in text
-        assert "MiB" in text
-        line = next(ln for ln in text.splitlines()
-                    if "without-mem" in ln)
-        assert " - " in line or line.rstrip().endswith("-")
-        # JSON round-trip preserves the mixed shape and still renders.
-        again = Span.from_dict(json.loads(json.dumps(root.to_dict())))
-        assert "mem peak" in render_profile(again)
+        # Trace JSON from when spans could carry mem_peak: some spans
+        # have the key, others don't.  It renders with the plain
+        # columns, every span on its row.
+        old = {"name": "root", "start": 0.0, "end": 4.0,
+               "children": [{"name": "with-mem", "start": 0.0,
+                             "end": 2.0, "mem_peak": 3_000_000},
+                            {"name": "without-mem", "start": 2.0,
+                             "end": 4.0}]}
+        text = render_profile(Span.from_dict(old))
+        assert text.splitlines()[0].split() == ["stage", "ms", "%",
+                                                "detail"]
+        assert "with-mem" in text and "without-mem" in text
+        assert "MiB" not in text
 
     @staticmethod
-    def _timed(name, start, end, mem_peak=None):
+    def _timed(name, start, end):
         span = Span(name)
         span.t_start, span.t_end = start, end
-        span.mem_peak = mem_peak
         return span
-
-    def test_profile_mem_column_follows_collapsed_rows(self):
-        # The column decision tracks the displayed rows: a collapsed
-        # row shows its members' highest peak even when only one
-        # member carries a reading, and no reading means no column.
-        root = self._timed("root", 0.0, 4.0)
-        root.children = [self._timed("unit", 0.0, 1.0),
-                         self._timed("unit", 1.0, 2.0, 1_000_000),
-                         self._timed("unit", 2.0, 3.0, 3_000_000)]
-        text = render_profile(root)
-        assert "mem peak" in text
-        line = next(ln for ln in text.splitlines() if "unit ×3" in ln)
-        assert "2.9MiB" in line
-        for child in root.children:
-            child.mem_peak = None
-        assert "mem peak" not in render_profile(root)
 
     def test_collapsed_row_total_is_the_sum_of_its_spans(self):
         root = self._timed("root", 0.0, 1.0)
@@ -414,6 +332,7 @@ class TestProfileRendering:
             t += d
         root.children.append(self._timed("tail", t, t + 0.5))
         lines = render_profile(root).splitlines()
+        # One row for the run of same-named siblings, none per member.
         assert sum("unit" in ln for ln in lines) == 1
         row = next(ln for ln in lines if "unit ×4" in ln).split()
         assert float(row[2]) == pytest.approx(sum(durations) * 1000.0)
