@@ -18,7 +18,6 @@ from repro.analysis.construction import (
     build_cfg,
     build_function_cfg,
     initial_seeds,
-    record_cfg,
 )
 from repro.analysis.failures import (
     FIG2_CATEGORIES,
@@ -28,7 +27,6 @@ from repro.analysis.failures import (
     FailurePlan,
     audit_jump_tables,
     classify_failure,
-    corrupt_cache_entries,
     inject_failures,
     plan_chaos,
 )
@@ -60,14 +58,12 @@ __all__ = [
     "build_cfg",
     "build_function_cfg",
     "initial_seeds",
-    "record_cfg",
     "ConstructionOptions",
     "FailurePlan",
     "inject_failures",
     "classify_failure",
     "audit_jump_tables",
     "plan_chaos",
-    "corrupt_cache_entries",
     "FIG2_CATEGORIES",
     "FIG2_REPORT",
     "FIG2_OVERAPPROX",

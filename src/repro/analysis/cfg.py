@@ -188,17 +188,11 @@ class FunctionCFG:
 
 
 class BinaryCFG:
-    """Whole-binary CFG: all functions plus global lookup.
-
-    Holds no reference to the binary, so it pickles on its own (the
-    rewriter caches it whole as the ``cfg`` stage artifact).
-    """
+    """Whole-binary CFG: all functions plus global lookup."""
 
     def __init__(self):
         self.functions = {}   # entry addr -> FunctionCFG
         self.by_name = {}
-        #: entry addr -> instructions decoded by its construction
-        self.instructions = {}
         #: entry addr -> its construction's wall seconds
         self.seconds = {}
 

@@ -25,9 +25,7 @@ point: a pure function of the binary image, the function identity and
 the construction options.  :func:`build_cfg` runs it over waves of a
 discovery worklist (call targets found inside one wave seed the next)
 in deterministic worklist order.  The result is a pure function of the
-image and the options, which is what lets the rewriter cache the whole
-stage (see :mod:`repro.core.cache`); :func:`record_cfg` replays the
-stage's counters and failure events from the CFG alone.
+image and the options.
 """
 
 import time
@@ -111,15 +109,18 @@ def build_cfg(binary, options=None, tracer=None):
 
     Functions are built over waves of a discovery worklist (call
     targets found in one wave seed the next), each under a
-    ``pipeline-analysis`` span; the caller's span counts them in
-    ``cfg.constructions`` (``tracer``, see :mod:`repro.obs`).  Each
-    function's instruction count and construction seconds land on the
-    returned :class:`BinaryCFG`, from which :func:`record_cfg` derives
-    the stage's counters and failure events.
+    ``pipeline-analysis`` span.  On the caller's span (``tracer``, see
+    :mod:`repro.obs`) go one ``analysis-failure`` event per contained
+    failure (with its Figure-2 category), in construction order, the
+    ``cfg.constructions`` and ``functions`` counts, and the
+    ``cfg.blocks``/``cfg.instructions``/``cfg.jump_tables`` totals over
+    the functions built.  Each function's construction seconds land on
+    the returned :class:`BinaryCFG`.
     """
     options = options or ConstructionOptions()
     tracer = tracer if tracer is not None else NULL_TRACER
     cfg = BinaryCFG()
+    blocks = instructions = jump_tables = 0
 
     seeds = initial_seeds(binary)
     pads_by_owner = _landing_pads_by_owner(binary, seeds)
@@ -137,43 +138,28 @@ def build_cfg(binary, options=None, tracer=None):
                     binary, name, entry, range_end,
                     pads_by_owner.get(entry, ()), options)
                 cfg.seconds[entry] = time.perf_counter() - t0
-            cfg.instructions[entry] = insn_count
             cfg.add(fcfg)
+            if fcfg.failed is not None:
+                tracer.event(
+                    "analysis-failure",
+                    function=fcfg.name,
+                    reason=fcfg.failed,
+                    category=classify_failure(fcfg.failed),
+                )
+            else:
+                blocks += len(fcfg.blocks)
+                instructions += insn_count
+                jump_tables += len(fcfg.jump_tables)
             for target in discovered_calls:
                 if target not in seeds:
                     seeds[target] = (f"func_{target:x}", None)
                     pending.append(target)
     tracer.count("cfg.constructions", len(cfg.functions))
-    return cfg
-
-
-def record_cfg(cfg, tracer=None):
-    """The construction stage's accounting, read off a built CFG.
-
-    One ``analysis-failure`` event per contained failure (with its
-    Figure-2 category), in construction order, then the stage's
-    ``functions`` count and its ``cfg.blocks``/``cfg.instructions``/
-    ``cfg.jump_tables`` totals over the functions built — the same
-    whether :func:`build_cfg` just ran or the CFG came from a cache.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    blocks = instructions = jump_tables = 0
-    for fcfg in cfg:
-        if fcfg.failed is not None:
-            tracer.event(
-                "analysis-failure",
-                function=fcfg.name,
-                reason=fcfg.failed,
-                category=classify_failure(fcfg.failed),
-            )
-        else:
-            blocks += len(fcfg.blocks)
-            instructions += cfg.instructions[fcfg.entry]
-            jump_tables += len(fcfg.jump_tables)
     tracer.count("functions", len(cfg.functions))
     tracer.count("cfg.blocks", blocks)
     tracer.count("cfg.instructions", instructions)
     tracer.count("cfg.jump_tables", jump_tables)
+    return cfg
 
 
 def _landing_pads_by_owner(binary, seeds):

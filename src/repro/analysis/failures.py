@@ -19,11 +19,9 @@ disagreements, which is how the rewriter's degradation ladder *catches*
 an under-approximated table before it becomes wrong instrumentation.
 
 A :class:`FailurePlan` is also the unit of chaos the harness injects
-(``repro chaos``, ``evaluate_tool(faults=...)``): besides the three
-analysis perturbations it can corrupt artifact-cache entries
-(:func:`corrupt_cache_entries`), with the invariant under test being
-the paper's: the rewritten binary still behaves identically and only
-coverage is lost.
+(``repro chaos``, ``evaluate_tool(faults=...)``), with the invariant
+under test being the paper's: the rewritten binary still behaves
+identically and only coverage is lost.
 """
 
 from dataclasses import dataclass, field
@@ -65,8 +63,7 @@ def classify_failure(reason):
 
 @dataclass
 class FailurePlan:
-    """What to break: analysis faults per function name, plus the
-    chaos harness's artifact-cache corruption."""
+    """What to break: analysis faults per function name."""
 
     #: functions whose analysis should report failure
     report: set = field(default_factory=set)
@@ -76,13 +73,6 @@ class FailurePlan:
     #: functions in which one real jump-table edge is hidden
     #: (under-approximation)
     underapproximate: set = field(default_factory=set)
-    #: number of artifact-cache entries to corrupt before rewriting
-    corrupt_cache: int = 0
-
-    @property
-    def injects_analysis_faults(self):
-        return bool(self.report or self.overapproximate
-                    or self.underapproximate)
 
 
 def inject_failures(cfg, plan):
@@ -204,36 +194,7 @@ def audit_jump_tables(binary, fcfg):
     return findings
 
 
-def corrupt_cache_entries(cache, count, key_digest):
-    """Corrupt up to ``count`` of one rewrite's ArtifactCache entries.
-
-    ``key_digest`` is the digest of the rewrite's stage key, which
-    names each of its entry files (``<kind>-v<N>-<digest>.pkl``):
-    entries of other binaries sharing the directory are left alone.
-    Truncates the files of the first ``count`` matching entries (in
-    sorted path order,
-    :meth:`~repro.core.cache.ArtifactCache.entry_paths`) to a prefix
-    that cannot unpickle, and returns the number corrupted.  The
-    cache's own corrupt-entry handling (unlink + ``CORRUPT``, counted
-    as ``cache.corrupt`` and a miss on the stage span) is what the
-    chaos harness then exercises.
-    """
-    corrupted = 0
-    mine = [path for path in cache.entry_paths()
-            if path.endswith(f"-{key_digest}.pkl")]
-    # A negative count would slice from the end: corrupt nothing.
-    for path in mine[:max(count, 0)]:
-        try:
-            with open(path, "r+b") as f:
-                f.truncate(3)
-        except OSError:
-            continue
-        corrupted += 1
-    return corrupted
-
-
 def plan_chaos(cfg, report=0, overapproximate=0, underapproximate=0,
-               corrupt_cache=0,
                protect=("_entry", "_start", "main")):
     """Build a deterministic :class:`FailurePlan` against a real CFG.
 
@@ -244,7 +205,7 @@ def plan_chaos(cfg, report=0, overapproximate=0, underapproximate=0,
     functions so the program still reaches its exit.  The same binary
     always yields the same plan — chaos runs are reproducible.
     """
-    plan = FailurePlan(corrupt_cache=corrupt_cache)
+    plan = FailurePlan()
     taken = set()
 
     def eligible(check):

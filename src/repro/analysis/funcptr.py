@@ -36,8 +36,7 @@ inputs it closes over — the entry set, text range and known data slots,
 all themselves determined by the binary image).
 :func:`analyze_function_pointers` runs the whole-binary data-slot scan,
 then each function's code scan, merging the partial results in address
-order; its :class:`FuncPtrAnalysis` is what the rewriter caches as one
-stage artifact.
+order into one :class:`FuncPtrAnalysis`.
 """
 
 import time

@@ -7,11 +7,9 @@ Examples::
         --mode func-ptr --scorch -o sgcc.rw
     python -m repro rewrite --workload 602.sgcc_s --mode jt \\
         --profile --trace sgcc-trace.json
-    python -m repro rewrite --workload 602.sgcc_s \\
-        --cache-dir .repro-cache -o sgcc.rw
-    python -m repro batch 619.lbm_s 602.sgcc_s --repeat 2 --record
+    python -m repro batch 619.lbm_s 602.sgcc_s --record
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
-        --underapprox 1 --corrupt-cache 1
+        --underapprox 1
     python -m repro rewrite --workload 602.sgcc_s --record
     python -m repro record list
     python -m repro record show latest --json
@@ -24,14 +22,11 @@ Examples::
 """
 
 import argparse
-import contextlib
+import os
 import sys
-import tempfile
 import time
-from collections import Counter
 
 from repro.core import (
-    ArtifactCache,
     EmptyInstrumentation,
     CountingInstrumentation,
     IncrementalRewriter,
@@ -137,12 +132,6 @@ def _read_binary(path):
                        EXIT_LOAD_ERROR)
 
 
-def _add_pipeline_args(parser):
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="persist analysis artifacts under DIR "
-                             "(shared across invocations)")
-
-
 def cmd_list(args):
     print("SPEC CPU 2017-like suite:")
     for name in SPEC_BENCHMARK_NAMES:
@@ -190,22 +179,17 @@ def cmd_rewrite(args):
     instrumentation = (CountingInstrumentation()
                        if args.instrument == "counting"
                        else EmptyInstrumentation())
-    # Records need the trace's per-stage timings and the cache line
-    # its lookup counts, so --record and --cache-dir imply a tracer
-    # even without --profile/--trace.
-    observing = args.profile or args.trace or args.record \
-        or args.cache_dir
+    # Records need the trace's per-stage timings, so --record implies
+    # a tracer even without --profile/--trace.
+    observing = args.profile or args.trace or args.record
     tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
         else None
-    # One process rewrites once, so only a --cache-dir cache can ever
-    # be read back: without one there are no lookups at all.
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     records = _LedgerSink(args.record) if args.record else None
     rewriter = IncrementalRewriter(
         mode=RewriteMode.parse(args.mode),
         instrumentation=instrumentation,
         scorch_original=args.scorch,
-        tracer=tracer, cache=cache,
+        tracer=tracer,
         degrade=not args.no_degrade,
     )
     try:
@@ -230,10 +214,6 @@ def cmd_rewrite(args):
     print(f"size increase : {report.size_increase:+.1%}")
     print(f"trampolines   : " + ", ".join(
         f"{k}={v}" for k, v in report.trampolines.items() if v))
-    if cache is not None:
-        counters = tracer.root.total_counters()
-        print(f"cache         : {counters.get('cache.hits', 0)} hits, "
-              f"{counters.get('cache.misses', 0)} misses")
     if report.failed_functions:
         print(f"skipped       : " + ", ".join(
             name for name, _ in report.failed_functions))
@@ -270,85 +250,48 @@ def cmd_rewrite(args):
     return 1 if diverged else 0
 
 
-def _cache_directory(cache_dir):
-    """A context yielding ``cache_dir``, or else a temporary directory
-    that is removed on exit."""
-    if cache_dir:
-        return contextlib.nullcontext(cache_dir)
-    return tempfile.TemporaryDirectory(prefix="repro-cache-")
-
-
 def cmd_batch(args):
-    """Rewrite a list of workloads through one shared artifact cache.
-
-    Every ``--repeat`` round after the first is served the cfg and
-    funcptr stages of each binary from the cache (only a byte-identical
-    binary hits).  Without ``--cache-dir`` the cache lives in a
-    temporary directory for the length of the batch.
+    """Rewrite a list of workloads, one after another.
 
     With ``--record [LEDGER]``, every rewrite (failed ones included)
     appends a :class:`~repro.obs.RewriteRecord` to the ledger.
     """
-    with _cache_directory(args.cache_dir) as directory:
-        return _run_batch(args, ArtifactCache(directory))
-
-
-def _run_batch(args, cache):
     records = _LedgerSink(args.record) if args.record else None
-    tracers = []
     failures = 0
     loaded = {}
     load_failed = set()
-    for round_no in range(args.repeat):
-        for name in args.workloads:
-            if name in load_failed:
-                continue
-            if name not in loaded:
-                # A bad workload name is one failure, not a batch abort.
-                try:
-                    loaded[name] = _load_workload(name, args.arch,
-                                                  args.pie)
-                except CliError as exc:
-                    failures += 1
-                    load_failed.add(name)
-                    print(f"{name:<16} LOAD FAILED: {exc}",
-                          file=sys.stderr)
-                    continue
-            _, binary = loaded[name]
-            # One tracer per rewrite: its span tree holds this
-            # rewrite's cache counts and its record's stage timings.
-            tracer = Tracer(name=f"batch:{name}")
-            tracers.append(tracer)
-            t0 = time.perf_counter()
-            rewriter = IncrementalRewriter(mode=RewriteMode.parse(args.mode),
-                                           tracer=tracer, cache=cache)
+    for name in args.workloads:
+        if name in load_failed:
+            continue
+        if name not in loaded:
+            # A bad workload name is one failure, not a batch abort.
             try:
-                rewritten, report = _rewrite(rewriter, binary, records,
-                                             name)
-            except ReproError as exc:
+                loaded[name] = _load_workload(name, args.arch, args.pie)
+            except CliError as exc:
                 failures += 1
-                print(f"{name:<16} FAILED: {exc}", file=sys.stderr)
+                load_failed.add(name)
+                print(f"{name:<16} LOAD FAILED: {exc}", file=sys.stderr)
                 continue
-            elapsed = time.perf_counter() - t0
-            counters = tracer.root.total_counters()
-            hits = counters.get("cache.hits", 0)
-            misses = counters.get("cache.misses", 0)
-            saved = counters.get("cache.seconds_saved", 0.0)
-            print(f"{name:<16} {elapsed:7.3f}s  coverage "
-                  f"{report.coverage:6.2%}  cache {hits}/{hits + misses} "
-                  f"hits  saved {saved:.3f}s")
-            if args.out_dir:
-                import os
-                os.makedirs(args.out_dir, exist_ok=True)
-                out_path = f"{args.out_dir}/{name}.r{round_no}.rw"
-                with open(out_path, "wb") as f:
-                    f.write(rewritten.to_bytes())
-    totals = Counter()
-    for tracer in tracers:
-        totals.update(tracer.root.total_counters())
-    print(f"[cache: {totals['cache.hits']} hits / "
-          f"{totals['cache.misses']} misses, {totals['cache.stores']} "
-          f"stores]", file=sys.stderr)
+        _, binary = loaded[name]
+        # A record needs its own rewrite's stage timings.
+        tracer = Tracer(name=f"batch:{name}") if records is not None \
+            else None
+        t0 = time.perf_counter()
+        rewriter = IncrementalRewriter(mode=RewriteMode.parse(args.mode),
+                                       tracer=tracer)
+        try:
+            rewritten, report = _rewrite(rewriter, binary, records, name)
+        except ReproError as exc:
+            failures += 1
+            print(f"{name:<16} FAILED: {exc}", file=sys.stderr)
+            continue
+        elapsed = time.perf_counter() - t0
+        print(f"{name:<16} {elapsed:7.3f}s  coverage "
+              f"{report.coverage:6.2%}")
+        if args.out_dir:
+            os.makedirs(args.out_dir, exist_ok=True)
+            with open(f"{args.out_dir}/{name}.rw", "wb") as f:
+                f.write(rewritten.to_bytes())
     if records:
         print(f"[{len(records)} record(s) -> {records.path}]",
               file=sys.stderr)
@@ -362,11 +305,9 @@ def cmd_chaos(args):
 
     Builds a deterministic :func:`repro.analysis.plan_chaos` fault plan
     against the workload's CFG — analysis faults of each requested
-    Figure-2 category and cache corruption — then runs the full
-    evaluation pipeline under it.  Success means the rewritten binary
-    still matched the oracle; coverage (and nothing else) is allowed to
-    drop.  With a cache, the ``substrate`` line reports the corrupt
-    entries the chaos run met (its span's ``cache.corrupt``).
+    Figure-2 category — then runs the full evaluation pipeline under
+    it.  Success means the rewritten binary still matched the oracle;
+    coverage (and nothing else) is allowed to drop.
     """
     from repro.analysis import build_cfg, plan_chaos
     from repro.eval import baseline_run, evaluate_tool
@@ -378,34 +319,16 @@ def cmd_chaos(args):
         report=args.report,
         overapproximate=args.overapprox,
         underapproximate=args.underapprox,
-        corrupt_cache=args.corrupt_cache,
     )
-    # A one-shot chaos run reads a cache back only through a
-    # --cache-dir, or when corruption needs warmed entries to bite (in
-    # a temporary directory).
-    tracer = Tracer(name=f"chaos:{args.workload}")
-    caching = plan.corrupt_cache or args.cache_dir
-    with _cache_directory(args.cache_dir) if caching \
-            else contextlib.nullcontext() as directory:
-        cache = ArtifactCache(directory) if caching else None
-        if plan.corrupt_cache:
-            # Warm the cache with one clean rewrite so corruption has
-            # entries to bite; the chaos run must then recover from
-            # them.
-            evaluate_tool(args.mode, binary, oracle, base_cycles,
-                          benchmark=args.workload, cache=cache)
-        run = evaluate_tool(args.mode, binary, oracle, base_cycles,
-                            benchmark=args.workload, cache=cache,
-                            tracer=tracer, faults=plan)
+    run = evaluate_tool(args.mode, binary, oracle, base_cycles,
+                        benchmark=args.workload, faults=plan)
 
     injected = [f"{label}:{name}" for label, names in
                 (("report", plan.report),
                  ("over-approx", plan.overapproximate),
                  ("under-approx", plan.underapproximate))
                 for name in sorted(names)]
-    print(f"plan      : " + (", ".join(injected) or "no analysis faults")
-          + f"; {plan.corrupt_cache} corrupt cache entr"
-            f"{'y' if plan.corrupt_cache == 1 else 'ies'}")
+    print(f"plan      : " + (", ".join(injected) or "no analysis faults"))
     print(f"outcome   : "
           + ("survived (output identical to oracle)" if run.passed
              else f"FAILED ({run.error})"))
@@ -415,9 +338,6 @@ def cmd_chaos(args):
     for line in render_degradation(run.degradation,
                                    show_reason=False)[1:]:
         print(line)
-    if cache is not None:
-        corrupt = tracer.root.total_counters().get("cache.corrupt", 0)
-        print(f"substrate : cache_corrupt={corrupt}")
     return 0 if run.passed else EXIT_REWRITE_ERROR
 
 
@@ -427,7 +347,7 @@ def cmd_record(args):
 
     ``diff`` answers the reproducibility question first — do the two
     rewrites agree on the output digest? — then explains the cost
-    difference (stage timings, cache accounting, degradation shape)
+    difference (stage timings, degradation shape)
     and the per-function coverage/mode/overhead deltas.  It exits
     :data:`EXIT_COVERAGE_REGRESSION` when the second covers less (a
     failed rewrite covers nothing); otherwise :data:`EXIT_DIVERGED`
@@ -643,35 +563,29 @@ def build_parser():
                    help="append a rewrite record to LEDGER "
                         f"(default {DEFAULT_LEDGER})")
     p.add_argument("-o", "--output")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser(
         "batch",
-        help="rewrite several workloads through one shared artifact "
-             "cache",
+        help="rewrite several workloads",
     )
     p.add_argument("workloads", nargs="+", metavar="WORKLOAD")
     p.add_argument("--arch", default="x86")
     p.add_argument("--pie", action="store_true")
     p.add_argument("--mode", default="jt",
                    choices=[m.value for m in RewriteMode])
-    p.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
-                   help="rewrite the whole list N times (cache-reuse "
-                        "rounds)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write rewritten binaries under DIR")
     p.add_argument("--record", nargs="?", const=DEFAULT_LEDGER,
                    default=None, metavar="LEDGER",
                    help="append one rewrite record per rewrite to LEDGER "
                         f"(default {DEFAULT_LEDGER})")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser(
         "chaos",
-        help="inject faults (analysis, cache) into one rewrite and "
-             "verify graceful degradation",
+        help="inject analysis faults into one rewrite and verify "
+             "graceful degradation",
     )
     p.add_argument("--workload", required=True)
     p.add_argument("--arch", default="x86")
@@ -686,12 +600,6 @@ def build_parser():
     p.add_argument("--underapprox", type=_non_negative_int, default=0,
                    metavar="N",
                    help="N functions with one jump-table edge hidden")
-    p.add_argument("--corrupt-cache", type=_non_negative_int, default=0,
-                   metavar="N",
-                   help="truncate N artifact-cache entries (cache is "
-                        "warmed by a clean rewrite first, in a "
-                        "temporary directory unless --cache-dir)")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(

@@ -1,6 +1,5 @@
 """Incremental CFG patching — the paper's contribution."""
 
-from repro.core.cache import ARTIFACT_VERSIONS, ArtifactCache, stable_digest
 from repro.core.cfl import CflAnalysis
 from repro.core.instrumentation import (
     CallOutCountingInstrumentation,
@@ -52,9 +51,6 @@ __all__ = [
     "rewrite_binary",
     "RuntimeLibrary",
     "CflAnalysis",
-    "ArtifactCache",
-    "ARTIFACT_VERSIONS",
-    "stable_digest",
     "place_trampolines",
     "PlacementResult",
     "Superblock",

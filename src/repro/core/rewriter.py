@@ -29,20 +29,14 @@ Every stage runs under a trace span (:data:`PIPELINE_STAGES`, see
 ``function-degraded`` event, both carrying Figure-2 categories.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from repro.analysis.construction import (
-    ConstructionOptions,
-    build_cfg,
-    record_cfg,
-)
+from repro.analysis.construction import ConstructionOptions, build_cfg
 from repro.analysis.failures import audit_jump_tables, classify_failure
 from repro.analysis.funcptr import analyze_function_pointers
 from repro.analysis.liveness import LivenessAnalysis
 from repro.binfmt.sections import Section
-from repro.core.cache import CORRUPT, MISS, image_digest
 from repro.core.cfl import CflAnalysis
 from repro.core.instrumentation import EmptyInstrumentation
 from repro.core.layout import prepare_output
@@ -148,7 +142,7 @@ class IncrementalRewriter:
                  construction_options=None, scorch_original=False,
                  call_emulation=False, cfg_hook=None,
                  function_order="address", block_order="address",
-                 tracer=None, cache=None, degrade=True):
+                 tracer=None, degrade=True):
         self.mode = (RewriteMode.parse(mode) if isinstance(mode, str)
                      else mode)
         self.instrumentation = instrumentation or EmptyInstrumentation()
@@ -156,9 +150,6 @@ class IncrementalRewriter:
                                      or ConstructionOptions())
         #: observability sink (:mod:`repro.obs`); a no-op by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: artifact cache (:class:`repro.core.cache.ArtifactCache`)
-        #: holding whole-stage analysis results; None disables caching
-        self.cache = cache
         #: emission order for the BOLT-comparison experiments (Section
         #: 8.3): "address" or "reverse"
         self.function_order = function_order
@@ -191,19 +182,11 @@ class IncrementalRewriter:
                               arch=binary.arch_name):
             return self._rewrite_traced(binary, self.tracer, atlas)
 
-    def stage_key(self, binary):
-        """The key of ``binary``'s cached stages: everything the cfg
-        and funcptr stages read (image, arch, construction options).
-        Both stages' cache entries share its digest."""
-        return (image_digest(binary), binary.arch_name,
-                sorted(vars(self.construction_options).items()))
-
     def resolved_options(self):
         """The record's resolved option set: every reproducibility-
         relevant knob as it actually applied to this rewrite."""
         return {
             "mode": str(self.mode),
-            "cache": self.cache is not None,
             "degrade": self.degrade,
             "scorch_original": self.scorch_original,
             "call_emulation": self.call_emulation,
@@ -214,21 +197,11 @@ class IncrementalRewriter:
     def _rewrite_traced(self, binary, tr, atlas):
         spec = get_arch(binary.arch_name)
 
-        # The funcptr stage reads the CFG *after* cfg_hook, so a hook
-        # keeps it out of the cache; the cfg artifact stays valid
-        # because the hook applies after it is stored.
-        stage_key = (self.stage_key(binary) if self.cache is not None
-                     else None)
-
         # The atlas builder (None unless requested) rides along the
         # stages, accounting data each stage already computed — it
         # never re-analyzes anything.
         with tr.span("cfg-construction"):
-            cfg = self._stage_artifact(
-                "cfg", stage_key,
-                lambda: build_cfg(binary, self.construction_options,
-                                  tracer=tr))
-            record_cfg(cfg, tr)
+            cfg = build_cfg(binary, self.construction_options, tracer=tr)
             if self.cfg_hook is not None:
                 cfg = self.cfg_hook(cfg) or cfg
             self._pre_checks(binary, cfg)
@@ -247,10 +220,8 @@ class IncrementalRewriter:
                                   binary.metadata.get("text_range"))
 
         with tr.span("funcptr-analysis"):
-            funcptrs = self._stage_artifact(
-                "funcptr", stage_key if self.cfg_hook is None else None,
-                lambda: analyze_function_pointers(binary, cfg, spec,
-                                                  tracer=tr))
+            funcptrs = analyze_function_pointers(binary, cfg, spec,
+                                                 tracer=tr)
             tr.count("data_defs", len(funcptrs.data_defs))
             tr.count("code_defs", len(funcptrs.code_defs))
             tr.count("derived_defs", len(funcptrs.derived_defs))
@@ -452,36 +423,6 @@ class IncrementalRewriter:
             degradation=degradation,
         )
         return out, report
-
-    def _stage_artifact(self, kind, key, compute):
-        """One analysis stage's result: the :attr:`cache` entry for
-        ``(kind, key)`` when there is one, else ``compute()``, timed and
-        stored.  ``key`` None (no cache, or a stage that may not be
-        cached) just computes.  Counts ``cache.*`` and
-        ``cache.<kind>.*`` on the stage's span and, on a hit, the
-        compute seconds the hit saved (``cache.seconds_saved``); an
-        unreadable entry counts ``cache.corrupt`` and a miss."""
-        if key is None:
-            return compute()
-        tr = self.tracer
-        full_key = self.cache.key(kind, key)
-        got = self.cache.get(kind, full_key)
-        if got is CORRUPT:
-            tr.count("cache.corrupt")
-        elif got is not MISS:
-            seconds, value = got
-            tr.count("cache.hits")
-            tr.count(f"cache.{kind}.hits")
-            tr.count("cache.seconds_saved", seconds)
-            return value
-        tr.count("cache.misses")
-        tr.count(f"cache.{kind}.misses")
-        t0 = time.perf_counter()
-        value = compute()
-        if self.cache.put(kind, full_key, value,
-                          time.perf_counter() - t0):
-            tr.count("cache.stores")
-        return value
 
     def runtime_library(self, rewritten):
         """The runtime library to LD_PRELOAD with the rewritten binary."""
@@ -753,17 +694,15 @@ def _subtract_ranges(start, end, keep_sorted):
 
 
 def rewrite_binary(binary, mode=RewriteMode.JT, instrumentation=None,
-                   tracer=None, cache=None, **kwargs):
+                   tracer=None, **kwargs):
     """One-call convenience: returns (rewritten, report, runtime_lib).
 
-    The tracer and the artifact cache are explicit (rather than
-    swallowed by ``**kwargs``) so call sites get signature help and typos
-    fail loudly; remaining keywords forward to
-    :class:`IncrementalRewriter`.
+    The tracer is explicit (rather than swallowed by ``**kwargs``) so
+    call sites get signature help and typos fail loudly; remaining
+    keywords forward to :class:`IncrementalRewriter`.
     """
     rewriter = IncrementalRewriter(mode=mode,
                                    instrumentation=instrumentation,
-                                   tracer=tracer, cache=cache,
-                                   **kwargs)
+                                   tracer=tracer, **kwargs)
     rewritten, report = rewriter.rewrite(binary)
     return rewritten, report, rewriter.runtime_library(rewritten)

@@ -20,7 +20,6 @@ from repro.core import (
     IncrementalRewriter,
     RewriteMode,
     RuntimeLibrary,
-    stable_digest,
 )
 from repro.machine import run_binary
 from repro.obs import NULL_TRACER
@@ -95,31 +94,25 @@ def runtime_for(tool, rewriter, rewritten):
 
 def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
                   instrumentation=None, tracer=None,
-                  telemetry=None, cache=None,
-                  faults=None, **tool_kwargs):
+                  telemetry=None, faults=None, **tool_kwargs):
     """Run one tool on one binary; returns a :class:`ToolRun`.
 
     ``oracle`` is the expected ``(exit_code, output list)``;
     ``base_cycles`` the original binary's cycle count.  Pass a
     :class:`repro.obs.Tracer` to observe the whole run — the rewrite's
-    pipeline-stage spans (with their cache counters) and the emulated
-    execution land under it; failures are recorded as ``harness-error`` trace
-    events with the exception type.  Pass an
+    pipeline-stage spans and the emulated execution land under it;
+    failures are recorded as ``harness-error`` trace events with the
+    exception type.  Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
     emulated execution (hot blocks, guard outcomes, compile time,
     block ring, trampoline hits, RA translations).
 
-    ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared
-    across many evaluations) feeds the incremental pipeline; the run's
-    own hit/miss/time-saved counts are on its ``rewrite`` span.
-
     ``faults`` (a :class:`repro.analysis.FailurePlan`) is the chaos
     harness's entry point: its analysis perturbations are injected via
-    the rewriter's ``cfg_hook`` (chained after any existing hook), and
-    its ``corrupt_cache`` count truncates that many of this rewrite's
-    entries of ``cache`` before the rewrite.  The run itself is judged exactly as without
-    faults — the invariant under test is that the output binary still
-    matches the oracle and only coverage drops.
+    the rewriter's ``cfg_hook`` (chained after any existing hook).  The
+    run itself is judged exactly as without faults — the invariant
+    under test is that the output binary still matches the oracle and
+    only coverage drops.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     try:
@@ -128,10 +121,8 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
         # Thread the tracer into the rewriter post-construction so every
         # tool (incl. baselines with fixed signatures) is observable.
         rewriter.tracer = tracer
-        if cache is not None:
-            rewriter.cache = cache
         if faults is not None:
-            _apply_faults(rewriter, faults, cache, binary)
+            _apply_faults(rewriter, faults)
         rewritten, report = rewriter.rewrite(binary)
         runtime = runtime_for(tool, rewriter, rewritten)
         result = run_binary(rewritten, runtime_lib=runtime,
@@ -167,28 +158,18 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     )
 
 
-def _apply_faults(rewriter, faults, cache, binary):
-    """Wire a FailurePlan's chaos into one rewriter instance."""
-    from repro.analysis.failures import (
-        corrupt_cache_entries,
-        inject_failures,
-    )
+def _apply_faults(rewriter, faults):
+    """Wire a FailurePlan's analysis faults into one rewriter instance."""
+    from repro.analysis.failures import inject_failures
 
-    if faults.injects_analysis_faults:
-        prev_hook = getattr(rewriter, "cfg_hook", None)
+    prev_hook = getattr(rewriter, "cfg_hook", None)
 
-        def hook(cfg, _prev=prev_hook):
-            if _prev is not None:
-                cfg = _prev(cfg) or cfg
-            return inject_failures(cfg, faults)
+    def hook(cfg, _prev=prev_hook):
+        if _prev is not None:
+            cfg = _prev(cfg) or cfg
+        return inject_failures(cfg, faults)
 
-        rewriter.cfg_hook = hook
-    # Only the incremental rewriters read the cache; the other tools
-    # own no entries to corrupt.
-    if faults.corrupt_cache and cache is not None \
-            and isinstance(rewriter, IncrementalRewriter):
-        corrupt_cache_entries(cache, faults.corrupt_cache,
-                              stable_digest(rewriter.stage_key(binary)))
+    rewriter.cfg_hook = hook
 
 
 def baseline_run(binary):

@@ -4,9 +4,8 @@ forensics.
 The substrate every benchmark and robustness experiment measures itself
 against: nested wall-clock spans over the rewriting pipeline's stages,
 each carrying the counters of the stage that produced them (trampolines
-by kind, CFG shape, cache hits/misses/stores), structured events for
-per-function failure forensics, JSON export, and a human-readable
-profile table.  Each fact is counted once, on its stage's span; a
+by kind, CFG shape), structured events for per-function failure
+forensics, JSON export, and a human-readable profile table.  Each fact is counted once, on its stage's span; a
 subtree's :meth:`Span.total_counters` sums it over any scope.
 
 Everything is zero-dependency and defaults to the no-op

@@ -5,8 +5,7 @@ A :class:`RewriteRecord` is the single auditable record of one rewrite
 how much of it got rewritten?":
 
 * input/output content digests and the resolved option set;
-* the environment fingerprint, per-stage wall time, and cache
-  accounting;
+* the environment fingerprint and per-stage wall time;
 * the degradation ladder's verdict and the outcome (with a typed error
   when the rewrite failed);
 * the report's trampoline and trap counts;
@@ -30,8 +29,8 @@ Records are schema-versioned and content-addressed: ``record_id`` is the
 SHA-256 of the canonical JSON body, and a ledger line whose stored id
 does not match its content is refused as corrupt.  Two rewrites of the
 same input with the same options are identical *modulo timings*:
-:meth:`RewriteRecord.comparable_dict` strips the wall-clock and cache
-fields (the only legitimate cold-vs-warm difference) and the machine's
+:meth:`RewriteRecord.comparable_dict` strips the wall-clock fields
+(the only legitimate run-to-run difference) and the machine's
 fingerprint, and :func:`diff_records` compares those.  A coverage
 regression — a function losing cfg bytes, falling down the ladder, or
 disappearing — is flagged so ``repro record diff`` can gate on it.
@@ -62,7 +61,7 @@ from repro.util.errors import ReproError
 from repro.util.files import atomic_write
 
 #: Schema tags; bump the version when a field changes meaning.
-RECORD_SCHEMA = "RewriteRecord/v2"
+RECORD_SCHEMA = "RewriteRecord/v3"
 BENCH_RECORD_SCHEMA = "BENCH_record/v1"
 
 DEFAULT_LEDGER = "RECORDS.jsonl"
@@ -107,8 +106,9 @@ __all__ = [
 
 def collect_fingerprint():
     """Where a record comes from, as a plain dict: the interpreter,
-    platform and cpu count, plus the git sha when the working tree has
-    one (the key is omitted otherwise)."""
+    platform and cpu count, plus the git sha of the checkout this
+    package was loaded from, when it is one (the key is omitted
+    otherwise)."""
     out = {"python": "%d.%d.%d" % sys.version_info[:3],
            "platform": f"{platform.system()}-{platform.machine()}",
            "cpus": os.cpu_count() or 1}
@@ -119,11 +119,14 @@ def collect_fingerprint():
 
 
 def _git_sha():
-    """Short HEAD sha of the working tree, or None outside a repo."""
+    """Short HEAD sha of the checkout holding this package's source, or
+    None when it is not in one.  Asked from the package's own directory:
+    the process's working directory may be any other repository."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
     except (OSError, subprocess.SubprocessError):
         return None
@@ -172,28 +175,6 @@ def content_digest(obj):
     return hashlib.sha256(data).hexdigest()
 
 
-def _cache_section(span):
-    """The record's cache accounting: the ``cache.*`` counters summed
-    over the rewrite span's subtree (zeros under a null span)."""
-    totals = span.total_counters() if hasattr(span, "total_counters") \
-        else {}
-    section = {
-        "hits": totals.get("cache.hits", 0),
-        "misses": totals.get("cache.misses", 0),
-        "stores": totals.get("cache.stores", 0),
-        "saved_seconds": totals.get("cache.seconds_saved", 0.0),
-    }
-    by_kind = {}
-    for name, value in totals.items():
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] == "cache" \
-                and parts[2] in ("hits", "misses"):
-            by_kind.setdefault(parts[1], {})[parts[2]] = value
-    if by_kind:
-        section["by_kind"] = by_kind
-    return section
-
-
 def _stage_section(span):
     """Per-stage wall time off the rewrite span's children."""
     return {child.name: {"seconds": child.duration}
@@ -225,8 +206,7 @@ class AtlasBuilder:
         """cfg-construction: one row per non-runtime-support function —
         CFG shape (blocks/edges), body extent, cfg byte coverage, the
         jump-table-resolved indirect target set, and the construction's
-        wall seconds (``cfg.seconds``, as first computed when the CFG
-        came from a cache)."""
+        wall seconds (``cfg.seconds``)."""
         self.mode = str(mode)
         self._text_range = list(text_range) if text_range else None
         for fcfg in cfg.sorted_functions():
@@ -394,10 +374,9 @@ def _rollup(rows, text_range):
 # -- the record --------------------------------------------------------------
 
 #: Body fields that vary between two runs of the same rewrite (wall
-#: clock, cache warmth) or name the machine rather than the rewrite;
+#: clock) or name the machine rather than the rewrite;
 #: :meth:`RewriteRecord.comparable_dict` drops them.
-_RUN_FIELDS = ("unix_time", "total_seconds", "stages", "cache",
-               "fingerprint")
+_RUN_FIELDS = ("unix_time", "total_seconds", "stages", "fingerprint")
 
 
 class RewriteRecord:
@@ -405,13 +384,13 @@ class RewriteRecord:
 
     __slots__ = ("workload", "arch", "mode", "input_digest",
                  "output_digest", "options", "fingerprint",
-                 "total_seconds", "stages", "cache",
+                 "total_seconds", "stages",
                  "trampolines", "traps", "degradation",
                  "outcome", "error", "functions", "rollup", "unix_time")
 
     def __init__(self, workload, arch, mode, input_digest,
                  output_digest=None, options=None, fingerprint=None,
-                 total_seconds=0.0, stages=None, cache=None,
+                 total_seconds=0.0, stages=None,
                  trampolines=None, traps=0, degradation=None,
                  outcome="ok", error=None, functions=(), rollup=None,
                  unix_time=None):
@@ -421,14 +400,13 @@ class RewriteRecord:
         self.input_digest = input_digest
         #: None when the rewrite failed before producing output
         self.output_digest = output_digest
-        #: the resolved option set (mode/cache/degrade/...)
+        #: the resolved option set (mode/degrade/...)
         self.options = dict(options or {})
         #: python/platform/cpus/git_sha? (:func:`collect_fingerprint`)
         self.fingerprint = dict(fingerprint or session_fingerprint())
         self.total_seconds = total_seconds
         #: stage name -> {"seconds": ...}
         self.stages = dict(stages or {})
-        self.cache = dict(cache or {})
         #: the report's trampoline counts by kind and installed traps
         self.trampolines = dict(trampolines or {})
         self.traps = traps
@@ -454,8 +432,8 @@ class RewriteRecord:
         the input's ``arch_name``), ``report`` a
         :class:`~repro.core.rewriter.RewriteReport` shape (may be None
         on failure), ``span`` the finished ``rewrite`` trace span (None
-        when untraced), whose subtree holds the stage timings and cache
-        counters of just this rewrite, ``atlas`` the
+        when untraced), whose subtree holds the stage timings of just
+        this rewrite, ``atlas`` the
         :class:`AtlasBuilder` that rode along the rewrite (read only
         when it succeeded).
         """
@@ -479,7 +457,6 @@ class RewriteRecord:
             options=options,
             total_seconds=total_seconds,
             stages=_stage_section(span),
-            cache=_cache_section(span),
             trampolines=getattr(report, "trampolines", None),
             traps=getattr(report, "traps", 0),
             degradation=degradation,
@@ -503,7 +480,6 @@ class RewriteRecord:
             "fingerprint": dict(self.fingerprint),
             "total_seconds": self.total_seconds,
             "stages": dict(self.stages),
-            "cache": dict(self.cache),
             "trampolines": dict(self.trampolines),
             "traps": self.traps,
             "outcome": self.outcome,
@@ -532,7 +508,7 @@ class RewriteRecord:
 
     def comparable_dict(self):
         """The body with every run-dependent field stripped: wall-clock
-        and cache accounting, the fingerprint, and in the atlas section
+        timings, the fingerprint, and in the atlas section
         per-row and rollup ``analysis_seconds``.  Two rewrites of the
         same input under the same options must agree on this."""
         body = self.body_dict()
@@ -575,7 +551,6 @@ class RewriteRecord:
                 fingerprint=data["fingerprint"],
                 total_seconds=data["total_seconds"],
                 stages=data["stages"],
-                cache=data["cache"],
                 trampolines=data["trampolines"],
                 traps=data["traps"],
                 degradation=data.get("degradation"),
@@ -605,8 +580,8 @@ def record_rewrite(rewriter, binary, sink, workload=None):
 
     The one place a record is assembled.  Duck-typed: ``rewriter``
     needs ``rewrite(binary, atlas=...)``, ``resolved_options()`` and a
-    ``tracer`` (under a null tracer the record's stage and cache
-    sections stay empty), ``sink`` an ``append(record)`` such as a
+    ``tracer`` (under a null tracer the record's stage section stays
+    empty), ``sink`` an ``append(record)`` such as a
     :class:`RecordLedger` or a list.  The rewrite is handed an
     :class:`AtlasBuilder`, whose section a successful rewrite's record
     carries.  A failed rewrite (:class:`ReproError`) appends a
@@ -646,7 +621,8 @@ class RecordLedger:
 
     Loading skips — and counts on :attr:`skipped` — every line that is
     not JSON, speaks another schema (the ``RewriteFleet/v1`` batch
-    summaries and ``RewriteRecord/v1`` records older ledgers carry) or
+    summaries and ``RewriteRecord/v1``/``v2`` records older ledgers
+    carry) or
     no longer hashes to its stored id.  Appending is one atomic write
     (:func:`repro.util.atomic_write`) that re-emits every existing line
     verbatim, so the skip-on-load tolerance never turns into
@@ -723,7 +699,7 @@ def diff_records(a, b):
 
     The reproducibility question first — same input? same options?
     same output? identical modulo timings? — then the explanatory
-    deltas: per-stage wall time, cache accounting, degradation shape,
+    deltas: per-stage wall time, degradation shape,
     and the atlas sections' per-function and rollup deltas.
     ``coverage_regressed`` is True when b soundly covers less than a: a
     function disappeared (every function does when b failed), lost cfg
@@ -738,12 +714,6 @@ def diff_records(a, b):
         if sa is not None and sb is not None:
             entry["delta"] = sb - sa
         stage_deltas[name] = entry
-    cache_deltas = {}
-    for key in ("hits", "misses", "stores", "saved_seconds"):
-        va = a.cache.get(key, 0)
-        vb = b.cache.get(key, 0)
-        if va or vb:
-            cache_deltas[key] = {"a": va, "b": vb, "delta": vb - va}
     deg_a = len((a.degradation or {}).get("entries", ()))
     deg_b = len((b.degradation or {}).get("entries", ()))
     both_outputs = (a.output_digest is not None
@@ -760,7 +730,6 @@ def diff_records(a, b):
         "total_seconds": {"a": a.total_seconds, "b": b.total_seconds,
                           "delta": b.total_seconds - a.total_seconds},
         "stage_deltas": stage_deltas,
-        "cache_deltas": cache_deltas,
         "degradation": {"a": deg_a, "b": deg_b, "delta": deg_b - deg_a},
     }
     diff.update(_diff_atlas(a, b))
@@ -887,13 +856,6 @@ def render_record(record, limit=0):
         for name, entry in r.stages.items():
             lines.append(
                 f"    {name:<24} {entry.get('seconds', 0) * 1e3:>8.2f}ms")
-    if r.cache:
-        c = r.cache
-        lines.append(
-            f"  cache:     {c.get('hits', 0)} hit(s) / "
-            f"{c.get('misses', 0)} miss(es), "
-            f"{c.get('stores', 0)} store(s), "
-            f"saved {c.get('saved_seconds', 0) * 1e3:.1f}ms")
     if r.trampolines or r.traps:
         lines.append("  tramps:    " + " ".join(
             f"{k}={v}" for k, v in sorted(r.trampolines.items()) if v)
@@ -921,7 +883,7 @@ def render_record_list(records, skipped=0):
              + (f", {skipped} skipped line(s)" if skipped else ""),
              f"  {'id':<12}  {'workload':<16} "
              f"{'arch/mode':<12} {'outcome':<7} "
-             f"{'total':>9}  {'cache h/m':>9}  {'cfg%':>6}  "
+             f"{'total':>9}  {'cfg%':>6}  "
              f"{'output':<12}"]
     for r in records:
         cfg = f"{r.rollup.get('cfg_fraction', 0):>6.1%}"
@@ -929,8 +891,7 @@ def render_record_list(records, skipped=0):
             f"  {r.short_id:<12}  {(r.workload or '-'):<16} "
             f"{r.arch + '/' + r.mode:<12} {r.outcome:<7} "
             f"{r.total_seconds * 1e3:>7.1f}ms  "
-            f"{r.cache.get('hits', 0)}/{r.cache.get('misses', 0):<5}"
-            f"  {cfg}  {_short(r.output_digest):<12}")
+            f"{cfg}  {_short(r.output_digest):<12}")
     return "\n".join(lines)
 
 
@@ -978,16 +939,6 @@ def render_record_diff(a, b, diff=None):
             delta = (f" ({entry['delta'] * 1e3:+.2f}ms)"
                      if "delta" in entry else "")
             lines.append(f"    {name:<24} {fa:>10} -> {fb:>10}{delta}")
-    if diff["cache_deltas"]:
-        lines.append("  cache:")
-        for key, entry in diff["cache_deltas"].items():
-            if key == "saved_seconds":
-                lines.append(
-                    f"    {key:<14} {entry['a'] * 1e3:.1f}ms -> "
-                    f"{entry['b'] * 1e3:.1f}ms")
-            else:
-                lines.append(f"    {key:<14} {entry['a']} -> "
-                             f"{entry['b']} ({entry['delta']:+d})")
     deg = diff["degradation"]
     if deg["a"] or deg["b"]:
         lines.append(f"  degraded functions: {deg['a']} -> {deg['b']} "

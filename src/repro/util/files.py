@@ -1,5 +1,4 @@
-"""Atomic file replacement, shared by the record ledger and the
-artifact cache."""
+"""Atomic file replacement for the record ledger."""
 
 import os
 import tempfile

@@ -290,9 +290,9 @@ class TestProfileRendering:
     def test_profile_shortens_fractional_counters(self):
         tr = Tracer(clock=stepping_clock())
         with tr.span("stage"):
-            tr.count("cache.seconds_saved", 0.012345678)
-            tr.count("cache.seconds_saved", 0.001)
-        assert "cache.seconds_saved=0.01335" in render_profile(tr)
+            tr.count("wait_seconds", 0.012345678)
+            tr.count("wait_seconds", 0.001)
+        assert "wait_seconds=0.01335" in render_profile(tr)
 
     def test_profile_accepts_a_span(self):
         root = Span("root")

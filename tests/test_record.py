@@ -2,18 +2,18 @@
 
 Covers the acceptance properties of the subsystem:
 
-* every recorded rewrite (fresh, cached — and failed) appends one
+* every recorded rewrite (successful or failed) appends one
   schema-versioned, content-addressed record whose accounting matches
   the run, and records of the same input agree on the output digest;
   a rewrite or harness evaluation without a ledger assembles none;
 * every successful rewrite's record carries the atlas section —
-  per-function coverage split, precision class, ladder verdict — and a
-  cold and a warm rewrite of the same input are identical modulo
-  timings; a failed rewrite's record has no atlas section;
+  per-function coverage split, precision class, ladder verdict — and two
+  rewrites of the same input are identical modulo timings; a failed
+  rewrite's record has no atlas section;
 * the ladder-rung table the record carries (so ``obs`` stays core-free)
   agrees with :func:`repro.core.modes.ladder_rung`;
 * the ledger appends atomically, skips and counts corrupt, foreign
-  (old ``RewriteFleet/v1`` rows and ``RewriteRecord/v1`` records
+  (old ``RewriteFleet/v1`` rows and ``RewriteRecord/v1``/``v2`` records
   included) and tampered lines on load but preserves them on append,
   and resolves id prefixes and ``latest``;
 * ``repro rewrite --record`` / ``repro batch --record`` persist records
@@ -27,11 +27,11 @@ Covers the acceptance properties of the subsystem:
 """
 
 import json
-import tempfile
+from pathlib import Path
 
 import pytest
 
-from repro.core import ArtifactCache, IncrementalRewriter
+from repro.core import IncrementalRewriter
 from repro.core.modes import MODE_LADDER, ladder_rung
 from repro.obs import (
     AtlasBuilder,
@@ -111,14 +111,12 @@ def _shaped(binary, failed_record, atlas):
     return RewriteRecord.from_dict(failed_record.to_dict())
 
 
-def _cold_warm(binary, tracer=None, **kwargs):
+def _two_records(binary, tracer=None, **kwargs):
+    """The records of two rewrites of ``binary`` through one tracer."""
     records = []
     tracer = tracer if tracer is not None else Tracer()
-    with tempfile.TemporaryDirectory() as directory:
-        cache = ArtifactCache(directory)
-        for _ in range(2):
-            _rewrite(binary, records, tracer=tracer, cache=cache,
-                     **kwargs)
+    for _ in range(2):
+        _rewrite(binary, records, tracer=tracer, **kwargs)
     return records
 
 
@@ -265,18 +263,12 @@ class TestRecordEmission:
             record.mode = "tampered"
         assert record.record_id != rid
 
-    def test_serial_and_cached_runs_agree_on_output(self, binary,
-                                                   tmp_path):
+    def test_two_rewrites_agree_on_output(self, binary):
         records = []
-        cache = ArtifactCache(tmp_path)
-        for kwargs in ({}, {"cache": cache}, {"cache": cache}):
-            _rewrite(binary, records, tracer=Tracer(), **kwargs)
-        digests = {r.output_digest for r in records}
-        assert len(digests) == 1
-        # ...and the warm run's record shows the cache paying off.
-        cold, warm = records[1], records[2]
-        assert cold.cache["misses"] > 0 and cold.cache["hits"] == 0
-        assert warm.cache["hits"] > 0 and warm.cache["misses"] == 0
+        for _ in range(2):
+            _rewrite(binary, records, tracer=Tracer())
+        assert len({r.output_digest for r in records}) == 1
+        assert records[0].output_digest
 
     def test_failed_rewrite_still_emits_a_record(self):
         # SrbiRewriter refuses C++ binaries outright — the refusal must
@@ -304,47 +296,33 @@ class TestRecordEmission:
         assert "functions" not in record.to_dict()
         assert "rollup" not in record.to_dict()
 
-    def test_shared_registry_yields_per_run_deltas(self, binary,
-                                                  tmp_path):
-        # One tracer (the registry of span counters) across two
-        # rewrites: each record must account only its own run's
-        # subtree, not the running totals.
-        records = []
+    def test_shared_registry_yields_per_run_deltas(self, binary):
+        # One tracer across two rewrites: each record must account only
+        # its own run's subtree — one entry per pipeline stage, timed
+        # by that run's own stage span — not the running totals.
         tracer = Tracer()
-        cache = ArtifactCache(tmp_path)
-        for _ in range(2):
-            _rewrite(binary, records, tracer=tracer, cache=cache)
-        cold, warm = records
-        assert cold.cache["misses"] > 0
-        assert warm.cache["misses"] == 0
-        assert warm.cache["hits"] == cold.cache["misses"]
-        assert tracer.root.total_counters()["cache.hits"] \
-            == warm.cache["hits"]
+        records = _two_records(binary, tracer=tracer)
+        spans = [span for span in tracer.root.children
+                 if span.name == "rewrite"]
+        assert len(spans) == 2
+        for record, span in zip(records, spans):
+            assert record.stages == {
+                child.name: {"seconds": child.duration}
+                for child in span.children}
+            assert "cfg-construction" in record.stages
 
-    def test_cold_and_warm_records_identical_modulo_timings(self, binary):
-        cold, warm = _cold_warm(binary)
-        assert cold.output_digest == warm.output_digest
-        assert cold.record_id != warm.record_id
-        assert cold.comparable_dict() == warm.comparable_dict()
-        # The warm run's cache accounting shows the cache paying off —
-        # one hit per cached stage, the legitimate cold-vs-warm
-        # difference stripped by comparable_dict.  Atlas rows carry no
-        # per-row provenance, but keep the analysis seconds stored in
-        # the stage artifacts.
-        assert warm.cache["by_kind"] == {"cfg": {"hits": 1},
-                                         "funcptr": {"hits": 1}}
-        assert (warm.cache["hits"], warm.cache["misses"],
-                warm.cache["stores"]) == (2, 0, 0)
-        assert warm.cache["saved_seconds"] > 0
-        assert cold.cache == {"hits": 0, "misses": 2, "stores": 2,
-                              "saved_seconds": 0.0,
-                              "by_kind": {"cfg": {"misses": 1},
-                                          "funcptr": {"misses": 1}}}
-        assert all("provenance" not in r for r in warm.functions)
-        assert [r["analysis_seconds"] for r in warm.functions] == \
-            [r["analysis_seconds"] for r in cold.functions]
-        assert warm.rollup["analysis_seconds"] > 0
-        diff = diff_records(cold, warm)
+    def test_two_records_of_one_input_identical_modulo_timings(
+            self, binary):
+        first, second = _two_records(binary)
+        assert first.output_digest == second.output_digest
+        assert first.record_id != second.record_id
+        assert first.comparable_dict() == second.comparable_dict()
+        # Atlas rows carry no per-row provenance; each run times its
+        # own analyses.
+        assert all("provenance" not in r for r in second.functions)
+        assert second.rollup["analysis_seconds"] > 0
+        assert "cache" not in second.to_dict()
+        diff = diff_records(first, second)
         assert diff["identical"] is True
         assert diff["same_input"] and diff["same_output"]
         assert diff["coverage_regressed"] is False
@@ -404,8 +382,9 @@ class TestSerialization:
         {"schema": "RewriteReceipt/v1"},
         {"schema": "RewriteAtlas/v1"},
         {"schema": "RewriteRecord/v1"},
+        {"schema": "RewriteRecord/v2"},
     ], ids=["alien", "not-a-dict", "missing-keys", "old-receipt",
-            "old-atlas", "old-record"])
+            "old-atlas", "old-record", "v2-record"])
     def test_from_dict_rejects_foreign_and_corrupt(self, data):
         with pytest.raises(ValueError):
             RewriteRecord.from_dict(data)
@@ -414,11 +393,9 @@ class TestSerialization:
         tr = Tracer(name="rewrite:test")
         with tr.span("rewrite", mode="jt") as span:
             with tr.span("cfg-construction"):
-                tr.count("cache.hits", 7)
-                tr.count("cache.cfg.hits", 7)
+                tr.count("cfg.blocks", 7)
             with tr.span("funcptr-analysis"):
-                tr.count("cache.misses", 3)
-                tr.count("cache.seconds_saved", 0.25)
+                tr.count("data_defs", 3)
             with tr.span("relocation"):
                 pass
         tr.finish()
@@ -444,10 +421,10 @@ class TestSerialization:
                                       "funcptr-analysis", "relocation"}
         assert all(set(entry) == {"seconds"}
                    for entry in record.stages.values())
-        assert "mem_peak" not in json.dumps(record.to_dict())
-        assert record.cache == {"hits": 7, "misses": 3, "stores": 0,
-                                "saved_seconds": 0.25,
-                                "by_kind": {"cfg": {"hits": 7}}}
+        # Stage counters stay on the trace; the record keeps timings.
+        doc = json.dumps(record.to_dict())
+        assert "mem_peak" not in doc and "cache" not in doc
+        assert "data_defs" not in doc
         assert (record.trampolines, record.traps) == ({"direct": 5}, 2)
 
 
@@ -464,6 +441,26 @@ class TestEnvFingerprint:
         assert "-" in fp["platform"]
         # Collected once per process: every record shares the dict.
         assert session_fingerprint() is session_fingerprint()
+
+    def test_git_sha_names_the_source_checkout_not_the_cwd(
+            self, tmp_path, monkeypatch):
+        # The sha must describe the code that ran, wherever the process
+        # was started: here from a directory outside any repository.
+        import subprocess
+
+        import repro
+
+        source = Path(repro.__file__).resolve().parent
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"], cwd=source,
+                capture_output=True, text=True, timeout=5)
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0 or not head.stdout.strip():
+            pytest.skip("the source tree is not a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert collect_fingerprint()["git_sha"] == head.stdout.strip()
 
     def test_missing_sha_serializes_compactly(self, monkeypatch):
         import repro.obs.receipt as receipt
@@ -529,7 +526,8 @@ class TestLedger:
                                                       tmp_path, capsys):
         # Batches once closed with a RewriteFleet/v1 summary row, and
         # records were RewriteRecord/v1 (with, for a while, a
-        # `workers` section and `jobs`/`executor` options).  Both are
+        # `workers` section and `jobs`/`executor` options), then
+        # RewriteRecord/v2 (with a `cache` section and option).  All are
         # foreign now: they count as skipped, and an append keeps them
         # verbatim.
         from repro.cli import main
@@ -544,20 +542,24 @@ class TestLedger:
         fleet = {"schema": "RewriteFleet/v1",
                  "records": [first.record_id, v1["record_id"]],
                  "outcomes": {"ok": 2}, "worker_tasks": 26}
-        old = [json.dumps(v1), json.dumps(fleet)]
+        v2 = first.to_dict()
+        v2["schema"] = "RewriteRecord/v2"
+        v2["options"]["cache"] = True
+        v2["cache"] = {"hits": 2, "misses": 0, "stores": 0,
+                       "saved_seconds": 0.01}
+        old = [json.dumps(v1), json.dumps(fleet), json.dumps(v2)]
         with open(path, "a") as f:
             f.write("\n".join(old) + "\n")
-        _rewrite(binary, ledger, tracer=Tracer(),
-                 cache=ArtifactCache(tmp_path / "cache"))
+        _rewrite(binary, ledger, tracer=Tracer())
         records = ledger.load()
         assert len(records) == 2
         assert records[0].record_id == first.record_id
-        assert ledger.skipped == 2
-        assert path.read_text().splitlines()[1:3] == old
+        assert ledger.skipped == 3
+        assert path.read_text().splitlines()[1:4] == old
 
         assert main(["record", "list", "--ledger", str(path)]) == 0
         listing = capsys.readouterr().out
-        assert "2 record(s), 2 skipped line(s)" in listing
+        assert "2 record(s), 3 skipped line(s)" in listing
 
     def test_lines_with_worker_accounting_still_load(self, binary,
                                                      tmp_path, capsys):
@@ -649,35 +651,32 @@ class TestLedger:
 
 
 class TestDiff:
-    def test_warm_vs_cold_diff(self, binary):
-        cold, warm = _cold_warm(binary, tracer=Tracer(name="t"))
-        diff = diff_records(cold, warm)
+    def test_diff_of_two_rewrites_of_one_input(self, binary):
+        first, second = _two_records(binary, tracer=Tracer(name="t"))
+        diff = diff_records(first, second)
         assert diff["same_input"] is True
         assert diff["same_options"] is True
         assert diff["same_output"] is True
         assert diff["identical"] is True
-        assert diff["cache_deltas"]["hits"]["delta"] > 0
-        assert diff["cache_deltas"]["misses"]["delta"] < 0
         assert diff["stage_deltas"]   # traced stages present
-        text = render_record_diff(cold, warm, diff)
+        text = render_record_diff(first, second, diff)
         assert "output:  identical" in text
         assert "identical modulo timings" in text
-        assert "hits" in text
 
     def test_diff_flags_diverged_outputs(self, binary):
-        cold, warm = _cold_warm(binary)
-        warm.output_digest = "f" * 64
-        diff = diff_records(cold, warm)
+        a, b = _two_records(binary)
+        b.output_digest = "f" * 64
+        diff = diff_records(a, b)
         assert diff["same_output"] is False
         assert diff["identical"] is False
-        assert "DIVERGED" in render_record_diff(cold, warm, diff)
+        assert "DIVERGED" in render_record_diff(a, b, diff)
 
     def test_diff_tolerates_missing_output(self, binary):
-        cold, warm = _cold_warm(binary)
-        warm.output_digest = None
-        diff = diff_records(cold, warm)
+        a, b = _two_records(binary)
+        b.output_digest = None
+        diff = diff_records(a, b)
         assert diff["same_output"] is None
-        assert "not comparable" in render_record_diff(cold, warm, diff)
+        assert "not comparable" in render_record_diff(a, b, diff)
 
     def test_coverage_regressed_against_a_failed_record(
             self, binary, failed_record):
@@ -694,7 +693,7 @@ class TestDiff:
         assert back["coverage_regressed"] is False
 
     def test_lost_cfg_bytes_regress(self, binary):
-        a, b = _cold_warm(binary)
+        a, b = _two_records(binary)
         victim = b.functions[0]
         victim["cfg_bytes"] -= 1
         victim["unreached_bytes"] += 1
@@ -706,7 +705,7 @@ class TestDiff:
         assert "COVERAGE REGRESSED" in render_record_diff(a, b, diff)
 
     def test_falling_down_the_ladder_regresses(self, binary):
-        a, b = _cold_warm(binary)
+        a, b = _two_records(binary)
         victim = b.functions[0]
         victim["mode"], victim["rung"] = "skip", MODE_RUNGS["skip"]
         diff = diff_records(a, b)
@@ -714,7 +713,7 @@ class TestDiff:
         assert any("down the ladder" in r for r in diff["regressions"])
 
     def test_lost_function_regresses(self, binary):
-        a, b = _cold_warm(binary)
+        a, b = _two_records(binary)
         lost = b.functions.pop()
         diff = diff_records(a, b)
         assert diff["coverage_regressed"] is True
@@ -723,7 +722,7 @@ class TestDiff:
 
     def test_extra_trampoline_bytes_are_overhead_not_regression(
             self, binary):
-        a, b = _cold_warm(binary)
+        a, b = _two_records(binary)
         b.functions[0]["trampoline_bytes"] += 64
         diff = diff_records(a, b)
         assert diff["identical"] is False
@@ -734,11 +733,11 @@ class TestDiff:
 
 class TestRendering:
     def test_render_record_and_list(self, binary):
-        records = _cold_warm(binary, tracer=Tracer(name="t"))
+        records = _two_records(binary, tracer=Tracer(name="t"))
         text = render_record(records[0])
         assert records[0].short_id in text
-        assert "cache:" in text and "stages:" in text
-        assert "mem peak" not in text
+        assert "stages:" in text
+        assert "cache" not in text and "mem peak" not in text
         listing = render_record_list(records)
         assert "2 record(s)" in listing
         assert all(r.short_id in listing for r in records)
@@ -811,10 +810,9 @@ class TestCli:
                                                      capsys):
         from repro.cli import main
 
-        assert main(["batch", "619.lbm_s", "--repeat", "2"]) == 0
+        assert main(["batch", "619.lbm_s", "619.lbm_s"]) == 0
         assert not (tmp_path / "RECORDS.jsonl").exists()
-        assert main(["batch", "619.lbm_s", "--repeat", "2",
-                     "--record"]) == 0
+        assert main(["batch", "619.lbm_s", "619.lbm_s", "--record"]) == 0
         assert "2 record(s) -> RECORDS.jsonl" in capsys.readouterr().err
         ledger = RecordLedger(str(tmp_path / "RECORDS.jsonl"))
         records = ledger.load()
@@ -829,7 +827,7 @@ class TestCli:
     def test_record_list_show_diff(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["batch", "619.lbm_s", "--repeat", "2", "--record"])
+        main(["batch", "619.lbm_s", "619.lbm_s", "--record"])
         capsys.readouterr()
         assert main(["record", "list"]) == 0
         listing = capsys.readouterr().out
@@ -839,11 +837,10 @@ class TestCli:
         assert main(["record", "show", ids[0]]) == 0
         assert "workload:  619.lbm_s" in capsys.readouterr().out
 
-        # Warm vs cold of the same input: identical outputs, exit 0.
+        # Two rewrites of the same input: identical outputs, exit 0.
         assert main(["record", "diff", ids[0], ids[1]]) == 0
         text = capsys.readouterr().out
         assert "output:  identical" in text
-        assert "hits" in text
 
     def test_record_show_top_atlas(self, capsys):
         from repro.cli import main
@@ -885,8 +882,7 @@ class TestCli:
         from repro.cli import main
 
         for _ in range(2):
-            main(["rewrite", "--workload", "619.lbm_s", "--record",
-                  "--cache-dir", str(tmp_path / "cache")])
+            main(["rewrite", "--workload", "619.lbm_s", "--record"])
         capsys.readouterr()
         assert main(["record", "diff",
                      *_ids(tmp_path / "RECORDS.jsonl")]) == 0
