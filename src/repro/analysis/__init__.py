@@ -36,9 +36,7 @@ from repro.analysis.funcptr import (
     DerivedFlowDef,
     FuncPtrAnalysis,
     FunctionPtrScan,
-    PRECISION_CLASSES,
     analyze_function_pointers,
-    classify_precision,
     scan_function_pointers,
 )
 from repro.analysis.jumptable import JumpTableAnalyzer
@@ -72,8 +70,6 @@ __all__ = [
     "scan_function_pointers",
     "FuncPtrAnalysis",
     "FunctionPtrScan",
-    "PRECISION_CLASSES",
-    "classify_precision",
     "DataSlotDef",
     "CodeConstDef",
     "DerivedFlowDef",

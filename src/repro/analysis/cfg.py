@@ -193,8 +193,6 @@ class BinaryCFG:
     def __init__(self):
         self.functions = {}   # entry addr -> FunctionCFG
         self.by_name = {}
-        #: entry addr -> its construction's wall seconds
-        self.seconds = {}
 
     def add(self, fcfg):
         self.functions[fcfg.entry] = fcfg

@@ -28,8 +28,6 @@ in deterministic worklist order.  The result is a pure function of the
 image and the options.
 """
 
-import time
-
 from repro.analysis.cfg import (
     BRANCH,
     BasicBlock,
@@ -114,8 +112,7 @@ def build_cfg(binary, options=None, tracer=None):
     failure (with its Figure-2 category), in construction order, the
     ``cfg.constructions`` and ``functions`` counts, and the
     ``cfg.blocks``/``cfg.instructions``/``cfg.jump_tables`` totals over
-    the functions built.  Each function's construction seconds land on
-    the returned :class:`BinaryCFG`.
+    the functions built.
     """
     options = options or ConstructionOptions()
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -133,11 +130,9 @@ def build_cfg(binary, options=None, tracer=None):
             name, range_end = seeds[entry]
             with tracer.span("pipeline-analysis", function=name,
                              artifact="cfg"):
-                t0 = time.perf_counter()
                 fcfg, discovered_calls, insn_count = build_function_cfg(
                     binary, name, entry, range_end,
                     pads_by_owner.get(entry, ()), options)
-                cfg.seconds[entry] = time.perf_counter() - t0
             cfg.add(fcfg)
             if fcfg.failed is not None:
                 tracer.event(

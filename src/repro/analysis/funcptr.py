@@ -39,8 +39,6 @@ then each function's code scan, merging the partial results in address
 order into one :class:`FuncPtrAnalysis`.
 """
 
-import time
-
 from dataclasses import dataclass, field
 
 from repro.analysis.symeval import Bin, BlockEval, Const, Input, Load
@@ -93,58 +91,10 @@ class FuncPtrAnalysis:
     #: ladder (func-ptr -> jt -> dir -> skip) instead of a whole-binary
     #: abort.
     imprecise_by_function: dict = field(default_factory=dict)
-    #: {function name: its code scan's wall seconds}
-    seconds: dict = field(default_factory=dict)
 
     def implicate(self, function_name, reason):
         self.imprecise_by_function.setdefault(function_name,
                                               []).append(reason)
-
-    def precision_class(self, function_name):
-        """The :data:`PRECISION_CLASSES` bucket of one function's
-        imprecision reasons (``"precise"`` when none implicate it) —
-        the per-function precision label a rewrite record's atlas keeps."""
-        return classify_precision(
-            self.imprecise_by_function.get(function_name, ()))
-
-
-#: Precision classes a function's pointer analysis can land in, worst
-#: first.  ``classify_precision`` prefers the worst matching class when
-#: a function accumulated mixed reasons, mirroring how the degradation
-#: ladder treats mixed failure categories.
-PRECISION_COMPUTED = "computed-pointer"
-PRECISION_CONFLICT = "conflicting-delta"
-PRECISION_ARITH = "nonconst-arith"
-PRECISION_OTHER = "imprecise-other"
-PRECISION_PRECISE = "precise"
-PRECISION_CLASSES = (PRECISION_COMPUTED, PRECISION_CONFLICT,
-                     PRECISION_ARITH, PRECISION_OTHER, PRECISION_PRECISE)
-
-
-def classify_precision(reasons):
-    """Bucket imprecision reason strings into a precision class.
-
-    The buckets follow the verdicts this module emits (module
-    docstring): runtime-built code pointers (the Go-vtab failure,
-    forces ``skip``), conflicting per-slot deltas, non-constant or
-    oversized pointer arithmetic, and a catch-all for anything newer
-    reasons introduce.  Empty reasons mean the function is precise.
-    """
-    found = set()
-    for reason in reasons:
-        if "computed code pointer" in reason \
-                or "indirect transfer" in reason:
-            found.add(PRECISION_COMPUTED)
-        elif "conflicting pointer deltas" in reason:
-            found.add(PRECISION_CONFLICT)
-        elif "non-constant amount" in reason or "large delta" in reason:
-            found.add(PRECISION_ARITH)
-        else:
-            found.add(PRECISION_OTHER)
-    for cls in PRECISION_CLASSES:
-        if cls in found:
-            return cls
-    return PRECISION_PRECISE
 
 
 @dataclass
@@ -194,10 +144,8 @@ def analyze_function_pointers(binary, cfg, spec, tracer=None):
     for fcfg in cfg.ok_functions():
         with tracer.span("pipeline-analysis", function=fcfg.name,
                          artifact="funcptr"):
-            t0 = time.perf_counter()
             partial = scan_function_pointers(binary, spec, fcfg, entries,
                                              text_lo, text_hi, known_slots)
-            result.seconds[fcfg.name] = time.perf_counter() - t0
         result.code_defs.extend(partial.code_defs)
         result.derived_defs.extend(partial.derived_defs)
         result.reasons.extend(partial.reasons)

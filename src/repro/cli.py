@@ -7,14 +7,8 @@ Examples::
         --mode func-ptr --scorch -o sgcc.rw
     python -m repro rewrite --workload 602.sgcc_s --mode jt \\
         --profile --trace sgcc-trace.json
-    python -m repro batch 619.lbm_s 602.sgcc_s --record
     python -m repro chaos --workload 602.sgcc_s --report 1 \\
         --underapprox 1
-    python -m repro rewrite --workload 602.sgcc_s --record
-    python -m repro record list
-    python -m repro record show latest --json
-    python -m repro record top latest --by unreached
-    python -m repro record diff 7191d390 a3f2c1b0
     python -m repro run sgcc.rw --telemetry sgcc-run.json
     python -m repro layout sgcc.rw
     python -m repro table 3 --arch x86
@@ -22,9 +16,7 @@ Examples::
 """
 
 import argparse
-import os
 import sys
-import time
 
 from repro.core import (
     EmptyInstrumentation,
@@ -38,14 +30,11 @@ from repro.binfmt import Binary
 from repro.machine import run_binary
 from repro.obs import (
     EngineTelemetry,
-    RecordLedger,
     Tracer,
-    record_rewrite,
     render_degradation,
     render_engine_report,
     render_profile,
 )
-from repro.obs.receipt import DEFAULT_LEDGER, TOP_ORDERINGS
 from repro.toolchain.workloads import (
     SPEC_BENCHMARK_NAMES,
     build_workload,
@@ -62,7 +51,6 @@ EXIT_DIVERGED = 1
 EXIT_DIFF_REFUSED = 2
 EXIT_LOAD_ERROR = 3
 EXIT_REWRITE_ERROR = 4
-EXIT_COVERAGE_REGRESSION = 6
 
 _APP_WORKLOADS = {
     "libxul_like": firefox_like,
@@ -152,39 +140,13 @@ def cmd_build(args):
     return 0
 
 
-class _LedgerSink(list):
-    """Record sink: persists each record into the ledger at ``path`` and
-    keeps it for in-process reporting."""
-
-    def __init__(self, path):
-        super().__init__()
-        self.path = path
-        self._ledger = RecordLedger(path)
-
-    def append(self, record):
-        self._ledger.append(record)
-        super().append(record)
-
-
-def _rewrite(rewriter, binary, records, workload):
-    """``rewriter.rewrite(binary)``, recorded into ``records`` (a
-    :class:`_LedgerSink`) unless that is None."""
-    if records is None:
-        return rewriter.rewrite(binary)
-    return record_rewrite(rewriter, binary, records, workload=workload)
-
-
 def cmd_rewrite(args):
     program, binary = _load_workload(args.workload, args.arch, args.pie)
     instrumentation = (CountingInstrumentation()
                        if args.instrument == "counting"
                        else EmptyInstrumentation())
-    # Records need the trace's per-stage timings, so --record implies
-    # a tracer even without --profile/--trace.
-    observing = args.profile or args.trace or args.record
-    tracer = Tracer(name=f"rewrite:{args.workload}") if observing \
-        else None
-    records = _LedgerSink(args.record) if args.record else None
+    tracer = Tracer(name=f"rewrite:{args.workload}") \
+        if args.profile or args.trace else None
     rewriter = IncrementalRewriter(
         mode=RewriteMode.parse(args.mode),
         instrumentation=instrumentation,
@@ -193,14 +155,10 @@ def cmd_rewrite(args):
         degrade=not args.no_degrade,
     )
     try:
-        rewritten, report = _rewrite(rewriter, binary, records,
-                                     args.workload)
+        rewritten, report = rewriter.rewrite(binary)
     except ReproError as exc:
         print(f"rewrite refused: {exc}", file=sys.stderr)
-        if records:
-            print(f"record        : {records[-1].short_id} [failed] "
-                  f"-> {args.record}", file=sys.stderr)
-        if args.profile and tracer is not None:
+        if args.profile:
             print(render_profile(tracer), file=sys.stderr)
         return EXIT_REWRITE_ERROR
     runtime = rewriter.runtime_library(rewritten)
@@ -222,12 +180,6 @@ def cmd_rewrite(args):
         print(f"degraded      : {lines[0]}")
         for line in lines[1:]:
             print(line)
-    if records:
-        record = records[-1]
-        roll = record.rollup
-        print(f"record        : {record.short_id} (atlas: "
-              f"{roll['functions']} function(s), "
-              f"cfg {roll['cfg_fraction']:.1%}) -> {args.record}")
     if args.output:
         print(f"written       : {args.output}")
     diverged = False
@@ -247,57 +199,7 @@ def cmd_rewrite(args):
     if args.profile:
         print()
         print(render_profile(tracer))
-    return 1 if diverged else 0
-
-
-def cmd_batch(args):
-    """Rewrite a list of workloads, one after another.
-
-    With ``--record [LEDGER]``, every rewrite (failed ones included)
-    appends a :class:`~repro.obs.RewriteRecord` to the ledger.
-    """
-    records = _LedgerSink(args.record) if args.record else None
-    failures = 0
-    loaded = {}
-    load_failed = set()
-    for name in args.workloads:
-        if name in load_failed:
-            continue
-        if name not in loaded:
-            # A bad workload name is one failure, not a batch abort.
-            try:
-                loaded[name] = _load_workload(name, args.arch, args.pie)
-            except CliError as exc:
-                failures += 1
-                load_failed.add(name)
-                print(f"{name:<16} LOAD FAILED: {exc}", file=sys.stderr)
-                continue
-        _, binary = loaded[name]
-        # A record needs its own rewrite's stage timings.
-        tracer = Tracer(name=f"batch:{name}") if records is not None \
-            else None
-        t0 = time.perf_counter()
-        rewriter = IncrementalRewriter(mode=RewriteMode.parse(args.mode),
-                                       tracer=tracer)
-        try:
-            rewritten, report = _rewrite(rewriter, binary, records, name)
-        except ReproError as exc:
-            failures += 1
-            print(f"{name:<16} FAILED: {exc}", file=sys.stderr)
-            continue
-        elapsed = time.perf_counter() - t0
-        print(f"{name:<16} {elapsed:7.3f}s  coverage "
-              f"{report.coverage:6.2%}")
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            with open(f"{args.out_dir}/{name}.rw", "wb") as f:
-                f.write(rewritten.to_bytes())
-    if records:
-        print(f"[{len(records)} record(s) -> {records.path}]",
-              file=sys.stderr)
-    if load_failed and load_failed >= set(args.workloads):
-        return EXIT_LOAD_ERROR   # nothing in the batch even loaded
-    return EXIT_REWRITE_ERROR if failures else 0
+    return EXIT_DIVERGED if diverged else 0
 
 
 def cmd_chaos(args):
@@ -339,76 +241,6 @@ def cmd_chaos(args):
                                    show_reason=False)[1:]:
         print(line)
     return 0 if run.passed else EXIT_REWRITE_ERROR
-
-
-def cmd_record(args):
-    """The rewrite-record ledger: list records, show one, rank one's
-    atlas rows, diff two.
-
-    ``diff`` answers the reproducibility question first — do the two
-    rewrites agree on the output digest? — then explains the cost
-    difference (stage timings, degradation shape)
-    and the per-function coverage/mode/overhead deltas.  It exits
-    :data:`EXIT_COVERAGE_REGRESSION` when the second covers less (a
-    failed rewrite covers nothing); otherwise :data:`EXIT_DIVERGED`
-    when both carry an output digest and they differ.
-    """
-    from repro.obs import (
-        diff_records,
-        render_record,
-        render_record_diff,
-        render_record_list,
-        render_record_top,
-    )
-
-    ledger = RecordLedger(args.ledger)
-    records = ledger.load()
-    if ledger.skipped:
-        print(f"[{ledger.skipped} corrupt/foreign ledger line"
-              f"{'' if ledger.skipped == 1 else 's'} skipped]",
-              file=sys.stderr)
-
-    wanted = {"list": 0, "show": 1, "top": 1, "diff": 2}[args.action]
-    if len(args.ids) != wanted:
-        raise CliError(
-            f"record {args.action} takes {wanted} record id(s), "
-            f"got {len(args.ids)}",
-            EXIT_LOAD_ERROR,
-        )
-
-    if args.action == "list":
-        print(render_record_list(records, ledger.skipped))
-        return 0
-
-    try:
-        found = [ledger.find(id_prefix) for id_prefix in args.ids]
-    except LookupError as exc:
-        raise CliError(str(exc), EXIT_LOAD_ERROR)
-
-    if args.action == "show":
-        if args.json:
-            import json
-            print(json.dumps(found[0].to_dict(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_record(found[0], limit=args.limit or 0))
-        return 0
-
-    if args.action == "top":
-        if found[0].outcome != "ok":
-            raise CliError(
-                f"record {found[0].short_id} is a failed rewrite: it "
-                f"has no function rows", EXIT_LOAD_ERROR)
-        print(render_record_top(found[0], by=args.by,
-                                limit=args.limit or 10))
-        return 0
-
-    a, b = found
-    diff = diff_records(a, b)
-    print(render_record_diff(a, b, diff))
-    if diff["coverage_regressed"]:
-        return EXIT_COVERAGE_REGRESSION
-    return EXIT_DIVERGED if diff["same_output"] is False else 0
 
 
 def cmd_run(args):
@@ -454,7 +286,7 @@ def cmd_diff_run(args):
             json.dump(bundle.to_dict(), f, indent=2)
         print(f"[forensics bundle written to {args.json}]",
               file=sys.stderr)
-    return 1 if bundle.diverged else 0
+    return EXIT_DIVERGED if bundle.diverged else 0
 
 
 def cmd_layout(args):
@@ -558,29 +390,8 @@ def build_parser():
     p.add_argument("--no-degrade", action="store_true",
                    help="refuse the whole binary instead of walking "
                         "unsupported functions down the mode ladder")
-    p.add_argument("--record", nargs="?", const=DEFAULT_LEDGER,
-                   default=None, metavar="LEDGER",
-                   help="append a rewrite record to LEDGER "
-                        f"(default {DEFAULT_LEDGER})")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_rewrite)
-
-    p = sub.add_parser(
-        "batch",
-        help="rewrite several workloads",
-    )
-    p.add_argument("workloads", nargs="+", metavar="WORKLOAD")
-    p.add_argument("--arch", default="x86")
-    p.add_argument("--pie", action="store_true")
-    p.add_argument("--mode", default="jt",
-                   choices=[m.value for m in RewriteMode])
-    p.add_argument("--out-dir", metavar="DIR",
-                   help="write rewritten binaries under DIR")
-    p.add_argument("--record", nargs="?", const=DEFAULT_LEDGER,
-                   default=None, metavar="LEDGER",
-                   help="append one rewrite record per rewrite to LEDGER "
-                        f"(default {DEFAULT_LEDGER})")
-    p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser(
         "chaos",
@@ -601,27 +412,6 @@ def build_parser():
                    metavar="N",
                    help="N functions with one jump-table edge hidden")
     p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "record",
-        help="inspect the rewrite-record ledger: list, show, top, diff",
-    )
-    p.add_argument("action", choices=["list", "show", "top", "diff"])
-    p.add_argument("ids", nargs="*", metavar="ID",
-                   help="record id prefix(es) or `latest`: one for "
-                        "show/top, two for diff")
-    p.add_argument("--ledger", default=DEFAULT_LEDGER, metavar="FILE",
-                   help=f"record ledger (default {DEFAULT_LEDGER})")
-    p.add_argument("--json", action="store_true",
-                   help="show: print the raw record document")
-    p.add_argument("--limit", type=_positive_int, default=None,
-                   metavar="N",
-                   help="show/top: cap the atlas rows printed "
-                        "(show: all, top: 10)")
-    p.add_argument("--by", default="trampoline-bytes",
-                   choices=sorted(TOP_ORDERINGS),
-                   help="top: ranking field (default trampoline-bytes)")
-    p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("run", help="run a (possibly rewritten) binary")
     p.add_argument("binary")

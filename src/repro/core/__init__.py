@@ -14,7 +14,6 @@ from repro.core.modes import (
     MODE_LADDER,
     MODE_SKIP,
     RewriteMode,
-    ladder_rung,
 )
 from repro.core.placement import (
     PlacementResult,
@@ -41,7 +40,6 @@ __all__ = [
     "RewriteMode",
     "MODE_LADDER",
     "MODE_SKIP",
-    "ladder_rung",
     "DegradationReport",
     "FunctionDegradation",
     "IncrementalRewriter",

@@ -65,23 +65,6 @@ MODE_LADDER = (RewriteMode.FUNC_PTR, RewriteMode.JT, RewriteMode.DIR)
 MODE_SKIP = "skip"
 
 
-def ladder_rung(mode):
-    """Absolute ladder position of a mode (or its name): ``0`` for
-    ``func-ptr`` down to ``len(MODE_LADDER)`` (= 3) for ``skip``.
-
-    The rung is the diffable encoding of "how far down the ladder did
-    this function fall" — a larger rung always means strictly less
-    rewritten control flow, so observability consumers (a rewrite
-    record's atlas section, ``repro record diff``) can order modes
-    without re-deriving ladder semantics.
-    """
-    if isinstance(mode, RewriteMode):
-        return MODE_LADDER.index(mode)
-    if mode == MODE_SKIP:
-        return len(MODE_LADDER)
-    return MODE_LADDER.index(RewriteMode.parse(mode))
-
-
 def mode_rewrites_jump_tables(mode):
     """``rewrites_jump_tables`` over ladder entries (False for skip)."""
     return isinstance(mode, RewriteMode) and mode.rewrites_jump_tables
@@ -112,22 +95,6 @@ class FunctionDegradation:
     @property
     def skipped(self):
         return self.final == MODE_SKIP
-
-    @property
-    def rung(self):
-        """Absolute ladder rung of the final mode (:func:`ladder_rung`)."""
-        return ladder_rung(self.final)
-
-    def as_dict(self):
-        return {
-            "function": self.function,
-            "entry": self.entry,
-            "requested": self.requested,
-            "final": self.final,
-            "rung": self.rung,
-            "reason": self.reason,
-            "category": self.category,
-        }
 
 
 @dataclass
@@ -175,9 +142,3 @@ class DegradationReport:
         for e in self.entries:
             counts[e.category] = counts.get(e.category, 0) + 1
         return counts
-
-    def as_dict(self):
-        return {
-            "requested_mode": self.requested_mode,
-            "entries": [e.as_dict() for e in self.entries],
-        }

@@ -169,37 +169,19 @@ class IncrementalRewriter:
 
     # -- public ---------------------------------------------------------------
 
-    def rewrite(self, binary, atlas=None):
+    def rewrite(self, binary):
         """Rewrite; returns (rewritten Binary, RewriteReport).
 
         Each pipeline stage runs under a :data:`PIPELINE_STAGES` trace
         span; per-function failures become ``function-skipped`` events.
-        ``atlas`` (a :class:`repro.obs.AtlasBuilder`, as
-        :func:`repro.obs.record_rewrite` passes for a record's atlas
-        section) is fed each stage's results as they are computed.
         """
         with self.tracer.span("rewrite", mode=str(self.mode),
                               arch=binary.arch_name):
-            return self._rewrite_traced(binary, self.tracer, atlas)
+            return self._rewrite_traced(binary, self.tracer)
 
-    def resolved_options(self):
-        """The record's resolved option set: every reproducibility-
-        relevant knob as it actually applied to this rewrite."""
-        return {
-            "mode": str(self.mode),
-            "degrade": self.degrade,
-            "scorch_original": self.scorch_original,
-            "call_emulation": self.call_emulation,
-            "function_order": self.function_order,
-            "block_order": self.block_order,
-        }
-
-    def _rewrite_traced(self, binary, tr, atlas):
+    def _rewrite_traced(self, binary, tr):
         spec = get_arch(binary.arch_name)
 
-        # The atlas builder (None unless requested) rides along the
-        # stages, accounting data each stage already computed — it
-        # never re-analyzes anything.
         with tr.span("cfg-construction"):
             cfg = build_cfg(binary, self.construction_options, tracer=tr)
             if self.cfg_hook is not None:
@@ -215,9 +197,6 @@ class IncrementalRewriter:
                     category=rec.category,
                     mode=str(self.mode),
                 )
-            if atlas is not None:
-                atlas.observe_cfg(cfg, str(self.mode),
-                                  binary.metadata.get("text_range"))
 
         with tr.span("funcptr-analysis"):
             funcptrs = analyze_function_pointers(binary, cfg, spec,
@@ -225,8 +204,6 @@ class IncrementalRewriter:
             tr.count("data_defs", len(funcptrs.data_defs))
             tr.count("code_defs", len(funcptrs.code_defs))
             tr.count("derived_defs", len(funcptrs.derived_defs))
-            if atlas is not None:
-                atlas.observe_funcptrs(funcptrs)
             if self.mode.rewrites_function_pointers \
                     and not funcptrs.precise and not self.degrade:
                 raise RewriteError(
@@ -266,9 +243,6 @@ class IncrementalRewriter:
             degraded_entries = set(fn_modes)
             skip_entries = {entry for entry, m in fn_modes.items()
                             if m == MODE_SKIP}
-            if atlas is not None:
-                atlas.observe_plan(degradation,
-                                   {f.entry for f in candidate_fns})
 
         relocated_fns = [
             f for f in candidate_fns if f.entry not in skip_entries
@@ -335,8 +309,6 @@ class IncrementalRewriter:
             tr.count("relocated_functions", len(emit_order))
             tr.count("clones", len(reloc.clones))
             tr.count("instr_bytes", len(instr_bytes))
-            if atlas is not None:
-                atlas.observe_relocation(reloc.block_labels)
 
         with tr.span("trampoline-installation"):
             pad_ranges = padding_ranges(binary, cfg, spec)
@@ -361,9 +333,6 @@ class IncrementalRewriter:
                     sb.cfl_start)
                 installer.install(sb.function, sb.cfl_start, sb.size,
                                   target, dead)
-            if atlas is not None:
-                atlas.observe_padding(pad_ranges)
-                atlas.observe_trampolines(installer.records)
 
         with tr.span("funcptr-redirection") as span:
             redirected = 0

@@ -10,16 +10,10 @@ subtree's :meth:`Span.total_counters` sums it over any scope.
 
 Everything is zero-dependency and defaults to the no-op
 :data:`NULL_TRACER`, so un-instrumented runs pay near-zero cost.
-
-:mod:`repro.obs.receipt` is the per-rewrite record: one schema-versioned,
-content-addressed :class:`RewriteRecord` (provenance, cost, and for a
-successful rewrite a per-function coverage atlas), stamped with the
-environment fingerprint.  It is assembled only for a ledger:
-:func:`record_rewrite` runs one rewrite and appends its record to the
-append-only :class:`RecordLedger`; a plain rewrite or a harness
-evaluation builds none.
 Performance across commits is not tracked here: the seeded end-to-end
-benchmark (``bench/run.py``) compares commits.
+benchmark (``bench/run.py``) compares commits, and
+:mod:`repro.obs.receipt` stamps its rows (and the ``bench_*.py`` JSON
+rows) with the environment fingerprint.
 
 :mod:`repro.obs.engine` is the one run-time instrument: the
 :class:`EngineTelemetry` collector the emulator feeds at
@@ -36,19 +30,7 @@ from repro.obs.engine import (
     GuardSite,
     render_engine_report,
 )
-from repro.obs.receipt import (
-    AtlasBuilder,
-    RecordLedger,
-    RewriteRecord,
-    content_digest,
-    diff_records,
-    record_rewrite,
-    render_record,
-    render_record_diff,
-    render_record_list,
-    render_record_top,
-    stamp_record,
-)
+from repro.obs.receipt import stamp_record
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -71,14 +53,4 @@ __all__ = [
     "render_engine_report",
     "render_degradation",
     "stamp_record",
-    "RewriteRecord",
-    "record_rewrite",
-    "RecordLedger",
-    "AtlasBuilder",
-    "content_digest",
-    "diff_records",
-    "render_record",
-    "render_record_list",
-    "render_record_top",
-    "render_record_diff",
 ]

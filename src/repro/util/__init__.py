@@ -1,5 +1,4 @@
-"""Shared utilities: errors, deterministic RNG, integer helpers,
-atomic file writes."""
+"""Shared utilities: errors, deterministic RNG, integer helpers."""
 
 from repro.util.errors import (
     ReproError,
@@ -23,7 +22,6 @@ from repro.util.ints import (
     s64,
 )
 from repro.util.rng import DeterministicRng
-from repro.util.files import atomic_write
 
 __all__ = [
     "ReproError",
@@ -44,5 +42,4 @@ __all__ = [
     "u64",
     "s64",
     "DeterministicRng",
-    "atomic_write",
 ]

@@ -38,20 +38,6 @@ def test_chaos_counts_must_be_non_negative(flag, capsys):
     assert getattr(args, flag[2:]) == 0
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-@pytest.mark.parametrize("action", ["show", "top"])
-def test_record_limit_must_be_positive(action, value, capsys):
-    err = _usage_error(["record", action, "latest", "--limit", value],
-                       capsys)
-    assert f"--limit: expected a positive integer, got '{value}'" in err
-
-
-@pytest.mark.parametrize("flag", ["--records=R.jsonl", "--no-records"])
-def test_batch_records_only_through_the_record_flag(flag, capsys):
-    err = _usage_error(["batch", "619.lbm_s", flag], capsys)
-    assert f"unrecognized arguments: {flag}" in err
-
-
 def test_load_error_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.bin")]) == \
         EXIT_LOAD_ERROR
@@ -71,9 +57,8 @@ def test_unknown_workload_exit_code(capsys):
 
 @pytest.mark.parametrize("command", [
     ["rewrite", "--workload", "619.lbm_s"],
-    ["batch", "619.lbm_s"],
     ["chaos", "--workload", "619.lbm_s"],
-], ids=["rewrite", "batch", "chaos"])
+], ids=["rewrite", "chaos"])
 def test_no_cache_flag_is_gone(command, capsys):
     err = _usage_error(command + ["--no-cache"], capsys)
     assert "unrecognized arguments: --no-cache" in err

@@ -175,24 +175,6 @@ class TestCli:
         binary = Binary.from_bytes(out_file.read_bytes())
         assert binary.name.startswith("619.lbm_s")
 
-    def test_batch_contains_bad_workload(self, capsys, tmp_path,
-                                         monkeypatch):
-        # One bad name among good ones is a per-workload failure, not a
-        # batch abort: the good workload is still rewritten and the
-        # exit code says "a rewrite-level failure", not "nothing
-        # loaded".
-        from repro.cli import EXIT_LOAD_ERROR, EXIT_REWRITE_ERROR, main
-        monkeypatch.chdir(tmp_path)   # the default record ledger
-        rc = main(["batch", "619.lbm_s", "no_such_workload"])
-        captured = capsys.readouterr()
-        assert rc == EXIT_REWRITE_ERROR
-        assert "LOAD FAILED" in captured.err
-        assert "619.lbm_s" in captured.out
-        # Only when *every* workload fails to load is it a load error.
-        rc = main(["batch", "nope_a", "nope_b"])
-        capsys.readouterr()
-        assert rc == EXIT_LOAD_ERROR
-
     def test_chaos_smoke(self, capsys):
         from repro.cli import main
         rc = main(["chaos", "--workload", "602.sgcc_s", "--report", "1",

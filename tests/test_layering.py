@@ -1,23 +1,18 @@
-"""Layering: the analysis package never imports the rewriter core, and
-the core never imports the rewrite-record module.
+"""Layering: the analysis package never imports the rewriter core.
 
 ``repro.analysis`` (CFG construction, pointer analysis, failure
-injection) sits below ``repro.core`` (the rewriter and its artifact
-cache).  Rewrite records (``repro.obs.receipt``) are assembled only
-where a ledger is written, so the core builds none, and the record
-module stays core-free in turn.  The check reads every module's syntax
-tree, so imports inside functions count as much as top-level ones.
+injection) sits below ``repro.core`` (the nine-stage rewriter, its
+modes, relocation and trampolines).  The check reads every module's
+syntax tree, so imports inside functions count as much as top-level
+ones.
 """
 
 import ast
 import pathlib
 
 import repro.analysis
-import repro.core
-import repro.obs.receipt
 
 ANALYSIS_DIR = pathlib.Path(repro.analysis.__file__).parent
-CORE_DIR = pathlib.Path(repro.core.__file__).parent
 PACKAGE = ("repro", "analysis")
 
 
@@ -73,22 +68,3 @@ def test_analysis_never_imports_core():
     paths = sorted(ANALYSIS_DIR.rglob("*.py"))
     assert len(paths) > 5
     assert _offending(paths, PACKAGE, _is_core) == []
-
-
-def _is_record_module(module):
-    """The record module itself, or one of its names re-exported
-    through the ``repro.obs`` package."""
-    return (_within(module, "repro.obs.receipt")
-            or module in {f"repro.obs.{name}"
-                          for name in repro.obs.receipt.__all__})
-
-
-def test_core_never_imports_the_record_module():
-    paths = sorted(CORE_DIR.rglob("*.py"))
-    assert len(paths) > 5
-    assert _offending(paths, ("repro", "core"), _is_record_module) == []
-
-
-def test_record_module_never_imports_core():
-    path = pathlib.Path(repro.obs.receipt.__file__)
-    assert _offending([path], ("repro", "obs"), _is_core) == []

@@ -1,7 +1,9 @@
 """The observability layer itself: spans, counters, events, no-op mode,
-histogram summaries, JSON round-trips, and the profile renderer."""
+histogram summaries, JSON round-trips, the profile renderer, and the
+environment fingerprint stamped on benchmark rows."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,15 @@ from repro.obs import (
     Span,
     Tracer,
     render_profile,
+    stamp_record,
     trace_from_json,
 )
 from repro.obs.engine import EngineTelemetry, _distribution
+from repro.obs.receipt import (
+    BENCH_RECORD_SCHEMA,
+    collect_fingerprint,
+    session_fingerprint,
+)
 
 
 def stepping_clock(step=1.0):
@@ -341,3 +349,50 @@ class TestProfileRendering:
         # A lone span keeps its plain row: no count, no percentiles.
         tail = next(ln for ln in lines if "tail" in ln)
         assert "×" not in tail and "p50" not in tail
+
+
+FP = {"python": "3.11.0", "platform": "Linux-x86_64", "cpus": 8,
+      "git_sha": "abc1234"}
+
+
+class TestEnvFingerprint:
+    def test_collect_describes_this_interpreter(self):
+        fp = collect_fingerprint()
+        import sys
+        assert fp["python"].startswith("%d.%d" % sys.version_info[:2])
+        assert fp["cpus"] >= 1
+        assert "-" in fp["platform"]
+        # Collected once per process: every record shares the dict.
+        assert session_fingerprint() is session_fingerprint()
+
+    def test_git_sha_names_the_source_checkout_not_the_cwd(
+            self, tmp_path, monkeypatch):
+        # The sha must describe the code that ran, wherever the process
+        # was started: here from a directory outside any repository.
+        import subprocess
+
+        import repro
+
+        source = Path(repro.__file__).resolve().parent
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"], cwd=source,
+                capture_output=True, text=True, timeout=5)
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0 or not head.stdout.strip():
+            pytest.skip("the source tree is not a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert collect_fingerprint()["git_sha"] == head.stdout.strip()
+
+    def test_missing_sha_serializes_compactly(self, monkeypatch):
+        import repro.obs.receipt as receipt
+
+        monkeypatch.setattr(receipt, "_git_sha", lambda: None)
+        assert "git_sha" not in collect_fingerprint()
+
+    def test_stamp_record_adds_schema_and_fingerprint(self):
+        stamped = stamp_record({"cycles": 5}, fingerprint=FP)
+        assert stamped["schema"] == BENCH_RECORD_SCHEMA
+        assert stamped["fingerprint"]["python"] == "3.11.0"
+        assert stamped["cycles"] == 5
